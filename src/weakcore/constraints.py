@@ -149,8 +149,7 @@ def _assignment_from_flow(B: WeightedPoints, flow: np.ndarray) -> Assignment:
     rows, cols = np.nonzero(flow > 0)
     masses = flow[rows, cols]
     # Renormalize per point so conservation is exact, absorbing solver noise.
-    sums = np.zeros(B.size)
-    np.add.at(sums, rows, masses)
+    sums = np.bincount(rows, weights=masses, minlength=B.size)
     masses = masses * (B.weights[rows] / sums[rows])
     return Assignment(B.indices[rows], cols, masses)
 

@@ -3,13 +3,15 @@
 All solvers are pure functions over float64 inputs and certify optimality
 before returning: the network solvers check complementary slackness via the
 final node potentials, the LP solver relies on a Bland-safeguarded simplex.
+The network simplex keeps its basis tree between pivots and updates parents,
+depths and potentials only on the subtree that each leaving arc cuts off, so
+a pivot costs time in that subtree's size rather than in the whole tree's.
 Problem sizes are desk scale by design; the LP is capped at
 ``MAX_LP_VARIABLES`` structural variables.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -170,19 +172,20 @@ def _greedy_start(cost, supply, demand, forbidden, priority_rows):
     """
     m, n = cost.shape
     eps = 1e-13 * max(1.0, float(supply.sum()))
-    rs = supply.copy()
-    rd = demand.copy()
+    rs = supply.tolist()
+    rd = demand.tolist()
     flow = np.zeros((m, n))
     basis: list[tuple[int, int]] = []
 
     order = np.argsort(cost.ravel(), kind="stable")
-    priority = set(priority_rows)
-    cells = [divmod(int(e), n) for e in order if divmod(int(e), n)[0] in priority]
-    cells += [divmod(int(e), n) for e in order if divmod(int(e), n)[0] not in priority]
+    if forbidden is not None:
+        order = order[~forbidden.ravel()[order]]
+    rows, cols = np.divmod(order, n)
+    first = np.isin(rows, priority_rows)
+    greedy_rows = np.concatenate([rows[first], rows[~first]]).tolist()
+    greedy_cols = np.concatenate([cols[first], cols[~first]]).tolist()
 
-    for i, j in cells:
-        if forbidden is not None and forbidden[i, j]:
-            continue
+    for i, j in zip(greedy_rows, greedy_cols):
         if rs[i] <= eps or rd[j] <= eps:
             continue
         q = min(rs[i], rd[j])
@@ -191,30 +194,30 @@ def _greedy_start(cost, supply, demand, forbidden, priority_rows):
         rs[i] -= q
         rd[j] -= q
 
-    # Complete the forest to a spanning tree with admissible zero cells.
-    parent = list(range(m + n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
-    basis_set = set(basis)
-    for i, j in basis:
-        union(i, m + j)
-    components = len({find(x) for x in range(m + n)})
+    # Each allocation exhausts a row or a column, so the allocation is a
+    # forest; complete it to a spanning tree with admissible zero cells.
+    components = m + n - len(basis)
     if components > 1:
-        for e in order:
-            i, j = divmod(int(e), n)
-            if (i, j) in basis_set or (forbidden is not None and forbidden[i, j]):
+        parent = list(range(m + n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        def union(a, b):
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                return False
+            parent[ra] = rb
+            return True
+
+        basis_set = set(basis)
+        for i, j in basis:
+            union(i, m + j)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if (i, j) in basis_set:
                 continue
             if union(i, m + j):
                 basis.append((i, j))
@@ -233,6 +236,13 @@ def _transport_simplex(cost, supply, demand, forbidden=None, priority_rows=()):
     Returns (flow, u, v) where (u, v) are optimal node potentials. Dantzig
     pricing with a permanent switch to Bland's rule after a degenerate
     streak, which rules out cycling.
+
+    Nodes 0..m-1 are sources and m..m+n-1 sinks; the basis tree is rooted at
+    node 0 with potential 0. After each pivot only the subtree that the
+    leaving arc cuts off is re-hung from the entering arc, and only its
+    parents, depths and potentials are recomputed (Ahuja, Magnanti and
+    Orlin, *Network Flows*, ch. 11). Each potential is still taken along its
+    unique tree path from the root, so the result equals a full recompute.
     """
     m, n = cost.shape
     scale = max(1.0, float(np.max(np.abs(cost))))
@@ -240,42 +250,62 @@ def _transport_simplex(cost, supply, demand, forbidden=None, priority_rows=()):
     flow_eps = 1e-13 * max(1.0, float(supply.sum()))
 
     flow, basis = _greedy_start(cost, supply, demand, forbidden, priority_rows)
-    adj: dict[int, set[int]] = {x: set() for x in range(m + n)}
+    adj: list[set[int]] = [set() for _ in range(m + n)]
     for i, j in basis:
         adj[i].add(m + j)
         adj[m + j].add(i)
-    in_basis = np.zeros((m, n), dtype=bool)
-    for i, j in basis:
-        in_basis[i, j] = True
 
+    # Tree state lives in Python lists: numpy scalar indexing is what makes a
+    # Python tree walk slow. u and v mirror pot for vectorised pricing.
+    crow = cost.tolist()
+    ccol = cost.T.tolist()
+    pot = [0.0] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
     u = np.zeros(m)
     v = np.zeros(n)
-    parent = np.full(m + n, -1, dtype=np.int64)
-    depth = np.zeros(m + n, dtype=np.int64)
 
-    def refresh_potentials():
-        parent[:] = -1
-        seen = np.zeros(m + n, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        u[0] = 0.0
-        while queue:
-            node = queue.popleft()
-            for nxt in adj[node]:
-                if seen[nxt]:
-                    continue
-                seen[nxt] = True
-                parent[nxt] = node
-                depth[nxt] = depth[node] + 1
-                if node < m:  # source -> sink arc (node, nxt-m)
-                    v[nxt - m] = cost[node, nxt - m] - u[node]
-                else:  # sink -> source
-                    u[nxt] = cost[nxt, node - m] - v[node - m]
-                queue.append(nxt)
-        if not seen.all():
-            raise SolverError("basis tree is disconnected")
+    def hang(top, up):
+        """Hang the subtree at ``top`` below ``up`` (-1 for the root) and
+        recompute parent, depth and potential inside it; returns its nodes."""
+        parent[top] = up
+        if up >= 0:
+            depth[top] = depth[up] + 1
+            pot[top] = crow[top][up - m] - pot[up] if top < m else crow[up][top - m] - pot[up]
+        nodes = [top]
+        leaves = []
+        for node in nodes:
+            up, d, p = parent[node], depth[node] + 1, pot[node]
+            if node < m:  # source -> sink arcs (node, nxt-m)
+                row = crow[node]
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = d
+                        pot[nxt] = row[nxt - m] - p
+                        nodes.append(nxt)
+            else:  # sink -> source arcs (nxt, node-m)
+                col = ccol[node - m]
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = d
+                        pot[nxt] = col[nxt] - p
+                        # Nothing hangs below a source with a single arc.
+                        (nodes if len(adj[nxt]) > 1 else leaves).append(nxt)
+        nodes += leaves
+        ids = np.array(nodes)
+        vals = np.array([pot[x] for x in nodes])
+        src = ids < m
+        u[ids[src]] = vals[src]
+        v[ids[~src] - m] = vals[~src]
+        return nodes
+
+    if len(hang(0, -1)) != m + n:
+        raise SolverError("basis tree is disconnected")
 
     def tree_path(a, b):
+        """Tree path a -> LCA -> b and the index of the LCA within it."""
         pa, pb = [a], [b]
         x, y = a, b
         while depth[x] > depth[y]:
@@ -289,16 +319,14 @@ def _transport_simplex(cost, supply, demand, forbidden=None, priority_rows=()):
             y = parent[y]
             pa.append(x)
             pb.append(y)
-        return pa + pb[-2::-1]
+        return pa + pb[-2::-1], len(pa) - 1
 
+    priced = cost if forbidden is None else np.where(forbidden, np.inf, cost)
     bland = False
     degenerate_streak = 0
     max_iter = 20_000 + 200 * (m + n)
     for _ in range(max_iter):
-        refresh_potentials()
-        red = cost - u[:, None] - v[None, :]
-        if forbidden is not None:
-            red = np.where(forbidden, np.inf, red)
+        red = priced - u[:, None] - v[None, :]
         if bland:
             hits = np.flatnonzero(red.ravel() < -tol)
             if hits.size == 0:
@@ -310,7 +338,7 @@ def _transport_simplex(cost, supply, demand, forbidden=None, priority_rows=()):
                 break
         ei, ej = divmod(e, n)
 
-        path = tree_path(ei, m + ej)
+        path, lca = tree_path(ei, m + ej)
         # Arcs along the path alternate -,+,-,... ; the entering arc is the +.
         minus, plus = [], []
         for pos in range(len(path) - 1):
@@ -328,12 +356,16 @@ def _transport_simplex(cost, supply, demand, forbidden=None, priority_rows=()):
         flow[ei, ej] += delta
         flow[leaving] = 0.0
 
-        in_basis[leaving] = False
         adj[leaving[0]].discard(m + leaving[1])
         adj[m + leaving[1]].discard(leaving[0])
-        in_basis[ei, ej] = True
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
+        # The cut-off subtree holds ei when the leaving arc lies on the
+        # ei -> LCA half of the path, and m+ej otherwise.
+        if 2 * minus.index(leaving) < lca:
+            hang(ei, m + ej)
+        else:
+            hang(m + ej, ei)
 
         if delta <= flow_eps:
             degenerate_streak += 1
@@ -380,21 +412,20 @@ def solve_transportation(p: TransportationProblem) -> TransportSolution:
         if m and n:
             v = cost.min(axis=0)
         return TransportSolution(flow, 0.0, u, v)
-    if act_s.size and act_d.size:
-        sub_sup = sup[act_s].copy()
-        sub_dem = dem[act_d].copy()
-        sub_dem *= sub_sup.sum() / sub_dem.sum()  # exact rebalance within tolerance
-        sub_flow, sub_u, sub_v = _transport_simplex(cost[np.ix_(act_s, act_d)], sub_sup, sub_dem)
-        flow[np.ix_(act_s, act_d)] = sub_flow
-        u[act_s] = sub_u
-        v[act_d] = sub_v
-        # Potentials for dropped nodes chosen so every reduced cost stays >= 0.
-        inactive_s = np.setdiff1d(np.arange(m), act_s)
-        if inactive_s.size:
-            u[inactive_s] = (cost[inactive_s][:, act_d] - v[act_d][None, :]).min(axis=1)
-        inactive_d = np.setdiff1d(np.arange(n), act_d)
-        if inactive_d.size:
-            v[inactive_d] = (cost[:, inactive_d] - u[:, None]).min(axis=0)
+    sub_sup = sup[act_s].copy()
+    sub_dem = dem[act_d].copy()
+    sub_dem *= sub_sup.sum() / sub_dem.sum()  # exact rebalance within tolerance
+    sub_flow, sub_u, sub_v = _transport_simplex(cost[np.ix_(act_s, act_d)], sub_sup, sub_dem)
+    flow[np.ix_(act_s, act_d)] = sub_flow
+    u[act_s] = sub_u
+    v[act_d] = sub_v
+    # Potentials for dropped nodes chosen so every reduced cost stays >= 0.
+    inactive_s = np.flatnonzero(sup <= 0)
+    if inactive_s.size:
+        u[inactive_s] = (cost[inactive_s][:, act_d] - v[act_d][None, :]).min(axis=1)
+    inactive_d = np.flatnonzero(dem <= 0)
+    if inactive_d.size:
+        v[inactive_d] = (cost[:, inactive_d] - u[:, None]).min(axis=0)
     objective = float(np.sum(flow * cost))
     return TransportSolution(flow=flow, objective=objective, source_potentials=u, sink_potentials=v)
 

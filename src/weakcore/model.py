@@ -38,6 +38,15 @@ def _index_array(values) -> np.ndarray:
     return np.atleast_1d(np.asarray(values, dtype=np.int64))
 
 
+def _positions(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key within ``index``, or -1 for a key it lacks."""
+    if index.size == 0:
+        return np.full(keys.size, -1, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    pos = order[np.searchsorted(index, keys, sorter=order).clip(max=index.size - 1)]
+    return np.where(index[pos] == keys, pos, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
     """Distance oracle over a shared index set covering points and facilities.
@@ -378,31 +387,38 @@ class Assignment:
     def cluster_totals(self, k: int) -> np.ndarray:
         return np.bincount(self.clusters, weights=self.masses, minlength=k)[:k]
 
-    def point_totals(self) -> dict[int, float]:
-        totals: dict[int, float] = {}
-        for p, m in zip(self.points.tolist(), self.masses.tolist()):
-            totals[p] = totals.get(p, 0.0) + m
-        return totals
+    def point_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct assigned points in ascending order, and the mass each receives."""
+        pts, inverse = np.unique(self.points, return_inverse=True)
+        totals = np.bincount(inverse, weights=self.masses, minlength=pts.size)
+        return pts, totals.astype(np.float64, copy=False)  # bincount of nothing is int
 
     def label_cluster_mass(self, B: WeightedPoints, k: int) -> np.ndarray:
         """Mass matrix t[i, j] = weight of label j assigned to cluster i."""
         if B.labels is None:
             raise ValidationError("point set carries no labels")
-        label_of = {int(p): int(l) for p, l in zip(B.indices, B.labels)}
+        pos = _positions(B.indices, self.points)
+        if np.any(pos < 0):
+            outside = np.unique(self.points[pos < 0])[:5].tolist()
+            raise ValidationError(f"assignment touches points outside the set: {outside}")
+        if np.any(self.clusters >= k):
+            raise ValidationError(f"assignment references a cluster index beyond k={k}")
         m = B.n_labels
-        out = np.zeros((k, m))
-        for p, c, mass in self.entries():
-            out[c, label_of[p]] += mass
-        return out
+        cells = self.clusters * m + B.labels[pos]
+        out = np.bincount(cells, weights=self.masses, minlength=k * m)
+        return out.astype(np.float64, copy=False).reshape(k, m)
 
     def check_conservation(self, B: WeightedPoints, rel_tol: float = REL_TOL) -> list[str]:
-        totals = self.point_totals()
-        report = []
-        for p, w in zip(B.indices.tolist(), B.weights.tolist()):
-            got = totals.get(p, 0.0)
-            if abs(got - w) > rel_tol * max(abs(w), 1e-300):
-                report.append(f"point {p}: assigned mass {got:.12g} != weight {w:.12g}")
-        extra = set(totals) - set(B.indices.tolist())
-        if extra:
-            report.append(f"assignment touches points outside the set: {sorted(extra)[:5]}")
+        pos = _positions(B.indices, self.points)
+        inside = pos >= 0
+        got = np.bincount(pos[inside], weights=self.masses[inside], minlength=B.size)
+        w = B.weights
+        bad = np.abs(got - w) > rel_tol * np.maximum(np.abs(w), 1e-300)
+        report = [
+            f"point {p}: assigned mass {g:.12g} != weight {x:.12g}"
+            for p, g, x in zip(B.indices[bad].tolist(), got[bad].tolist(), w[bad].tolist())
+        ]
+        if not inside.all():
+            extra = np.unique(self.points[~inside])[:5].tolist()
+            report.append(f"assignment touches points outside the set: {extra}")
         return report

@@ -23,14 +23,41 @@ LINE_COSTS = np.array(
 
 
 def random_transportation(seed):
+    """Small problems, except that seeds ending in 9 draw a large one
+    (50-300 sources, 2-4 sinks) whose basis tree has big subtrees to re-hang.
+    Half of the large ones have integral costs, supplies and demands, so many
+    of their pivots are degenerate."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 9))
-    n = int(rng.integers(1, 4))
+    if seed % 10 == 9:
+        m = int(rng.integers(50, 301))
+        n = int(rng.integers(2, 5))
+        if rng.random() < 0.5:
+            cost = rng.integers(1, 10, size=(m, n)).astype(float)
+            supplies = rng.integers(1, 6, size=m).astype(float)
+            demands = rng.multinomial(int(supplies.sum()) - n, np.full(n, 1 / n)) + 1.0
+            return TransportationProblem(cost, supplies, demands)
+    else:
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 4))
     cost = rng.uniform(0.1, 10.0, size=(m, n))
     supplies = rng.uniform(0.1, 5.0, size=m)
     split = rng.exponential(1.0, size=n)
     demands = supplies.sum() * split / split.sum()
     return TransportationProblem(cost, supplies, demands)
+
+
+def random_bounded_transportation(seed):
+    """Integral sink bounds around the demands of ``random_transportation(seed)``,
+    so the problem is feasible; about a quarter of the sinks are pinned to
+    their demand, which makes them mandatory-only in the split."""
+    p = random_transportation(seed)
+    rng = np.random.default_rng(seed + 1)
+    n = p.demands.size
+    lower = np.floor(p.demands * rng.uniform(0.0, 1.0, size=n))
+    upper = np.ceil(p.demands * rng.uniform(1.0, 2.0, size=n))
+    pinned = rng.random(n) < 0.25
+    lower[pinned] = upper[pinned] = p.demands[pinned]
+    return BoundedTransportationProblem(p.cost, p.supplies, lower, upper)
 
 
 def assert_certificate(p, sol, tol=1e-9):
@@ -50,6 +77,19 @@ def transportation_as_lp(p):
         a_eq[m + j, j::n] = 1.0
     b_eq = np.concatenate([p.supplies, p.demands])
     return LinearProgram(objective=p.cost.ravel(), a_eq=a_eq, b_eq=b_eq)
+
+
+def bounded_transportation_as_lp(p):
+    m, n = p.cost.shape
+    rows = np.kron(np.eye(m), np.ones(n))  # supply of source i
+    cols = np.tile(np.eye(n), m)  # total received by sink j
+    return LinearProgram(
+        objective=p.cost.ravel(),
+        a_eq=rows,
+        b_eq=p.supplies,
+        a_ub=np.vstack([cols, -cols]),
+        b_ub=np.concatenate([p.sink_upper, -p.sink_lower]),
+    )
 
 
 def test_single_cell():
@@ -104,8 +144,19 @@ def test_flow_conservation_and_lp_agreement():
         assert np.allclose(sol.flow.sum(axis=1), p.supplies, rtol=1e-9, atol=1e-9)
         assert np.allclose(sol.flow.sum(axis=0), p.demands, rtol=1e-9, atol=1e-9)
         assert_certificate(p, sol)
+        # The basis tree stays rooted at source 0, whose potential is 0; a
+        # pivot that re-hangs the wrong side of the tree shifts it.
+        assert sol.source_potentials[0] == 0.0
         lp_sol = solve_lp(transportation_as_lp(p))
         assert sol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
+
+        b = random_bounded_transportation(seed)
+        bsol = solve_bounded_transportation(b)
+        assert np.allclose(bsol.flow.sum(axis=1), b.supplies, rtol=1e-9, atol=1e-9)
+        assert np.all(bsol.sink_totals >= b.sink_lower - 1e-9)
+        assert np.all(bsol.sink_totals <= b.sink_upper + 1e-9)
+        lp_sol = solve_lp(bounded_transportation_as_lp(b))
+        assert bsol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
 
 
 @given(st.integers(0, 2**31 - 1))

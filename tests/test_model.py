@@ -9,6 +9,7 @@ from weakcore.model import (
     ClusterProfile,
     MetricSpace,
     ValidationError,
+    WeightedPoints,
     distance,
     nearest_facility,
     validate_instance,
@@ -160,3 +161,67 @@ def test_pairwise_matches_scalar(small_metric_instance):
     for i, p in enumerate(inst.points.tolist()):
         for j, f in enumerate(inst.facilities.tolist()):
             assert d[i, j] == pytest.approx(inst.space.distance(p, f), abs=1e-12)
+
+
+def _loop_label_cluster_mass(sigma, B, k):
+    label_of = dict(zip(B.indices.tolist(), B.labels.tolist()))
+    out = np.zeros((k, B.n_labels))
+    for p, c, mass in sigma.entries():
+        out[c, label_of[p]] += mass
+    return out
+
+
+def _loop_point_totals(sigma):
+    totals = {}
+    for p, _, mass in sigma.entries():
+        totals[p] = totals.get(p, 0.0) + mass
+    return totals
+
+
+def _loop_conservation_report(sigma, B):
+    totals = _loop_point_totals(sigma)
+    report = []
+    for p, w in zip(B.indices.tolist(), B.weights.tolist()):
+        got = totals.get(p, 0.0)
+        if abs(got - w) > 1e-9 * max(abs(w), 1e-300):
+            report.append(f"point {p}: assigned mass {got:.12g} != weight {w:.12g}")
+    extra = sorted(set(totals) - set(B.indices.tolist()))
+    if extra:
+        report.append(f"assignment touches points outside the set: {extra[:5]}")
+    return report
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_assignment_bookkeeping_matches_loops(seed):
+    """Split each point's weight over random clusters in shuffled order, drop
+    an entry or add an outside point now and then, and compare the vectorised
+    bookkeeping with plain loops, sums bit for bit."""
+    rng = np.random.default_rng(seed)
+    size, k, m = int(rng.integers(1, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    space = MetricSpace.euclidean(np.zeros((120, 1)))
+    indices = rng.choice(100, size, replace=False)
+    B = WeightedPoints(space, indices, rng.uniform(0.1, 3.0, size), rng.integers(0, m, size))
+    entries = [
+        (p, int(rng.integers(0, k)), w * share)
+        for p, w in zip(B.indices.tolist(), B.weights.tolist())
+        for share in rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+    ]
+    if rng.random() < 0.3:
+        entries.pop(int(rng.integers(0, len(entries))))
+    outside = rng.random() < 0.3
+    if outside:
+        entries.append((int(rng.integers(100, 120)), 0, 1.0))
+    order = rng.permutation(len(entries))
+    sigma = Assignment(*(np.array([entries[i][f] for i in order]) for f in range(3)))
+
+    pts, totals = sigma.point_totals()
+    assert dict(zip(pts.tolist(), totals.tolist())) == _loop_point_totals(sigma)
+    report = sigma.check_conservation(B)
+    assert report == _loop_conservation_report(sigma, B)
+    assert any("outside the set" in line for line in report) == outside
+    if outside:
+        with pytest.raises(ValidationError, match="outside the set"):
+            sigma.label_cluster_mass(B, k)
+    else:
+        assert np.array_equal(sigma.label_cluster_mass(B, k), _loop_label_cluster_mass(sigma, B, k))
