@@ -1,8 +1,8 @@
 """Command-line surface: JSON file formats, synthetic instance generators,
 and the generate / coreset / solve / oracle / verify commands.
 
-Exit codes: 0 success (or verification pass), 2 infeasible, 3 validation or
-input error, 4 resource ceiling exceeded.
+Exit codes: 0 success (or verification pass), 1 verification FAIL,
+2 infeasible, 3 validation or input error, 4 resource ceiling exceeded.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .candidates import CandidateParams
 from .flowlp import Infeasible, SolverLimit
 from .meta import SolveResult, solve_constrained
 from .model import ClusteringInstance, ClusterProfile, MetricSpace, ValidationError, validate_instance
-from .oracle import brute_force_opt, verify_property_A, verify_property_B
+from .oracle import DEFAULT_SOLVE_CEILING, brute_force_opt, verify_property_A, verify_property_B
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -457,7 +457,6 @@ def cmd_solve(args) -> int:
         spec,
         ordered=ordered,
         allow_repeats=args.allow_repeats,
-        workers=args.workers,
         cost_target=args.cost_target,
     )
     dump_json(solve_result_payload(res), args.out)
@@ -548,7 +547,6 @@ def cmd_verify(args) -> int:
 
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master random seed")
-    sub.add_argument("--workers", type=int, default=1, help="parallel workers where supported")
     sub.add_argument("--z", type=int, choices=(1, 2), default=None, help="override the power z")
     sub.add_argument(
         "--triangle-check",
@@ -607,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exact brute-force optimum")
     o.add_argument("--instance", required=True)
     o.add_argument("--constraint", required=True)
-    o.add_argument("--max-solves", type=int, default=1_000_000)
+    o.add_argument("--max-solves", type=int, default=DEFAULT_SOLVE_CEILING)
     o.add_argument("--out", required=True)
     _common(o)
     o.set_defaults(func=cmd_oracle)
@@ -619,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--epsilon", type=float, default=0.25, help="reporting window half-width")
     v.add_argument("--threshold", type=float, default=0.95, help="required pass fraction")
-    v.add_argument("--max-solves", type=int, default=1_000_000)
+    v.add_argument("--max-solves", type=int, default=DEFAULT_SOLVE_CEILING)
     v.add_argument("--out", required=True)
     _common(v)
     v.set_defaults(func=cmd_verify)

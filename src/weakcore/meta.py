@@ -1,14 +1,14 @@
 """Enumeration meta-solver: try every k-tuple of candidate centers against
-the summary, keep the cheapest, then re-solve the winner on the full data."""
+the summary, keep the cheapest, then re-solve the winner on the full data.
+The enumeration kernel, :func:`best_tuple`, is shared with the oracle."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .constraints import (
 from .coreset import WeakCoreset
 from .flowlp import Infeasible, SolverError
 from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError, WeightedPoints
-
-_CHUNK = 256
 
 
 def count_center_tuples(j_size: int, k: int, ordered: bool, allow_repeats: bool) -> int:
@@ -73,16 +71,40 @@ def finalize_assignment(
     return sigma, cost
 
 
-def _evaluate_chunk(chunk, B, spec, z):
+def best_tuple(
+    B: WeightedPoints,
+    candidates,
+    k: int,
+    spec: ConstraintSpec,
+    z: int,
+    ordered: bool,
+    allow_repeats: bool = False,
+    cost_target: Optional[float] = None,
+) -> tuple[float, tuple, Assignment, int]:
+    """The enumeration kernel: score every k-tuple of ``candidates`` with an
+    exact constrained assignment on ``B`` and keep the cheapest.
+
+    Tuples are visited in :func:`enumerate_center_tuples` order and a later
+    tuple replaces the best only when strictly cheaper, so ties break to the
+    earliest rank. With ``cost_target`` the walk stops at the first tuple
+    whose cost is at or below it. Returns ``(cost, tuple, assignment,
+    tuples evaluated)``; raises :class:`Infeasible` when no tuple is feasible.
+    """
     best = None
-    for rank, tup in chunk:
+    evaluated = 0
+    for tup in enumerate_center_tuples(candidates, k, ordered, allow_repeats):
+        evaluated += 1
         try:
-            cost, _, _ = optimal_feasible_cost(B, np.asarray(tup, dtype=np.int64), spec, z)
+            cost, sigma, _ = optimal_feasible_cost(B, np.asarray(tup, dtype=np.int64), spec, z)
         except Infeasible:
             continue
-        if best is None or (cost, rank) < best[:2]:
-            best = (cost, rank, tup)
-    return best
+        if best is None or cost < best[0]:
+            best = (cost, tup, sigma)
+            if cost_target is not None and cost <= cost_target:
+                break
+    if best is None:
+        raise Infeasible("no candidate tuple admits a feasible assignment")
+    return (*best, evaluated)
 
 
 def solve_constrained(
@@ -93,18 +115,15 @@ def solve_constrained(
     *,
     ordered: Optional[bool] = None,
     allow_repeats: bool = False,
-    workers: int = 1,
     cost_target: Optional[float] = None,
 ) -> SolveResult:
     """Pick the cheapest feasible center tuple from J scored on (S, v), then
     re-solve it exactly on the full instance.
 
     Symmetric specs enumerate unordered combinations; per-cluster
-    heterogeneous bounds force ordered tuples. Ties break to the earliest
-    tuple in enumeration order, so full enumeration is deterministic for any
-    worker count. ``cost_target`` stops enumeration early once the summary
-    cost reaches it; how early depends on chunking, so with a target the
-    answer (still feasible and exactly costed) may vary with ``workers``.
+    heterogeneous bounds force ordered tuples. Scoring is :func:`best_tuple`,
+    so ties break to the earliest tuple in enumeration order and
+    ``cost_target`` stops at the first tuple whose summary cost reaches it.
     """
     z = inst.z if z is None else z
     if coreset.z != z:
@@ -118,40 +137,9 @@ def solve_constrained(
     space, candidate_ids = coreset.center_view(inst)
     summary = coreset.summary_points(inst)
     summary = WeightedPoints(space, summary.indices, summary.weights, summary.labels)
-
-    tuples = enumerate_center_tuples(candidate_ids.tolist(), inst.k, ordered, allow_repeats)
-    ranked = enumerate(tuples)
-    best: Optional[tuple] = None
-    evaluated = 0
-
-    def chunks() -> Iterable[list]:
-        while True:
-            block = list(itertools.islice(ranked, _CHUNK))
-            if not block:
-                return
-            yield block
-
-    if workers <= 1:
-        for block in chunks():
-            evaluated += len(block)
-            cand = _evaluate_chunk(block, summary, spec, z)
-            if cand is not None and (best is None or cand[:2] < best[:2]):
-                best = cand
-            if cost_target is not None and best is not None and best[0] <= cost_target:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for block_group in _grouped(chunks(), workers):
-                evaluated += sum(len(b) for b in block_group)
-                for cand in pool.map(lambda b: _evaluate_chunk(b, summary, spec, z), block_group):
-                    if cand is not None and (best is None or cand[:2] < best[:2]):
-                        best = cand
-                if cost_target is not None and best is not None and best[0] <= cost_target:
-                    break
-
-    if best is None:
-        raise Infeasible("no candidate tuple admits a feasible assignment on the summary")
-    cost_summary, _, winning = best
+    cost_summary, winning, _, evaluated = best_tuple(
+        summary, candidate_ids.tolist(), inst.k, spec, z, ordered, allow_repeats, cost_target
+    )
 
     full = inst.weighted_points()
     cost_full, sigma, profile = optimal_feasible_cost(
@@ -179,11 +167,3 @@ def solve_constrained(
         center_coords=coords,
     )
 
-
-def _grouped(iterable: Iterable, size: int) -> Iterator[list]:
-    it = iter(iterable)
-    while True:
-        group = list(itertools.islice(it, size))
-        if not group:
-            return
-        yield group

@@ -13,16 +13,23 @@ from .constraints import (
     ConstraintSpec,
     Unconstrained,
     is_symmetric,
-    optimal_feasible_cost,
     profile_cost,
     voronoi_profile,
 )
+# Not called here; kept importable because perfbench's tracer hooks oracle.optimal_feasible_cost.
+from .constraints import optimal_feasible_cost  # noqa: F401
 from .coreset import WeakCoreset
-from .flowlp import Infeasible, SolverLimit
-from .meta import count_center_tuples, enumerate_center_tuples
+from .flowlp import SolverLimit
+from .meta import best_tuple, count_center_tuples
 from .model import Assignment, ClusteringInstance, ClusterProfile, WeightedPoints
 
 DEFAULT_SOLVE_CEILING = 1_000_000
+
+
+def _check_ceiling(j_size: int, k: int, ordered: bool, allow_repeats: bool, max_solves: int) -> None:
+    total = count_center_tuples(j_size, k, ordered, allow_repeats)
+    if total > max_solves:
+        raise SolverLimit(f"{total} center tuples exceed the ceiling of {max_solves}")
 
 
 def brute_force_opt(
@@ -36,28 +43,19 @@ def brute_force_opt(
 ) -> tuple[tuple, float, Assignment]:
     """Exact optimum over every admissible center tuple from F.
 
-    Mirrors the meta-solver's enumeration-mode rule. Raises
+    Runs :func:`~weakcore.meta.best_tuple` over the sorted facilities with
+    the meta-solver's enumeration-mode rule, so ties break to the earliest
+    tuple. Raises
     :class:`SolverLimit` when the tuple count exceeds ``max_solves``.
     """
     z = inst.z if z is None else z
     if ordered is None:
         ordered = not is_symmetric(spec)
-    total = count_center_tuples(inst.facilities.size, inst.k, ordered, allow_repeats)
-    if total > max_solves:
-        raise SolverLimit(f"{total} tuples exceed the brute-force ceiling of {max_solves}")
-    B = inst.weighted_points()
+    _check_ceiling(inst.facilities.size, inst.k, ordered, allow_repeats, max_solves)
     fac = np.sort(inst.facilities).tolist()
-    best = None
-    for rank, tup in enumerate(enumerate_center_tuples(fac, inst.k, ordered, allow_repeats)):
-        try:
-            cost, sigma, _ = optimal_feasible_cost(B, np.asarray(tup, dtype=np.int64), spec, z)
-        except Infeasible:
-            continue
-        if best is None or (cost, rank) < (best[0], best[1]):
-            best = (cost, rank, tup, sigma)
-    if best is None:
-        raise Infeasible("no center tuple admits a feasible assignment")
-    cost, _, tup, sigma = best
+    cost, tup, sigma, _ = best_tuple(
+        inst.weighted_points(), fac, inst.k, spec, z, ordered, allow_repeats
+    )
     return tuple(int(c) for c in tup), float(cost), sigma
 
 
@@ -203,29 +201,18 @@ def verify_property_A(
     _, opt_cost, _ = brute_force_opt(inst, spec, z, ordered=ordered, max_solves=max_solves)
 
     space, candidate_ids = coreset.center_view(inst)
-    total = count_center_tuples(len(candidate_ids), inst.k, ordered, False)
-    if total > max_solves:
-        raise SolverLimit(f"{total} candidate tuples exceed the ceiling of {max_solves}")
+    _check_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
     full = inst.weighted_points()
     full = WeightedPoints(space, full.indices, full.weights, full.labels)
-    best_j = None
-    for tup in enumerate_center_tuples(candidate_ids.tolist(), inst.k, ordered, False):
-        try:
-            cost, _, _ = optimal_feasible_cost(full, np.asarray(tup, dtype=np.int64), spec, z)
-        except Infeasible:
-            continue
-        if best_j is None or cost < best_j[0]:
-            best_j = (cost, tup)
-    if best_j is None:
-        raise Infeasible("no candidate tuple is feasible on the full data")
+    cost_j, tup_j, _, _ = best_tuple(full, candidate_ids.tolist(), inst.k, spec, z, ordered)
 
-    ratio = _ratio(best_j[0], opt_cost) if opt_cost > 0 else (1.0 if best_j[0] == 0 else math.inf)
+    ratio = _ratio(cost_j, opt_cost)
     bound = coreset.alpha + coreset.epsilon
     record = TrialRecord(
-        centers=tuple(int(c) for c in best_j[1]),
+        centers=tuple(int(c) for c in tup_j),
         profile=[],
         profile_kind="optimal-vs-brute",
-        cost_full=float(best_j[0]),
+        cost_full=float(cost_j),
         cost_summary=float(opt_cost),
         ratio=float(ratio),
     )

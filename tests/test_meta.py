@@ -11,10 +11,10 @@ from weakcore.meta import (
     finalize_assignment,
     solve_constrained,
 )
-from weakcore.model import ValidationError
+from weakcore.model import ClusteringInstance, MetricSpace, ValidationError
 from weakcore.cli import make_planar_blobs
 from weakcore.constraints import check_feasibility, voronoi_profile
-from weakcore.oracle import brute_force_opt
+from weakcore.oracle import brute_force_opt, verify_property_A
 
 
 def test_enumerate_unordered_distinct():
@@ -94,23 +94,43 @@ def test_solve_z_mismatch(line_instance):
         solve_constrained(cs, line_instance.with_z(2), Unconstrained())
 
 
-def test_workers_match_sequential():
-    inst = make_planar_blobs(40, 8, 2, seed=19)
+@pytest.mark.parametrize(
+    "spec", [Unconstrained(), Balanced(np.ones(2), np.ones(2))], ids=["unconstrained", "balanced"]
+)
+def test_ties_break_to_earliest_tuple(spec):
+    # Points at 0 and 10, facilities at -1, 1, 9, 11: every left/right pair
+    # costs 2, and (-1, 9) is the earliest of the four in enumeration order.
+    inst = ClusteringInstance(
+        space=MetricSpace.euclidean(np.array([[0.0], [10.0], [-1.0], [1.0], [9.0], [11.0]])),
+        points=np.array([0, 1]),
+        weights=np.ones(2),
+        facilities=np.array([2, 3, 4, 5]),
+        k=2,
+        z=1,
+    )
     cs = identity_weak_coreset(inst)
-    spec = Balanced(np.full(2, 5.0), np.full(2, 40.0))
-    seq = solve_constrained(cs, inst, spec, workers=1)
-    par = solve_constrained(cs, inst, spec, workers=4)
-    assert seq.centers == par.centers
-    assert seq.cost_on_full == pytest.approx(par.cost_on_full)
-    assert seq.tuples_evaluated == par.tuples_evaluated
+    res = solve_constrained(cs, inst, spec)
+    assert (res.centers, res.cost_on_summary, res.tuples_evaluated) == ((2, 4), 2.0, 6)
+    assert brute_force_opt(inst, spec)[:2] == ((2, 4), 2.0)
+    assert verify_property_A(inst, cs, spec).records[0].centers == (2, 4)
 
 
 def test_cost_target_stops_early(line_instance):
     cs = identity_weak_coreset(line_instance)
     res = solve_constrained(cs, line_instance, Unconstrained(), cost_target=1e9)
-    assert res.cost_on_full <= 1e9
-    # Any answer must still be feasible and exactly costed.
-    assert res.tuples_evaluated >= 1
+    assert res.tuples_evaluated == 1
+    assert res.centers == (0, 1)
+    # The answer is still exactly costed on the full data.
+    assert res.cost_on_full == pytest.approx(18.0)
+
+
+def test_cost_target_below_every_cost_is_exhaustive(line_instance):
+    cs = identity_weak_coreset(line_instance)
+    exhaustive = solve_constrained(cs, line_instance, Unconstrained())
+    res = solve_constrained(cs, line_instance, Unconstrained(), cost_target=1.0)
+    assert res.tuples_evaluated == exhaustive.tuples_evaluated == 10
+    assert res.centers == exhaustive.centers
+    assert res.cost_on_full == exhaustive.cost_on_full
 
 
 @pytest.mark.parametrize("seed", range(8))
