@@ -30,6 +30,7 @@ from .candidates import CandidateParams
 from .flowlp import Infeasible, SolverLimit
 from .meta import SolveResult, solve_constrained
 from .model import ClusteringInstance, ClusterProfile, MetricSpace, ValidationError, validate_instance
+from .model import _positions
 from .oracle import DEFAULT_SOLVE_CEILING, brute_force_opt, verify_property_A, verify_property_B
 
 EXIT_OK = 0
@@ -45,24 +46,18 @@ MAX_INSTANCE_BYTES = 100 * 1024 * 1024
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _json_default(obj):
+    """numpy values the json module does not take; ``np.float64`` is a
+    ``float`` and never reaches here."""
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(payload: dict, path: Optional[str]) -> str:
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -94,10 +89,10 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
             entry["label"] = int(inst.labels[pos])
         points.append(entry)
     facilities = []
-    point_index_of = {int(p): i for i, p in enumerate(inst.points.tolist())}
-    for idx in inst.facilities.tolist():
-        if idx in point_index_of:
-            facilities.append({"point": point_index_of[idx]})
+    point_pos = _positions(inst.points, inst.facilities).tolist()
+    for idx, pos in zip(inst.facilities.tolist(), point_pos):
+        if pos >= 0:
+            facilities.append({"point": pos})
         elif inst.space.is_euclidean:
             facilities.append({"coords": inst.space.coords[idx].tolist()})
         else:
@@ -216,7 +211,7 @@ def coreset_to_payload(cs: WeakCoreset) -> dict:
         "delta": float(cs.delta),
         "seed": int(cs.seed),
         "mode": cs.mode,
-        "params": _jsonify(cs.info),
+        "params": cs.info,
     }
     return payload
 

@@ -10,7 +10,7 @@ carrying ring weight / sample count, so ring weight is conserved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .candidates import (
     dz_seed,
     resolve_eta,
 )
-from .model import ClusteringInstance, ValidationError, WeightedPoints
+from .model import ClusteringInstance, ValidationError, WeightedPoints, _positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +148,8 @@ class SummaryResult:
 
 
 def _sample_ring(ring: Ring, B: WeightedPoints, s: int, rng: np.random.Generator):
-    pos = {int(p): q for q, p in enumerate(B.indices)}
     members = ring.indices
-    w = np.array([B.weights[pos[int(p)]] for p in members])
+    w = B.weights[_positions(B.indices, members)]
     if members.size <= s:
         return members, w
     draws = rng.choice(members.size, size=s, p=w / w.sum())
@@ -251,18 +250,33 @@ class WeakCoreset:
         return int(self.J.size) if self.J is not None else int(self.J_coords.shape[0])
 
     def summary_points(self, inst: ClusteringInstance) -> WeightedPoints:
-        labels = None
-        if inst.labels is not None:
-            pos = {int(p): q for q, p in enumerate(inst.points)}
-            labels = np.array([inst.labels[pos[int(p)]] for p in self.S], dtype=np.int64)
+        """(S, v) on the instance's space, carrying the instance's labels.
+
+        Raises :class:`ValidationError` when S holds an id that is not one
+        of the instance's points."""
+        pos = _positions(inst.points, self.S)
+        if np.any(pos < 0):
+            outside = np.unique(self.S[pos < 0])[:5].tolist()
+            raise ValidationError(f"coreset S holds ids that are not instance points: {outside}")
+        labels = inst.labels[pos] if inst.labels is not None else None
         return WeightedPoints(inst.space, self.S, self.v, labels)
 
-    def center_view(self, inst: ClusteringInstance):
-        """(space, candidate ids) to evaluate centers against; augments the
-        space with synthetic coordinates in Euclidean mode."""
+    def bind(self, inst: ClusteringInstance) -> tuple[np.ndarray, WeightedPoints, WeightedPoints]:
+        """(candidate ids, summary, full data) for scoring centers on ``inst``.
+
+        Both point sets live on the space the candidate ids index; in
+        Euclidean mode that is the instance's space augmented once with
+        ``J_coords``."""
+        summary = self.summary_points(inst)
+        full = inst.weighted_points()
         if self.J is not None:
-            return inst.space, self.J
-        return inst.space.augmented_with(self.J_coords)
+            return self.J, summary, full
+        space, candidate_ids = inst.space.augmented_with(self.J_coords)
+        return (
+            candidate_ids,
+            WeightedPoints(space, summary.indices, summary.weights, summary.labels),
+            WeightedPoints(space, full.indices, full.weights, full.labels),
+        )
 
 
 def universal_alpha(z: int, points_are_facilities: bool) -> float:
@@ -307,13 +321,9 @@ def build_universal_weak_coreset(
     cand_seed = int(SeedSequence(int(seed), spawn_key=(0,)).generate_state(1)[0])
     summ_seed = int(SeedSequence(int(seed), spawn_key=(1,)).generate_state(1)[0])
     cparams = candidate_params if candidate_params is not None else CandidateParams(seed=cand_seed)
-    if candidate_params is None:
-        cparams = replace(cparams, seed=cand_seed)
     sparams = summary_params if summary_params is not None else SummaryParams(
         seed=summ_seed, delta=delta
     )
-    if summary_params is None:
-        sparams = replace(sparams, seed=summ_seed, delta=delta)
 
     if mode == "metric":
         j_ids = build_candidates_metric(inst, eps, cparams)

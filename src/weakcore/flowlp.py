@@ -97,14 +97,13 @@ class BoundedTransportationProblem:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= lower (default 0)."""
+    """min c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0."""
 
     objective: np.ndarray
     a_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
     a_ub: Optional[np.ndarray] = None
     b_ub: Optional[np.ndarray] = None
-    lower: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = _float_array(self.objective, "objective", ndim=1)
@@ -123,17 +122,11 @@ class LinearProgram:
 
         a_eq, b_eq = _pair(self.a_eq, self.b_eq, "equality")
         a_ub, b_ub = _pair(self.a_ub, self.b_ub, "inequality")
-        lower = None
-        if self.lower is not None:
-            lower = _float_array(self.lower, "lower bounds", ndim=1)
-            if lower.size != n:
-                raise ValidationError("lower bounds do not match the objective length")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "a_ub", a_ub)
         object.__setattr__(self, "b_ub", b_ub)
-        object.__setattr__(self, "lower", lower)
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,22 +540,21 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     """
     c = p.objective
     n = c.size
-    lower = p.lower if p.lower is not None else np.zeros(n)
 
     blocks = []
     rhs = []
     n_ub = 0 if p.a_ub is None else p.b_ub.size
     if p.a_eq is not None:
         blocks.append(np.hstack([p.a_eq, np.zeros((p.b_eq.size, n_ub))]))
-        rhs.append(p.b_eq - p.a_eq @ lower)
+        rhs.append(p.b_eq)
     if p.a_ub is not None:
         blocks.append(np.hstack([p.a_ub, np.eye(n_ub)]))
-        rhs.append(p.b_ub - p.a_ub @ lower)
+        rhs.append(p.b_ub)
     if not blocks:
-        # Only bounds: minimize over x >= lower directly.
+        # Only x >= 0: the origin is optimal unless some cost is negative.
         if np.any(c < 0):
             raise Unbounded("no constraints bound a negative-cost variable")
-        return LpSolution(lower.copy(), float(c @ lower))
+        return LpSolution(np.zeros(n), 0.0)
 
     A = np.vstack(blocks)
     b = np.concatenate(rhs)
@@ -618,7 +610,7 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     x_full = np.zeros(cols)
     for r, col in enumerate(basis):
         x_full[col] = T2[r, -1]
-    x = np.maximum(x_full[:n], 0.0) + lower
+    x = np.maximum(x_full[:n], 0.0)
 
     _check_lp_feasibility(p, x)
     return LpSolution(x=x, objective=float(c @ x))
@@ -633,6 +625,5 @@ def _check_lp_feasibility(p: LinearProgram, x: np.ndarray, tol: float = 1e-7) ->
         excess = np.max(p.a_ub @ x - p.b_ub, initial=0.0)
         if excess > tol:
             raise SolverError(f"LP inequality excess {excess:.3e} exceeds {tol}")
-    lower = p.lower if p.lower is not None else np.zeros(x.size)
-    if np.min(x - lower, initial=0.0) < -tol:
-        raise SolverError("LP solution violates variable lower bounds")
+    if np.min(x, initial=0.0) < -tol:
+        raise SolverError("LP solution has a negative variable")

@@ -134,28 +134,19 @@ def solve_constrained(
         ordered = not is_symmetric(spec)
 
     start = time.perf_counter()
-    space, candidate_ids = coreset.center_view(inst)
-    summary = coreset.summary_points(inst)
-    summary = WeightedPoints(space, summary.indices, summary.weights, summary.labels)
+    candidate_ids, summary, full = coreset.bind(inst)
     cost_summary, winning, _, evaluated = best_tuple(
         summary, candidate_ids.tolist(), inst.k, spec, z, ordered, allow_repeats, cost_target
     )
 
-    full = inst.weighted_points()
     cost_full, sigma, profile = optimal_feasible_cost(
-        WeightedPoints(space, full.indices, full.weights, full.labels),
-        np.asarray(winning, dtype=np.int64),
-        spec,
-        z,
+        full, np.asarray(winning, dtype=np.int64), spec, z
     )
     violations = check_feasibility(sigma, full, spec, k=inst.k)
     if violations:
         raise SolverError("final assignment violates the constraint spec: " + violations[0])
 
-    coords = None
-    if coreset.J_coords is not None:
-        base = inst.space.size
-        coords = np.array([coreset.J_coords[c - base] for c in winning])
+    coords = full.space.coords[list(winning)] if coreset.J_coords is not None else None
     return SolveResult(
         centers=tuple(int(c) for c in winning),
         cost_on_summary=float(cost_summary),

@@ -136,11 +136,7 @@ def verify_property_B(
     its ratio lies in [1 - eps, 1 + eps].
     """
     z = inst.z if z is None else z
-    space, candidate_ids = coreset.center_view(inst)
-    full = inst.weighted_points()
-    full = WeightedPoints(space, full.indices, full.weights, full.labels)
-    summary = coreset.summary_points(inst)
-    summary = WeightedPoints(space, summary.indices, summary.weights, summary.labels)
+    candidate_ids, summary, full = coreset.bind(inst)
     W = full.total_weight
     k = inst.k
 
@@ -193,18 +189,22 @@ def verify_property_A(
     max_solves: int = DEFAULT_SOLVE_CEILING,
 ) -> VerificationReport:
     """Compare the best tuple from J against the best tuple from F on the
-    full data; report whether the ratio stays within alpha + epsilon."""
+    full data; report whether the ratio stays within alpha + epsilon.
+
+    When J is the sorted F, both walks would visit the same tuples in the
+    same order, so the brute-force answer is reused."""
     z = inst.z if z is None else z
     spec = spec if spec is not None else Unconstrained()
     ordered = not is_symmetric(spec)
 
-    _, opt_cost, _ = brute_force_opt(inst, spec, z, ordered=ordered, max_solves=max_solves)
+    opt_tup, opt_cost, _ = brute_force_opt(inst, spec, z, ordered=ordered, max_solves=max_solves)
 
-    space, candidate_ids = coreset.center_view(inst)
-    _check_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
-    full = inst.weighted_points()
-    full = WeightedPoints(space, full.indices, full.weights, full.labels)
-    cost_j, tup_j, _, _ = best_tuple(full, candidate_ids.tolist(), inst.k, spec, z, ordered)
+    candidate_ids, _, full = coreset.bind(inst)
+    if np.array_equal(candidate_ids, np.sort(inst.facilities)):
+        cost_j, tup_j = opt_cost, opt_tup
+    else:
+        _check_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
+        cost_j, tup_j, _, _ = best_tuple(full, candidate_ids.tolist(), inst.k, spec, z, ordered)
 
     ratio = _ratio(cost_j, opt_cost)
     bound = coreset.alpha + coreset.epsilon

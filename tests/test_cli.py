@@ -246,3 +246,55 @@ def test_coreset_z_mismatch_exit_code(tmp_path):
     code = run(["solve", "--instance", inst, "--coreset", cs, "--constraint", con,
                 "--z", 2, "--out", res])
     assert code == EXIT_VALIDATION
+
+
+def test_dump_json_numpy_matches_python():
+    with_numpy = {
+        "int": np.int64(3),
+        "small_int": np.int32(-7),
+        "float": np.float64(0.1),
+        "float32": np.float32(0.5),
+        "bool": np.bool_(True),
+        "vector": np.arange(3),
+        "matrix": np.array([[1.5, 2.0], [np.inf, -0.0]]),
+        "tuple": (np.int64(1), 2.5, (np.float64(1 / 3),)),
+        "nested": [{"x": np.float64(2 / 3), "flags": np.array([True, False])}],
+    }
+    plain = {
+        "int": 3,
+        "small_int": -7,
+        "float": 0.1,
+        "float32": 0.5,
+        "bool": True,
+        "vector": [0, 1, 2],
+        "matrix": [[1.5, 2.0], [float("inf"), -0.0]],
+        "tuple": [1, 2.5, [1 / 3]],
+        "nested": [{"x": 2 / 3, "flags": [True, False]}],
+    }
+    assert dump_json(with_numpy, None) == dump_json(plain, None)
+    with pytest.raises(TypeError):
+        dump_json({"set": {1, 2}}, None)
+
+
+@pytest.mark.parametrize("bad_id", [12, 99], ids=["facility", "beyond-space"])
+@pytest.mark.parametrize("m", [1, 2], ids=["unlabeled", "labeled"])
+def test_summary_outside_instance_exit_code(tmp_path, capsys, m, bad_id):
+    """S must consist of the instance's points: a facility id (12) or an id
+    beyond the space (99) in S is an input error, not a traceback."""
+    inst = tmp_path / "inst.json"
+    cs = tmp_path / "cs.json"
+    con = tmp_path / "con.json"
+    out = tmp_path / "out.json"
+    run(["generate", "--kind", "planar-blobs", "--n", 10, "--facilities", 4,
+         "--k", 2, "--m", m, "--out", inst])
+    run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", cs])
+    payload = load_json(str(cs))
+    payload["S"][0]["point"] = bad_id
+    cs.write_text(json.dumps(payload))
+    con.write_text(json.dumps({"type": "unconstrained"}))
+    capsys.readouterr()
+    for args in (["solve", "--constraint", con], ["verify", "--which", "both", "--trials", 4]):
+        code = run([args[0], "--instance", inst, "--coreset", cs, *args[1:], "--out", out])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad_id) in err[0]

@@ -170,6 +170,8 @@ def test_solve_with_euclidean_synthetic_centers():
     assert cs.alpha == 1.0
     res = solve_constrained(cs, inst, Unconstrained())
     assert res.center_coords is not None and res.center_coords.shape == (2, 2)
+    for row, c in zip(res.center_coords, res.centers):
+        assert np.array_equal(row, cs.J_coords[c - inst.space.size])
     assert check_feasibility(res.assignment_on_full, inst.weighted_points(), Unconstrained()) == []
     # Synthetic means may beat any facility tuple, but not by pathological amounts.
     _, opt_f, _ = brute_force_opt(inst, Unconstrained())

@@ -116,6 +116,34 @@ def test_property_a_with_j_equals_f(line_instance):
     assert rep.passed
 
 
+def test_property_a_reuses_brute_force_when_j_is_sorted_f(line_instance, monkeypatch):
+    import weakcore.meta as meta
+
+    calls = []
+    real = meta.optimal_feasible_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(meta, "optimal_feasible_cost", counting)
+    cs = identity_weak_coreset(line_instance)
+    rep = verify_property_A(line_instance, cs)
+    assert len(calls) == 10  # C(5, 2) tuples, walked once
+    assert rep.worst_ratio == 1.0
+    assert rep.records[0].centers == brute_force_opt(line_instance, Unconstrained())[0] == (1, 3)
+
+    # J holding F in another order is walked on its own: ties may break differently.
+    calls.clear()
+    shuffled = type(cs)(
+        S=cs.S, v=cs.v, alpha=cs.alpha, z=cs.z, epsilon=cs.epsilon, delta=cs.delta,
+        seed=cs.seed, mode=cs.mode, J=cs.J[::-1].copy(), info=cs.info,
+    )
+    rep = verify_property_A(line_instance, shuffled)
+    assert len(calls) == 20
+    assert rep.worst_ratio == 1.0
+
+
 def test_property_a_reports_bad_j(line_instance):
     cs = identity_weak_coreset(line_instance)
     # Remove every facility near the right cluster; ratio grows but is reported.
