@@ -217,6 +217,10 @@ def coreset_to_payload(cs: WeakCoreset) -> dict:
 
 
 def coreset_from_payload(payload: dict) -> WeakCoreset:
+    required = ("J", "S", "alpha", "z", "epsilon", "delta", "seed")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValidationError(f"coreset file lacks {', '.join(missing)}")
     j_raw = payload["J"]
     if j_raw and isinstance(j_raw[0], list):
         j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)

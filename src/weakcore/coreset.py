@@ -266,10 +266,18 @@ class WeakCoreset:
 
         Both point sets live on the space the candidate ids index; in
         Euclidean mode that is the instance's space augmented once with
-        ``J_coords``."""
+        ``J_coords``. Raises :class:`ValidationError` when S is not a subset
+        of the instance's points, when J is not a subset of its facilities,
+        or when ``J_coords`` has another dimension than its space."""
         summary = self.summary_points(inst)
         full = inst.weighted_points()
         if self.J is not None:
+            outside = self.J[_positions(inst.facilities, self.J) < 0]
+            if outside.size:
+                raise ValidationError(
+                    f"coreset J holds ids that are not instance facilities: "
+                    f"{np.unique(outside)[:5].tolist()}"
+                )
             return self.J, summary, full
         space, candidate_ids = inst.space.augmented_with(self.J_coords)
         return (

@@ -148,7 +148,10 @@ class MetricSpace:
             raise ValidationError("only Euclidean spaces can be augmented with coordinates")
         extra = _float_array(coords, "synthetic coordinates", ndim=2)
         if extra.shape[1] != self.coords.shape[1]:
-            raise ValidationError("synthetic coordinates have the wrong dimension")
+            raise ValidationError(
+                f"synthetic coordinates have dimension {extra.shape[1]}, "
+                f"the space has {self.coords.shape[1]}"
+            )
         merged = np.vstack([self.coords, extra])
         new_ids = np.arange(self.size, self.size + extra.shape[0], dtype=np.int64)
         return MetricSpace.euclidean(merged), new_ids

@@ -19,17 +19,10 @@ from .constraints import (
 # Not called here; kept importable because perfbench's tracer hooks oracle.optimal_feasible_cost.
 from .constraints import optimal_feasible_cost  # noqa: F401
 from .coreset import WeakCoreset
-from .flowlp import SolverLimit
-from .meta import best_tuple, count_center_tuples
+from .meta import best_tuple, check_tuple_ceiling
 from .model import Assignment, ClusteringInstance, ClusterProfile, WeightedPoints
 
 DEFAULT_SOLVE_CEILING = 1_000_000
-
-
-def _check_ceiling(j_size: int, k: int, ordered: bool, allow_repeats: bool, max_solves: int) -> None:
-    total = count_center_tuples(j_size, k, ordered, allow_repeats)
-    if total > max_solves:
-        raise SolverLimit(f"{total} center tuples exceed the ceiling of {max_solves}")
 
 
 def brute_force_opt(
@@ -44,19 +37,20 @@ def brute_force_opt(
     """Exact optimum over every admissible center tuple from F.
 
     Runs :func:`~weakcore.meta.best_tuple` over the sorted facilities with
-    the meta-solver's enumeration-mode rule, so ties break to the earliest
-    tuple. Raises
+    the meta-solver's enumeration-mode rule and ``prune=False``, so every
+    tuple is solved and ties break to the earliest tuple: this is the
+    exhaustive reference the pruned walk is tested against. Raises
     :class:`SolverLimit` when the tuple count exceeds ``max_solves``.
     """
     z = inst.z if z is None else z
     if ordered is None:
         ordered = not is_symmetric(spec)
-    _check_ceiling(inst.facilities.size, inst.k, ordered, allow_repeats, max_solves)
-    fac = np.sort(inst.facilities).tolist()
+    check_tuple_ceiling(inst.facilities.size, inst.k, ordered, allow_repeats, max_solves)
     cost, tup, sigma, _ = best_tuple(
-        inst.weighted_points(), fac, inst.k, spec, z, ordered, allow_repeats
+        inst.weighted_points(), np.sort(inst.facilities), inst.k, spec, z, ordered,
+        allow_repeats, prune=False,
     )
-    return tuple(int(c) for c in tup), float(cost), sigma
+    return tup, float(cost), sigma
 
 
 def best_centers_for_assignment(
@@ -191,8 +185,9 @@ def verify_property_A(
     """Compare the best tuple from J against the best tuple from F on the
     full data; report whether the ratio stays within alpha + epsilon.
 
-    When J is the sorted F, both walks would visit the same tuples in the
-    same order, so the brute-force answer is reused."""
+    The J side is the pruned walk of :func:`~weakcore.meta.best_tuple`.
+    When J is the sorted F, both walks have the same answer, so the
+    brute-force answer is reused."""
     z = inst.z if z is None else z
     spec = spec if spec is not None else Unconstrained()
     ordered = not is_symmetric(spec)
@@ -203,8 +198,8 @@ def verify_property_A(
     if np.array_equal(candidate_ids, np.sort(inst.facilities)):
         cost_j, tup_j = opt_cost, opt_tup
     else:
-        _check_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
-        cost_j, tup_j, _, _ = best_tuple(full, candidate_ids.tolist(), inst.k, spec, z, ordered)
+        check_tuple_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
+        cost_j, tup_j, _, _ = best_tuple(full, candidate_ids, inst.k, spec, z, ordered)
 
     ratio = _ratio(cost_j, opt_cost)
     bound = coreset.alpha + coreset.epsilon

@@ -276,25 +276,62 @@ def test_dump_json_numpy_matches_python():
         dump_json({"set": {1, 2}}, None)
 
 
-@pytest.mark.parametrize("bad_id", [12, 99], ids=["facility", "beyond-space"])
-@pytest.mark.parametrize("m", [1, 2], ids=["unlabeled", "labeled"])
-def test_summary_outside_instance_exit_code(tmp_path, capsys, m, bad_id):
-    """S must consist of the instance's points: a facility id (12) or an id
-    beyond the space (99) in S is an input error, not a traceback."""
+def _coreset_files(tmp_path, m=1, mode="metric"):
     inst = tmp_path / "inst.json"
     cs = tmp_path / "cs.json"
+    z = 2 if mode == "euclidean_kmeans" else 1
+    run(["generate", "--kind", "planar-blobs", "--n", 10, "--facilities", 4,
+         "--k", 2, "--m", m, "--z", z, "--out", inst])
+    run(["coreset", "--instance", inst, "--epsilon", 0.25, "--mode", mode, "--out", cs])
+    return inst, cs
+
+
+def _assert_rejected(tmp_path, capsys, inst, cs, needle):
+    """``solve`` and ``verify`` both exit 3 with one ``error:`` line holding ``needle``."""
     con = tmp_path / "con.json"
     out = tmp_path / "out.json"
-    run(["generate", "--kind", "planar-blobs", "--n", 10, "--facilities", 4,
-         "--k", 2, "--m", m, "--out", inst])
-    run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", cs])
-    payload = load_json(str(cs))
-    payload["S"][0]["point"] = bad_id
-    cs.write_text(json.dumps(payload))
     con.write_text(json.dumps({"type": "unconstrained"}))
     capsys.readouterr()
     for args in (["solve", "--constraint", con], ["verify", "--which", "both", "--trials", 4]):
         code = run([args[0], "--instance", inst, "--coreset", cs, *args[1:], "--out", out])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and str(bad_id) in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0], err
+
+
+@pytest.mark.parametrize("bad_id", [12, 99], ids=["facility", "beyond-space"])
+@pytest.mark.parametrize("m", [1, 2], ids=["unlabeled", "labeled"])
+def test_summary_outside_instance_exit_code(tmp_path, capsys, m, bad_id):
+    """S must consist of the instance's points: a facility id (12) or an id
+    beyond the space (99) in S is an input error, not a traceback."""
+    inst, cs = _coreset_files(tmp_path, m)
+    payload = load_json(str(cs))
+    payload["S"][0]["point"] = bad_id
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, str(bad_id))
+
+
+def test_candidates_outside_facilities_exit_code(tmp_path, capsys):
+    """J must consist of the instance's facilities; points 0, 1, 2 are not."""
+    inst, cs = _coreset_files(tmp_path)
+    payload = load_json(str(cs))
+    payload["J"] = [0, 1, 2]
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, "not instance facilities: [0, 1, 2]")
+
+
+def test_candidate_coords_of_another_dimension_exit_code(tmp_path, capsys):
+    inst, cs = _coreset_files(tmp_path, mode="euclidean_kmeans")
+    payload = load_json(str(cs))
+    payload["J"] = [row + [0.0] for row in payload["J"]]
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, "dimension 3, the space has 2")
+
+
+@pytest.mark.parametrize("key", ["J", "S", "alpha", "z", "epsilon", "delta", "seed"])
+def test_coreset_missing_key_exit_code(tmp_path, capsys, key):
+    inst, cs = _coreset_files(tmp_path)
+    payload = load_json(str(cs))
+    del payload[key]
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, f"lacks {key}")

@@ -140,7 +140,7 @@ def test_property_a_reuses_brute_force_when_j_is_sorted_f(line_instance, monkeyp
         seed=cs.seed, mode=cs.mode, J=cs.J[::-1].copy(), info=cs.info,
     )
     rep = verify_property_A(line_instance, shuffled)
-    assert len(calls) == 20
+    assert len(calls) == 12  # 10 exhaustive over F, 2 pruned over J
     assert rep.worst_ratio == 1.0
 
 
