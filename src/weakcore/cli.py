@@ -221,26 +221,27 @@ def coreset_from_payload(payload: dict) -> WeakCoreset:
     missing = [key for key in required if key not in payload]
     if missing:
         raise ValidationError(f"coreset file lacks {', '.join(missing)}")
-    j_raw = payload["J"]
-    if j_raw and isinstance(j_raw[0], list):
-        j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)
-    else:
-        j_ids, j_coords = np.array(j_raw, dtype=np.int64), None
-    s = np.array([e["point"] for e in payload["S"]], dtype=np.int64)
-    v = np.array([e["weight"] for e in payload["S"]], dtype=np.float64)
-    return WeakCoreset(
-        S=s,
-        v=v,
-        alpha=float(payload["alpha"]),
-        z=int(payload["z"]),
-        epsilon=float(payload["epsilon"]),
-        delta=float(payload["delta"]),
-        seed=int(payload["seed"]),
-        mode=payload.get("mode", "metric"),
-        J=j_ids,
-        J_coords=j_coords,
-        info=payload.get("params", {}),
-    )
+    try:
+        j_raw = payload["J"]
+        if j_raw and isinstance(j_raw[0], list):
+            j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)
+        else:
+            j_ids, j_coords = np.array(j_raw, dtype=np.int64), None
+        return WeakCoreset(
+            S=np.array([e["point"] for e in payload["S"]], dtype=np.int64),
+            v=np.array([e["weight"] for e in payload["S"]], dtype=np.float64),
+            alpha=float(payload["alpha"]),
+            z=int(payload["z"]),
+            epsilon=float(payload["epsilon"]),
+            delta=float(payload["delta"]),
+            seed=int(payload["seed"]),
+            mode=payload.get("mode", "metric"),
+            J=j_ids,
+            J_coords=j_coords,
+            info=payload.get("params", {}),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed coreset file: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

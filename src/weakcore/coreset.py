@@ -50,9 +50,6 @@ class RingDecomposition:
     def ring_count(self) -> int:
         return len(self.rings)
 
-    def rings_of(self, cluster: int) -> list[Ring]:
-        return [r for r in self.rings if r.cluster == cluster]
-
 
 @dataclass(frozen=True)
 class SummaryParams:
@@ -266,9 +263,15 @@ class WeakCoreset:
 
         Both point sets live on the space the candidate ids index; in
         Euclidean mode that is the instance's space augmented once with
-        ``J_coords``. Raises :class:`ValidationError` when S is not a subset
-        of the instance's points, when J is not a subset of its facilities,
-        or when ``J_coords`` has another dimension than its space."""
+        ``J_coords``. Raises :class:`ValidationError` when a summary weight
+        v is not positive and finite, when S is not a subset of the
+        instance's points, when J is not a subset of its facilities, or when
+        ``J_coords`` has another dimension than its space."""
+        bad = self.v[~(np.isfinite(self.v) & (self.v > 0))]
+        if bad.size:
+            raise ValidationError(
+                f"coreset summary weights v must be positive and finite: {bad[:5].tolist()}"
+            )
         summary = self.summary_points(inst)
         full = inst.weighted_points()
         if self.J is not None:

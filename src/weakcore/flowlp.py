@@ -3,15 +3,20 @@
 All solvers are pure functions over float64 inputs and certify optimality
 before returning: the network solvers check complementary slackness via the
 final node potentials, the LP solver relies on a Bland-safeguarded simplex.
-The network simplex keeps its basis tree between pivots and updates parents,
-depths and potentials only on the subtree that each leaving arc cuts off, so
-a pivot costs time in that subtree's size rather than in the whole tree's.
+Every transportation problem here has many sources (points) and few sinks
+(clusters, or the mandatory and optional parts of a bounded cluster), so
+one solver serves both network problems: successive shortest paths over an
+exchange graph with one node per sink, started from the Voronoi assignment.
+Dijkstra ties go to the lowest sink index and each arc's source is the
+least ``(cost difference, source index)``, so results are deterministic.
 Problem sizes are desk scale by design; the LP is capped at
 ``MAX_LP_VARIABLES`` structural variables.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -151,224 +156,102 @@ class LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Transportation network simplex
+# k-sink transportation: successive shortest paths between sinks
 # ---------------------------------------------------------------------------
 
 
-def _greedy_start(cost, supply, demand, forbidden, priority_rows):
-    """Least-cost greedy allocation; returns a spanning-tree basis.
+def _ksink_transport(cost, supply, demand, forbidden=None):
+    """Exact transportation for many sources and few sinks.
 
-    Priority rows are exhausted first (used for the dummy source of the
-    bounded variant, whose arcs all cost zero and must not be crowded out).
-    The allocation forms a forest; Kruskal-style zero cells complete it to a
-    spanning tree that avoids forbidden cells.
+    Returns (flow, u, v) where (u, v) are optimal node potentials. Every
+    source starts at its nearest admissible sink (the Voronoi assignment,
+    optimal once sink demands are ignored); successive shortest paths then
+    move mass from sinks over their demand to sinks under it (Ahuja,
+    Magnanti and Orlin, *Network Flows*, ch. 9). The exchange graph has one
+    node per sink: arc a -> b moves some source x from a to b at reduced cost
+    ``c[x,b] - c[x,a] - v_b + v_a``. The key ``c[x,b] - c[x,a]`` does not
+    depend on the potentials, so one lazy heap per ordered sink pair keeps
+    each arc's cheapest source; an entry is stale once x has no mass left at
+    a, and forbidden cells never enter a heap. Ties break deterministically:
+    heap order ``(key, source)`` picks the source of an arc, and Dijkstra
+    settles the lowest sink index among equal distances, so the first short
+    sink settled is the lowest-indexed nearest one.
     """
     m, n = cost.shape
+    if not demand.any():  # the supply is within the balance tolerance of zero: ship nothing
+        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n)
+    scale = max(1.0, float(np.max(np.abs(cost), initial=0.0)))
     eps = 1e-13 * max(1.0, float(supply.sum()))
-    rs = supply.tolist()
-    rd = demand.tolist()
-    flow = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
-
-    order = np.argsort(cost.ravel(), kind="stable")
-    if forbidden is not None:
-        order = order[~forbidden.ravel()[order]]
-    rows, cols = np.divmod(order, n)
-    first = np.isin(rows, priority_rows)
-    greedy_rows = np.concatenate([rows[first], rows[~first]]).tolist()
-    greedy_cols = np.concatenate([cols[first], cols[~first]]).tolist()
-
-    for i, j in zip(greedy_rows, greedy_cols):
-        if rs[i] <= eps or rd[j] <= eps:
-            continue
-        q = min(rs[i], rd[j])
-        flow[i, j] = q
-        basis.append((i, j))
-        rs[i] -= q
-        rd[j] -= q
-
-    # Each allocation exhausts a row or a column, so the allocation is a
-    # forest; complete it to a spanning tree with admissible zero cells.
-    components = m + n - len(basis)
-    if components > 1:
-        parent = list(range(m + n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-            return True
-
-        basis_set = set(basis)
-        for i, j in basis:
-            union(i, m + j)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if (i, j) in basis_set:
-                continue
-            if union(i, m + j):
-                basis.append((i, j))
-                basis_set.add((i, j))
-                components -= 1
-                if components == 1:
-                    break
-    if components > 1:
-        raise SolverError("could not build a spanning basis over admissible cells")
-    return flow, basis
-
-
-def _transport_simplex(cost, supply, demand, forbidden=None, priority_rows=()):
-    """Network simplex on the (dense) transportation polytope.
-
-    Returns (flow, u, v) where (u, v) are optimal node potentials. Dantzig
-    pricing with a permanent switch to Bland's rule after a degenerate
-    streak, which rules out cycling.
-
-    Nodes 0..m-1 are sources and m..m+n-1 sinks; the basis tree is rooted at
-    node 0 with potential 0. After each pivot only the subtree that the
-    leaving arc cuts off is re-hung from the entering arc, and only its
-    parents, depths and potentials are recomputed (Ahuja, Magnanti and
-    Orlin, *Network Flows*, ch. 11). Each potential is still taken along its
-    unique tree path from the root, so the result equals a full recompute.
-    """
-    m, n = cost.shape
-    scale = max(1.0, float(np.max(np.abs(cost))))
-    tol = 1e-11 * scale
-    flow_eps = 1e-13 * max(1.0, float(supply.sum()))
-
-    flow, basis = _greedy_start(cost, supply, demand, forbidden, priority_rows)
-    adj: list[set[int]] = [set() for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-
-    # Tree state lives in Python lists: numpy scalar indexing is what makes a
-    # Python tree walk slow. u and v mirror pot for vectorised pricing.
-    crow = cost.tolist()
-    ccol = cost.T.tolist()
-    pot = [0.0] * (m + n)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    u = np.zeros(m)
-    v = np.zeros(n)
-
-    def hang(top, up):
-        """Hang the subtree at ``top`` below ``up`` (-1 for the root) and
-        recompute parent, depth and potential inside it; returns its nodes."""
-        parent[top] = up
-        if up >= 0:
-            depth[top] = depth[up] + 1
-            pot[top] = crow[top][up - m] - pot[up] if top < m else crow[up][top - m] - pot[up]
-        nodes = [top]
-        leaves = []
-        for node in nodes:
-            up, d, p = parent[node], depth[node] + 1, pot[node]
-            if node < m:  # source -> sink arcs (node, nxt-m)
-                row = crow[node]
-                for nxt in adj[node]:
-                    if nxt != up:
-                        parent[nxt] = node
-                        depth[nxt] = d
-                        pot[nxt] = row[nxt - m] - p
-                        nodes.append(nxt)
-            else:  # sink -> source arcs (nxt, node-m)
-                col = ccol[node - m]
-                for nxt in adj[node]:
-                    if nxt != up:
-                        parent[nxt] = node
-                        depth[nxt] = d
-                        pot[nxt] = col[nxt] - p
-                        # Nothing hangs below a source with a single arc.
-                        (nodes if len(adj[nxt]) > 1 else leaves).append(nxt)
-        nodes += leaves
-        ids = np.array(nodes)
-        vals = np.array([pot[x] for x in nodes])
-        src = ids < m
-        u[ids[src]] = vals[src]
-        v[ids[~src] - m] = vals[~src]
-        return nodes
-
-    if len(hang(0, -1)) != m + n:
-        raise SolverError("basis tree is disconnected")
-
-    def tree_path(a, b):
-        """Tree path a -> LCA -> b and the index of the LCA within it."""
-        pa, pb = [a], [b]
-        x, y = a, b
-        while depth[x] > depth[y]:
-            x = parent[x]
-            pa.append(x)
-        while depth[y] > depth[x]:
-            y = parent[y]
-            pb.append(y)
-        while x != y:
-            x = parent[x]
-            y = parent[y]
-            pa.append(x)
-            pb.append(y)
-        return pa + pb[-2::-1], len(pa) - 1
-
     priced = cost if forbidden is None else np.where(forbidden, np.inf, cost)
-    bland = False
-    degenerate_streak = 0
-    max_iter = 20_000 + 200 * (m + n)
-    for _ in range(max_iter):
-        red = priced - u[:, None] - v[None, :]
-        if bland:
-            hits = np.flatnonzero(red.ravel() < -tol)
-            if hits.size == 0:
+    live = np.flatnonzero(supply > 0)
+    home = np.argmin(priced, axis=1)
+    if np.isinf(priced[live, home[live]]).any():
+        raise SolverError("a source with supply has no admissible sink")
+
+    prow = priced.tolist()
+    mass = [[0.0] * n for _ in range(m)]
+    for x, a, s in zip(live.tolist(), home[live].tolist(), supply[live].tolist()):
+        mass[x][a] = s
+    excess = (np.bincount(home[live], supply[live], minlength=n) - demand).tolist()
+    heaps = [[[] for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        at_a = live[home[live] == a]
+        for b in set(range(n)) - {a}:
+            xs = at_a[np.isfinite(priced[at_a, b])]
+            heaps[a][b] = list(zip((priced[xs, b] - priced[xs, a]).tolist(), xs.tolist()))
+            heapq.heapify(heaps[a][b])
+
+    def top(a, b):
+        """The cheapest live entry of arc a -> b, or None."""
+        heap = heaps[a][b]
+        while heap and mass[heap[0][1]][a] <= 0.0:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    v = [0.0] * n
+    while max(excess) > eps:
+        dist = [0.0 if e > eps else math.inf for e in excess]
+        pred = [None] * n
+        open_ = list(range(n))
+        while True:
+            a = min(open_, key=dist.__getitem__, default=None)
+            if a is None or dist[a] == math.inf:
+                raise SolverError("the exchange graph reaches no sink under its demand")
+            open_.remove(a)
+            if excess[a] < -eps:
                 break
-            e = int(hits[0])
-        else:
-            e = int(np.argmin(red))
-            if red.flat[e] >= -tol:
-                break
-        ei, ej = divmod(e, n)
+            for b in open_:
+                entry = top(a, b)
+                if entry is not None:
+                    d = dist[a] + entry[0] - v[b] + v[a]
+                    if d < dist[b]:
+                        dist[b] = d
+                        pred[b] = (a, entry[1])
+        target = node = a
+        v = [vj + min(dj, dist[target]) for vj, dj in zip(v, dist)]
 
-        path, lca = tree_path(ei, m + ej)
-        # Arcs along the path alternate -,+,-,... ; the entering arc is the +.
-        minus, plus = [], []
-        for pos in range(len(path) - 1):
-            a, b = path[pos], path[pos + 1]
-            cell = (a, b - m) if a < m else (b, a - m)
-            (minus if pos % 2 == 0 else plus).append(cell)
-        delta = min(flow[c] for c in minus)
-        eligible = [c for c in minus if flow[c] <= delta * (1 + 1e-12) + flow_eps]
-        leaving = min(eligible, key=lambda c: c[0] * n + c[1])
+        path = []
+        while pred[node] is not None:
+            a, x = pred[node]
+            path.append((a, node, x))
+            node = a
+        source = node
+        delta = min(excess[source], -excess[target], *(mass[x][a] for a, _, x in path))
+        for a, b, x in path:
+            row = mass[x]
+            if row[b] == 0.0:  # x arrives at b: it can now leave b for any admissible sink
+                px = prow[x]
+                for c in range(n):
+                    if c != b and px[c] < math.inf:
+                        heapq.heappush(heaps[b][c], (px[c] - px[b], x))
+            row[b] += delta
+            row[a] -= delta
+        excess[source] -= delta
+        excess[target] += delta
 
-        for c in plus:
-            flow[c] += delta
-        for c in minus:
-            flow[c] -= delta
-        flow[ei, ej] += delta
-        flow[leaving] = 0.0
-
-        adj[leaving[0]].discard(m + leaving[1])
-        adj[m + leaving[1]].discard(leaving[0])
-        adj[ei].add(m + ej)
-        adj[m + ej].add(ei)
-        # The cut-off subtree holds ei when the leaving arc lies on the
-        # ei -> LCA half of the path, and m+ej otherwise.
-        if 2 * minus.index(leaving) < lca:
-            hang(ei, m + ej)
-        else:
-            hang(m + ej, ei)
-
-        if delta <= flow_eps:
-            degenerate_streak += 1
-            if degenerate_streak > 2 * (m + n):
-                bland = True
-        else:
-            degenerate_streak = 0
-    else:
-        raise SolverLimit("transportation simplex exceeded its iteration ceiling")
-
+    flow = np.array(mass).reshape(m, n)
+    v = np.array(v)
+    u = (priced - v[None, :]).min(axis=1)
     _certify(cost, flow, u, v, forbidden, scale)
     return flow, u, v
 
@@ -390,36 +273,13 @@ def solve_transportation(p: TransportationProblem) -> TransportSolution:
 
     The returned potentials certify optimality: every reduced cost is
     >= -1e-9 and reduced costs vanish on arcs carrying flow. Zero-supply
-    sources and zero-demand sinks are dropped before solving and reinstated
-    with zero flow and slack-feasible potentials.
+    sources and zero-demand sinks carry no flow.
     """
-    sup, dem, cost = p.supplies, p.demands, p.cost
-    m, n = cost.shape
-    act_s = np.flatnonzero(sup > 0)
-    act_d = np.flatnonzero(dem > 0)
-    flow = np.zeros((m, n))
-    u = np.zeros(m)
-    v = np.zeros(n)
-    if act_s.size == 0 or act_d.size == 0:
-        # Nothing to ship; pick potentials with nonnegative reduced costs anyway.
-        if m and n:
-            v = cost.min(axis=0)
-        return TransportSolution(flow, 0.0, u, v)
-    sub_sup = sup[act_s].copy()
-    sub_dem = dem[act_d].copy()
-    sub_dem *= sub_sup.sum() / sub_dem.sum()  # exact rebalance within tolerance
-    sub_flow, sub_u, sub_v = _transport_simplex(cost[np.ix_(act_s, act_d)], sub_sup, sub_dem)
-    flow[np.ix_(act_s, act_d)] = sub_flow
-    u[act_s] = sub_u
-    v[act_d] = sub_v
-    # Potentials for dropped nodes chosen so every reduced cost stays >= 0.
-    inactive_s = np.flatnonzero(sup <= 0)
-    if inactive_s.size:
-        u[inactive_s] = (cost[inactive_s][:, act_d] - v[act_d][None, :]).min(axis=1)
-    inactive_d = np.flatnonzero(dem <= 0)
-    if inactive_d.size:
-        v[inactive_d] = (cost[:, inactive_d] - u[:, None]).min(axis=0)
-    objective = float(np.sum(flow * cost))
+    dem = p.demands
+    if dem.sum() > 0:
+        dem = dem * (p.supplies.sum() / dem.sum())  # exact rebalance within tolerance
+    flow, u, v = _ksink_transport(p.cost, p.supplies, dem)
+    objective = float(np.sum(flow * p.cost))
     return TransportSolution(flow=flow, objective=objective, source_potentials=u, sink_potentials=v)
 
 
@@ -457,23 +317,19 @@ def solve_bounded_transportation(p: BoundedTransportationProblem) -> BoundedTran
     mand = np.flatnonzero(lo > 0)
     opt = np.flatnonzero(hi - lo > 0)
     demands = np.concatenate([lo[mand], (hi - lo)[opt]])
-    dummy_supply = float(hi.sum() - W)
-    act_s = np.flatnonzero(p.supplies > 0)
-    supplies = np.concatenate([p.supplies[act_s], [dummy_supply]])
-    big_cost = np.zeros((act_s.size + 1, mand.size + opt.size))
-    big_cost[:-1, : mand.size] = cost[np.ix_(act_s, mand)]
-    big_cost[:-1, mand.size :] = cost[np.ix_(act_s, opt)]
+    supplies = np.append(p.supplies, hi.sum() - W)
+    big_cost = np.zeros((m + 1, mand.size + opt.size))
+    big_cost[:-1, : mand.size] = cost[:, mand]
+    big_cost[:-1, mand.size :] = cost[:, opt]
     forbidden = np.zeros_like(big_cost, dtype=bool)
     forbidden[-1, : mand.size] = True
 
     demands = demands * (supplies.sum() / demands.sum())
-    flow_big, _, _ = _transport_simplex(
-        big_cost, supplies, demands, forbidden=forbidden, priority_rows=(act_s.size,)
-    )
+    flow_big, _, _ = _ksink_transport(big_cost, supplies, demands, forbidden)
 
     flow = np.zeros((m, n))
-    flow[np.ix_(act_s, mand)] += flow_big[:-1, : mand.size]
-    flow[np.ix_(act_s, opt)] += flow_big[:-1, mand.size :]
+    flow[:, mand] += flow_big[:-1, : mand.size]
+    flow[:, opt] += flow_big[:-1, mand.size :]
     objective = float(np.sum(flow * cost))
     totals = flow.sum(axis=0)
     if np.any(totals < lo - tol) or np.any(totals > hi + tol):

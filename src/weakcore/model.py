@@ -390,12 +390,6 @@ class Assignment:
     def cluster_totals(self, k: int) -> np.ndarray:
         return np.bincount(self.clusters, weights=self.masses, minlength=k)[:k]
 
-    def point_totals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct assigned points in ascending order, and the mass each receives."""
-        pts, inverse = np.unique(self.points, return_inverse=True)
-        totals = np.bincount(inverse, weights=self.masses, minlength=pts.size)
-        return pts, totals.astype(np.float64, copy=False)  # bincount of nothing is int
-
     def label_cluster_mass(self, B: WeightedPoints, k: int) -> np.ndarray:
         """Mass matrix t[i, j] = weight of label j assigned to cluster i."""
         if B.labels is None:

@@ -335,3 +335,34 @@ def test_coreset_missing_key_exit_code(tmp_path, capsys, key):
     del payload[key]
     cs.write_text(json.dumps(payload))
     _assert_rejected(tmp_path, capsys, inst, cs, f"lacks {key}")
+
+
+MALFORMED_CORESET = {
+    "S-entry-without-point": lambda p: p["S"][0].pop("point"),
+    "S-entry-without-weight": lambda p: p["S"][0].pop("weight"),
+    "J-entry-not-an-id": lambda p: p["J"].__setitem__(0, "x"),
+    "z-not-an-int": lambda p: p.__setitem__("z", "a"),
+    "S-not-a-list": lambda p: p.__setitem__("S", 5),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CORESET.values(), ids=MALFORMED_CORESET.keys())
+def test_coreset_malformed_value_exit_code(tmp_path, capsys, edit):
+    """A key that is present but holds the wrong kind of value is an input
+    error, not a traceback."""
+    inst, cs = _coreset_files(tmp_path)
+    payload = load_json(str(cs))
+    edit(payload)
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, "malformed coreset file")
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0])
+def test_coreset_nonpositive_weight_exit_code(tmp_path, capsys, weight):
+    """A summary weight must be positive: a zero weight used to solve with
+    exit 0, and a negative one failed with a message about solver supplies."""
+    inst, cs = _coreset_files(tmp_path)
+    payload = load_json(str(cs))
+    payload["S"][0]["weight"] = weight
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, "coreset summary weights v must be positive")

@@ -30,7 +30,7 @@ def test_rings_coincident_points_single_zero_ring():
 
 def test_rings_line_bands_match_definition(line_instance):
     decomp = ring_decomposition(line_instance, [1, 4], 1)
-    cluster0 = decomp.rings_of(0)
+    cluster0 = [r for r in decomp.rings if r.cluster == 0]
     # Cluster {0,1,2} around position 1: costs (1,0,1), average 2/3.
     inner = [r for r in cluster0 if r.level == 0]
     assert len(inner) == 1 and inner[0].band == (0.0, pytest.approx(2 / 3))
@@ -75,7 +75,7 @@ def test_ring_count_bounded_by_cost_spread():
         if avg <= 0:
             continue
         ratio = max(costs.max() / avg, 1.0)
-        assert len(decomp.rings_of(i)) <= 2 + math.ceil(math.log2(max(ratio, 2.0)))
+        assert len([r for r in decomp.rings if r.cluster == i]) <= 2 + math.ceil(math.log2(max(ratio, 2.0)))
 
 
 def test_summary_take_all_is_identity(line_instance):

@@ -1,16 +1,21 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_vertex_enumeration, min_cost_integral_splits
+from weakcore.cli import make_planar_blobs
 from weakcore.flowlp import (
     BoundedTransportationProblem,
     Infeasible,
     LinearProgram,
+    SolverError,
     SolverLimit,
     TransportationProblem,
     Unbounded,
+    _ksink_transport,
     solve_bounded_transportation,
     solve_lp,
     solve_transportation,
@@ -24,9 +29,9 @@ LINE_COSTS = np.array(
 
 def random_transportation(seed):
     """Small problems, except that seeds ending in 9 draw a large one
-    (50-300 sources, 2-4 sinks) whose basis tree has big subtrees to re-hang.
-    Half of the large ones have integral costs, supplies and demands, so many
-    of their pivots are degenerate."""
+    (50-300 sources, 2-4 sinks) that needs many augmenting paths. Half of the
+    large ones have integral costs, supplies and demands, so many of their
+    cost differences and sink totals tie."""
     rng = np.random.default_rng(seed)
     if seed % 10 == 9:
         m = int(rng.integers(50, 301))
@@ -137,6 +142,24 @@ def test_zero_rows_and_columns_reinstated():
     assert_certificate(p, sol)
 
 
+@pytest.mark.parametrize(
+    "cost, supplies, demands",
+    [(np.zeros((2, 0)), [0.0, 0.0], []), ([[1.0, 2.0]], [1e-10], [0.0, 0.0])],
+    ids=["no-sinks", "supply-within-balance-tolerance"],
+)
+def test_zero_demand_ships_nothing(cost, supplies, demands):
+    p = TransportationProblem(cost, supplies, demands)
+    sol = solve_transportation(p)
+    assert sol.flow.shape == p.cost.shape and not sol.flow.any() and sol.objective == 0.0
+    assert_certificate(p, sol)
+
+
+def test_unreachable_short_sink_is_solver_error():
+    """The only source sits at sink 0 and may not move to sink 1, which is short."""
+    with pytest.raises(SolverError, match="reaches no sink"):
+        _ksink_transport(np.ones((1, 2)), np.ones(1), np.array([0.0, 1.0]), np.array([[False, True]]))
+
+
 def test_flow_conservation_and_lp_agreement():
     for seed in range(60):
         p = random_transportation(seed)
@@ -144,9 +167,6 @@ def test_flow_conservation_and_lp_agreement():
         assert np.allclose(sol.flow.sum(axis=1), p.supplies, rtol=1e-9, atol=1e-9)
         assert np.allclose(sol.flow.sum(axis=0), p.demands, rtol=1e-9, atol=1e-9)
         assert_certificate(p, sol)
-        # The basis tree stays rooted at source 0, whose potential is 0; a
-        # pivot that re-hangs the wrong side of the tree shifts it.
-        assert sol.source_potentials[0] == 0.0
         lp_sol = solve_lp(transportation_as_lp(p))
         assert sol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
 
@@ -157,6 +177,34 @@ def test_flow_conservation_and_lp_agreement():
         assert np.all(bsol.sink_totals <= b.sink_upper + 1e-9)
         lp_sol = solve_lp(bounded_transportation_as_lp(b))
         assert bsol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
+
+
+def test_planar_blobs_at_8000_points():
+    """n=8,000 blob points against k=3 facilities whose Voronoi cells hold
+    4%, 56% and 40% of the weight: the plain transport carries a certificate
+    at several demand vectors inside the sink bounds, and the bounded solve
+    meets those bounds, costs no more than any of them and finishes in
+    under 2 s."""
+    inst = make_planar_blobs(8_000, 12, 3, seed=1)
+    coords = inst.space.coords
+    cost = np.linalg.norm(
+        coords[inst.points][:, None, :] - coords[inst.facilities[:3]][None, :, :], axis=2
+    )
+    supplies = inst.weights
+    W = supplies.sum()
+    lower, upper = np.full(3, 0.3 * W), np.full(3, 0.36 * W)
+
+    started = time.perf_counter()
+    bsol = solve_bounded_transportation(BoundedTransportationProblem(cost, supplies, lower, upper))
+    assert time.perf_counter() - started < 2.0
+    assert np.all(bsol.sink_totals >= lower - 1e-9 * W)
+    assert np.all(bsol.sink_totals <= upper + 1e-9 * W)
+
+    for shares in ([1 / 3, 1 / 3, 1 / 3], [0.3, 0.34, 0.36], [0.36, 0.34, 0.3]):
+        p = TransportationProblem(cost, supplies, np.array(shares) * W)
+        sol = solve_transportation(p)
+        assert_certificate(p, sol)
+        assert bsol.objective <= sol.objective * (1 + 1e-12)
 
 
 @given(st.integers(0, 2**31 - 1))
