@@ -37,7 +37,6 @@ from .constraints import (
     Unconstrained,
     assignment_cost,
     check_feasibility,
-    labeled_profile_cost,
     ldiversity_bounds,
     optimal_feasible_cost,
     profile_cost,
@@ -108,7 +107,6 @@ __all__ = [
     "enumerate_center_tuples",
     "finalize_assignment",
     "identity_weak_coreset",
-    "labeled_profile_cost",
     "ldiversity_bounds",
     "nearest_facility",
     "optimal_feasible_cost",

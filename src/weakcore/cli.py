@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -64,6 +65,17 @@ def dump_json(payload: dict, path: Optional[str]) -> str:
     return text
 
 
+@contextmanager
+def _malformed(kind: str):
+    """Report a field of the wrong type or shape as an input error naming the file kind."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} file: {type(exc).__name__}: {exc}") from exc
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -111,6 +123,14 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
     return payload
 
 
+def _referenced_point(facility: dict, point_ids: list) -> int:
+    ref = int(facility["point"])
+    if not 0 <= ref < len(point_ids):
+        raise ValidationError(f"facility references unknown point {ref}")
+    return point_ids[ref]
+
+
+@_malformed("instance")
 def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> ClusteringInstance:
     kind = payload.get("metric")
     raw_points = payload.get("points", [])
@@ -133,10 +153,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         fac_ids = []
         for f in raw_fac:
             if "point" in f:
-                ref = int(f["point"])
-                if not 0 <= ref < len(point_ids):
-                    raise ValidationError(f"facility references unknown point {ref}")
-                fac_ids.append(point_ids[ref])
+                fac_ids.append(_referenced_point(f, point_ids))
             elif "coords" in f:
                 fac_ids.append(len(coords))
                 coords.append([float(c) for c in f["coords"]])
@@ -162,7 +179,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         fac_ids = []
         for f in raw_fac:
             if "point" in f:
-                fac_ids.append(point_ids[int(f["point"])])
+                fac_ids.append(_referenced_point(f, point_ids))
             elif "index" in f:
                 fac_ids.append(int(f["index"]))
             else:
@@ -216,32 +233,30 @@ def coreset_to_payload(cs: WeakCoreset) -> dict:
     return payload
 
 
+@_malformed("coreset")
 def coreset_from_payload(payload: dict) -> WeakCoreset:
     required = ("J", "S", "alpha", "z", "epsilon", "delta", "seed")
     missing = [key for key in required if key not in payload]
     if missing:
         raise ValidationError(f"coreset file lacks {', '.join(missing)}")
-    try:
-        j_raw = payload["J"]
-        if j_raw and isinstance(j_raw[0], list):
-            j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)
-        else:
-            j_ids, j_coords = np.array(j_raw, dtype=np.int64), None
-        return WeakCoreset(
-            S=np.array([e["point"] for e in payload["S"]], dtype=np.int64),
-            v=np.array([e["weight"] for e in payload["S"]], dtype=np.float64),
-            alpha=float(payload["alpha"]),
-            z=int(payload["z"]),
-            epsilon=float(payload["epsilon"]),
-            delta=float(payload["delta"]),
-            seed=int(payload["seed"]),
-            mode=payload.get("mode", "metric"),
-            J=j_ids,
-            J_coords=j_coords,
-            info=payload.get("params", {}),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed coreset file: {type(exc).__name__}: {exc}") from exc
+    j_raw = payload["J"]
+    if j_raw and isinstance(j_raw[0], list):
+        j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)
+    else:
+        j_ids, j_coords = np.array(j_raw, dtype=np.int64), None
+    return WeakCoreset(
+        S=np.array([e["point"] for e in payload["S"]], dtype=np.int64),
+        v=np.array([e["weight"] for e in payload["S"]], dtype=np.float64),
+        alpha=float(payload["alpha"]),
+        z=int(payload["z"]),
+        epsilon=float(payload["epsilon"]),
+        delta=float(payload["delta"]),
+        seed=int(payload["seed"]),
+        mode=payload.get("mode", "metric"),
+        J=j_ids,
+        J_coords=j_coords,
+        info=payload.get("params", {}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +264,7 @@ def coreset_from_payload(payload: dict) -> WeakCoreset:
 # ---------------------------------------------------------------------------
 
 
+@_malformed("constraint")
 def constraint_from_payload(payload: dict, inst: ClusteringInstance) -> ConstraintSpec:
     kind = payload.get("type")
     k = inst.k

@@ -188,33 +188,19 @@ def voronoi_profile(B: WeightedPoints, centers, z: int) -> ClusterProfile:
 def profile_cost(
     B: WeightedPoints, centers, profile: ClusterProfile, z: int
 ) -> tuple[float, Assignment]:
-    """Minimum assignment cost consistent with a plain profile (transportation solve)."""
+    """Minimum assignment cost consistent with a profile: one transportation
+    solve, or for a labeled profile one independent solve per label."""
     centers = _index_array(centers)
-    if profile.is_labeled:
-        return labeled_profile_cost(B, centers, profile, z)
     if profile.k != centers.size:
         raise ValidationError(f"profile length {profile.k} != number of centers {centers.size}")
     bad = profile.check_consistency(B)
     if bad:
         raise ValidationError("; ".join(bad))
-    d = _cost_matrix(B, centers, z)
-    sol = solve_transportation(TransportationProblem(d, B.weights, profile.values))
-    sigma = _assignment_from_flow(B, sol.flow)
-    return assignment_cost(B, sigma, centers, z), sigma
-
-
-def labeled_profile_cost(
-    B: WeightedPoints, centers, profile: ClusterProfile, z: int
-) -> tuple[float, Assignment]:
-    """Labeled profiles decompose into one independent transportation per label."""
-    centers = _index_array(centers)
     if not profile.is_labeled:
-        return profile_cost(B, centers, profile, z)
-    if B.labels is None:
-        raise ValidationError("labeled profile requires a labeled point set")
-    bad = profile.check_consistency(B)
-    if bad:
-        raise ValidationError("; ".join(bad))
+        d = _cost_matrix(B, centers, z)
+        sol = solve_transportation(TransportationProblem(d, B.weights, profile.values))
+        sigma = _assignment_from_flow(B, sol.flow)
+        return assignment_cost(B, sigma, centers, z), sigma
     parts = []
     for j in range(B.n_labels):
         mask = B.labels == j

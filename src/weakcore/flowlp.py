@@ -4,11 +4,11 @@ All solvers are pure functions over float64 inputs and certify optimality
 before returning: the network solvers check complementary slackness via the
 final node potentials, the LP solver relies on a Bland-safeguarded simplex.
 Every transportation problem here has many sources (points) and few sinks
-(clusters, or the mandatory and optional parts of a bounded cluster), so
-one solver serves both network problems: successive shortest paths over an
-exchange graph with one node per sink, started from the Voronoi assignment.
-Dijkstra ties go to the lowest sink index and each arc's source is the
-least ``(cost difference, source index)``, so results are deterministic.
+(clusters), so one solver serves both network problems: successive shortest
+paths over an exchange graph with one node per sink plus one hub node that
+carries the sink bounds, started from the Voronoi assignment. Dijkstra ties
+go to the lowest node index and each arc's source is the least
+``(cost difference, source index)``, so results are deterministic.
 Problem sizes are desk scale by design; the LP is capped at
 ``MAX_LP_VARIABLES`` structural variables.
 """
@@ -160,59 +160,72 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _ksink_transport(cost, supply, demand, forbidden=None):
-    """Exact transportation for many sources and few sinks.
+def _ksink_transport(cost, supply, lower, upper):
+    """Exact transportation for many sources and few sinks, each sink
+    receiving between ``lower[b]`` and ``upper[b]`` of the supply.
 
-    Returns (flow, u, v) where (u, v) are optimal node potentials. Every
-    source starts at its nearest admissible sink (the Voronoi assignment,
-    optimal once sink demands are ignored); successive shortest paths then
-    move mass from sinks over their demand to sinks under it (Ahuja,
-    Magnanti and Orlin, *Network Flows*, ch. 9). The exchange graph has one
-    node per sink: arc a -> b moves some source x from a to b at reduced cost
-    ``c[x,b] - c[x,a] - v_b + v_a``. The key ``c[x,b] - c[x,a]`` does not
-    depend on the potentials, so one lazy heap per ordered sink pair keeps
-    each arc's cheapest source; an entry is stale once x has no mass left at
-    a, and forbidden cells never enter a heap. Ties break deterministically:
-    heap order ``(key, source)`` picks the source of an arc, and Dijkstra
-    settles the lowest sink index among equal distances, so the first short
-    sink settled is the lowest-indexed nearest one.
+    Returns (flow, u, v) where (u, v) are optimal node potentials; the last
+    entry of ``v`` is the hub's. Each sink passes what it receives on to one
+    zero-cost hub node, index n, which absorbs the whole supply (Ahuja,
+    Magnanti and Orlin, *Network Flows*, ch. 9); with ``lower == upper`` the
+    hub has no arcs and this is plain transportation. Every source starts at
+    its nearest sink (the Voronoi assignment, optimal once sink bounds are
+    ignored) and every sink passes its Voronoi total clipped to its bounds;
+    successive shortest paths then move excess to nodes short of their
+    balance. Arc a -> b between sinks moves some source x from a to b at
+    reduced cost ``c[x,b] - c[x,a] - v_b + v_a``; a hub arc changes what a
+    sink passes on at reduced cost ``v_tail - v_head``. The key
+    ``c[x,b] - c[x,a]`` does not depend on the potentials, so one lazy heap
+    per ordered sink pair keeps each arc's cheapest source; an entry is stale
+    once x has no mass left at a. Ties break deterministically: heap order
+    ``(key, source)`` picks the source of an arc, and Dijkstra settles the
+    lowest node index among equal distances (the hub last).
     """
     m, n = cost.shape
-    if not demand.any():  # the supply is within the balance tolerance of zero: ship nothing
-        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n)
+    hub = n
+    if not upper.any():  # the supply is within the balance tolerance of zero: ship nothing
+        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n + 1)
     scale = max(1.0, float(np.max(np.abs(cost), initial=0.0)))
     eps = 1e-13 * max(1.0, float(supply.sum()))
-    priced = cost if forbidden is None else np.where(forbidden, np.inf, cost)
     live = np.flatnonzero(supply > 0)
-    home = np.argmin(priced, axis=1)
-    if np.isinf(priced[live, home[live]]).any():
-        raise SolverError("a source with supply has no admissible sink")
+    home = np.argmin(cost, axis=1)
 
-    prow = priced.tolist()
+    crow = cost.tolist()
     mass = [[0.0] * n for _ in range(m)]
     for x, a, s in zip(live.tolist(), home[live].tolist(), supply[live].tolist()):
         mass[x][a] = s
-    excess = (np.bincount(home[live], supply[live], minlength=n) - demand).tolist()
+    total = np.bincount(home[live], supply[live], minlength=n)
+    through = np.clip(total, lower, upper)
+    excess = (total - through).tolist() + [float(through.sum()) - float(supply.sum())]
+    through, lo, hi = through.tolist(), lower.tolist(), upper.tolist()
     heaps = [[[] for _ in range(n)] for _ in range(n)]
     for a in range(n):
         at_a = live[home[live] == a]
         for b in set(range(n)) - {a}:
-            xs = at_a[np.isfinite(priced[at_a, b])]
-            heaps[a][b] = list(zip((priced[xs, b] - priced[xs, a]).tolist(), xs.tolist()))
+            heaps[a][b] = list(zip((cost[at_a, b] - cost[at_a, a]).tolist(), at_a.tolist()))
             heapq.heapify(heaps[a][b])
 
     def top(a, b):
-        """The cheapest live entry of arc a -> b, or None."""
+        """The cheapest live entry of arc a -> b, or None; a hub arc's source is None."""
+        if b == hub:
+            return (0.0, None) if through[a] < hi[a] else None
+        if a == hub:
+            return (0.0, None) if through[b] > lo[b] else None
         heap = heaps[a][b]
         while heap and mass[heap[0][1]][a] <= 0.0:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    v = [0.0] * n
+    def capacity(a, b, x):
+        if x is not None:
+            return mass[x][a]
+        return hi[a] - through[a] if b == hub else through[b] - lo[b]
+
+    v = [0.0] * (n + 1)
     while max(excess) > eps:
         dist = [0.0 if e > eps else math.inf for e in excess]
-        pred = [None] * n
-        open_ = list(range(n))
+        pred = [None] * (n + 1)
+        open_ = list(range(n + 1))
         while True:
             a = min(open_, key=dist.__getitem__, default=None)
             if a is None or dist[a] == math.inf:
@@ -236,36 +249,46 @@ def _ksink_transport(cost, supply, demand, forbidden=None):
             path.append((a, node, x))
             node = a
         source = node
-        delta = min(excess[source], -excess[target], *(mass[x][a] for a, _, x in path))
-        for a, b, x in path:
-            row = mass[x]
-            if row[b] == 0.0:  # x arrives at b: it can now leave b for any admissible sink
-                px = prow[x]
-                for c in range(n):
-                    if c != b and px[c] < math.inf:
-                        heapq.heappush(heaps[b][c], (px[c] - px[b], x))
-            row[b] += delta
-            row[a] -= delta
+        caps = [capacity(*arc) for arc in path]
+        delta = min(excess[source], -excess[target], *caps)
+        for (a, b, x), cap in zip(path, caps):
+            if b == hub:  # a saturated hub arc lands on its bound exactly
+                through[a] = hi[a] if delta == cap else through[a] + delta
+            elif a == hub:
+                through[b] = lo[b] if delta == cap else through[b] - delta
+            else:
+                row = mass[x]
+                if row[b] == 0.0:  # x arrives at b: it can now leave b for any sink
+                    cx = crow[x]
+                    for c in range(n):
+                        if c != b:
+                            heapq.heappush(heaps[b][c], (cx[c] - cx[b], x))
+                row[b] += delta
+                row[a] -= delta
         excess[source] -= delta
         excess[target] += delta
 
     flow = np.array(mass).reshape(m, n)
     v = np.array(v)
-    u = (priced - v[None, :]).min(axis=1)
-    _certify(cost, flow, u, v, forbidden, scale)
+    u = (cost - v[None, :n]).min(axis=1)
+    through = np.array(through)
+    _certify(cost, flow, u, v, through < upper, through > lower, scale)
     return flow, u, v
 
 
-def _certify(cost, flow, u, v, forbidden, scale):
-    red = cost - u[:, None] - v[None, :]
-    if forbidden is not None:
-        red = np.where(forbidden, np.inf, red)
+def _certify(cost, flow, u, v, rises, falls, scale):
+    """Check complementary slackness; ``rises``/``falls`` mark the sinks whose
+    hub arc can still carry more/less, which bounds ``v_b - v_hub`` below/above."""
+    red = cost - u[:, None] - v[None, :-1]
     cert_tol = 1e-9 * max(1.0, scale)
     if red.min(initial=np.inf) < -cert_tol:
         raise SolverError(f"negative reduced cost after convergence: {red.min():.3e}")
     support = flow > 0
-    if support.any() and np.max(np.abs(np.where(support, cost - u[:, None] - v[None, :], 0.0))) > cert_tol:
+    if support.any() and np.max(np.abs(np.where(support, red, 0.0))) > cert_tol:
         raise SolverError("complementary slackness violated on the flow support")
+    gap = v[:-1] - v[-1]
+    if np.any(gap[rises] < -cert_tol) or np.any(gap[falls] > cert_tol):
+        raise SolverError("a hub arc with residual capacity has a negative reduced cost")
 
 
 def solve_transportation(p: TransportationProblem) -> TransportSolution:
@@ -278,63 +301,35 @@ def solve_transportation(p: TransportationProblem) -> TransportSolution:
     dem = p.demands
     if dem.sum() > 0:
         dem = dem * (p.supplies.sum() / dem.sum())  # exact rebalance within tolerance
-    flow, u, v = _ksink_transport(p.cost, p.supplies, dem)
+    flow, u, v = _ksink_transport(p.cost, p.supplies, dem, dem)
     objective = float(np.sum(flow * p.cost))
-    return TransportSolution(flow=flow, objective=objective, source_potentials=u, sink_potentials=v)
+    return TransportSolution(flow=flow, objective=objective, source_potentials=u, sink_potentials=v[:-1])
 
 
 def solve_bounded_transportation(p: BoundedTransportationProblem) -> BoundedTransportSolution:
     """Transportation with per-sink [lower, upper] bounds on received weight.
 
-    Uses the standard lower-bound elimination: each sink splits into a
-    mandatory part (demand = lower bound) and an optional part
-    (capacity = upper - lower) fed by a zero-cost dummy source that is
-    forbidden on mandatory parts. Raises :class:`Infeasible` when the bound
-    sums exclude the supply total.
+    One k-sink solve with a hub node behind the sinks. A bound sum within
+    tolerance of the supply total is rescaled onto it exactly. Raises
+    :class:`Infeasible` when the bound sums exclude the supply total.
     """
     W = float(p.supplies.sum())
     lo = p.sink_lower
     hi = np.minimum(p.sink_upper, W)  # a sink can never receive more than everything
-    cost = p.cost
-    m, n = cost.shape
     tol = 1e-9 * max(1.0, W)
     if lo.sum() > W + tol or W > hi.sum() + tol:
         raise Infeasible(
             f"sink bounds exclude the supply: sum(l)={lo.sum():.12g}, "
             f"W={W:.12g}, sum(u)={hi.sum():.12g}"
         )
-
-    if W - lo.sum() <= tol:
-        # Bounds force every sink to exactly its lower bound.
-        demands = lo * (W / lo.sum()) if lo.sum() > 0 else lo
-        sol = solve_transportation(TransportationProblem(cost, p.supplies, demands))
-        return BoundedTransportSolution(sol.flow, sol.objective, sol.flow.sum(axis=0))
-    if hi.sum() - W <= tol:
-        demands = hi * (W / hi.sum())
-        sol = solve_transportation(TransportationProblem(cost, p.supplies, demands))
-        return BoundedTransportSolution(sol.flow, sol.objective, sol.flow.sum(axis=0))
-
-    mand = np.flatnonzero(lo > 0)
-    opt = np.flatnonzero(hi - lo > 0)
-    demands = np.concatenate([lo[mand], (hi - lo)[opt]])
-    supplies = np.append(p.supplies, hi.sum() - W)
-    big_cost = np.zeros((m + 1, mand.size + opt.size))
-    big_cost[:-1, : mand.size] = cost[:, mand]
-    big_cost[:-1, mand.size :] = cost[:, opt]
-    forbidden = np.zeros_like(big_cost, dtype=bool)
-    forbidden[-1, : mand.size] = True
-
-    demands = demands * (supplies.sum() / demands.sum())
-    flow_big, _, _ = _ksink_transport(big_cost, supplies, demands, forbidden)
-
-    flow = np.zeros((m, n))
-    flow[:, mand] += flow_big[:-1, : mand.size]
-    flow[:, opt] += flow_big[:-1, mand.size :]
-    objective = float(np.sum(flow * cost))
+    # A bound sum within tolerance of W pins every sink to that bound: put it on W exactly.
+    lower = lo * (W / lo.sum()) if lo.sum() > 0 and W - lo.sum() <= tol else lo
+    upper = hi * (W / hi.sum()) if hi.sum() > 0 and hi.sum() - W <= tol else hi
+    flow, _, _ = _ksink_transport(p.cost, p.supplies, lower, upper)
     totals = flow.sum(axis=0)
     if np.any(totals < lo - tol) or np.any(totals > hi + tol):
         raise SolverError("bounded transportation produced out-of-bound sink totals")
-    return BoundedTransportSolution(flow, objective, totals)
+    return BoundedTransportSolution(flow, float(np.sum(flow * p.cost)), totals)
 
 
 # ---------------------------------------------------------------------------

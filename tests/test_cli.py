@@ -366,3 +366,57 @@ def test_coreset_nonpositive_weight_exit_code(tmp_path, capsys, weight):
     payload["S"][0]["weight"] = weight
     cs.write_text(json.dumps(payload))
     _assert_rejected(tmp_path, capsys, inst, cs, "coreset summary weights v must be positive")
+
+
+@pytest.mark.parametrize("ref", [-1, 99])
+def test_explicit_facility_point_out_of_range_exit_code(tmp_path, capsys, ref):
+    """A facility's point reference must name one of the instance's points:
+    -1 used to pick the last point silently, 99 raised an IndexError."""
+    inst = tmp_path / "inst.json"
+    con = tmp_path / "con.json"
+    run(["generate", "--kind", "random-metric", "--n", 6, "--facilities", 3, "--k", 2, "--out", inst])
+    payload = load_json(str(inst))
+    payload["facilities"][0] = {"point": ref}
+    inst.write_text(json.dumps(payload))
+    con.write_text(json.dumps({"type": "unconstrained"}))
+    capsys.readouterr()
+    assert run(["oracle", "--instance", inst, "--constraint", con, "--out", tmp_path / "o.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: facility references unknown point {ref}"]
+
+
+def _set(path, value):
+    """An edit that puts ``value`` at the key ``path`` of a payload."""
+    def edit(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return payload
+    return edit
+
+
+MALFORMED_INPUT = {
+    "points-plain-ints": ("instance", _set(["points"], [1, 2, 3, 4, 5])),
+    "coordinate-a-string": ("instance", _set(["points", 0, "coords", 0], "a")),
+    "weight-a-string": ("instance", _set(["points", 0, "weight"], "heavy")),
+    "k-a-string": ("instance", _set(["k"], "two")),
+    "balanced-l-a-string": ("constraint", _set(["l"], "ab")),
+    "constraint-a-list": ("constraint", lambda payload: [payload]),
+}
+
+
+@pytest.mark.parametrize("kind, edit", MALFORMED_INPUT.values(), ids=MALFORMED_INPUT.keys())
+def test_malformed_instance_or_constraint_exit_code(tmp_path, capsys, kind, edit):
+    """A field of the wrong type in an instance or constraint file is an
+    input error with a one-line message, not a traceback."""
+    code, _ = full_pipeline(tmp_path, {"type": "balanced", "l": [2, 2], "u": [3, 3]})
+    assert code == EXIT_OK
+    path = tmp_path / ("inst.json" if kind == "instance" else "con.json")
+    path.write_text(json.dumps(edit(load_json(str(path)))))
+    capsys.readouterr()
+    code = run(["solve", "--instance", tmp_path / "inst.json", "--coreset", tmp_path / "cs.json",
+                "--constraint", tmp_path / "con.json", "--out", tmp_path / "res.json"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: malformed {kind} file:"), err

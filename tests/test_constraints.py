@@ -15,7 +15,6 @@ from weakcore.constraints import (
     assignment_cost,
     check_feasibility,
     is_symmetric,
-    labeled_profile_cost,
     ldiversity_bounds,
     optimal_feasible_cost,
     profile_cost,
@@ -111,7 +110,7 @@ def test_labeled_profile_single_label_reduces_to_plain(labeled_line_instance):
     unl = WeightedPoints(B.space, B.indices, B.weights)
     plain, _ = profile_cost(unl, LINE_CENTERS, ClusterProfile([3.0, 2.0]), 1)
     lab = ClusterProfile(np.array([[3.0, 0.0], [0.0, 2.0]]))
-    labeled, _ = labeled_profile_cost(B, LINE_CENTERS, lab, 1)
+    labeled, _ = profile_cost(B, LINE_CENTERS, lab, 1)
     # label 0 = {0,1,2} all to center at 1; label 1 = {9,10} all to center at 10
     assert labeled == pytest.approx(plain)
 
@@ -119,7 +118,7 @@ def test_labeled_profile_single_label_reduces_to_plain(labeled_line_instance):
 def test_labeled_profile_per_label_voronoi(labeled_line_instance):
     B = labeled_line_instance.weighted_points()
     gamma = ClusterProfile(np.array([[3.0, 0.0], [0.0, 2.0]]))
-    cost, sigma = labeled_profile_cost(B, LINE_CENTERS, gamma, 1)
+    cost, sigma = profile_cost(B, LINE_CENTERS, gamma, 1)
     assert cost == pytest.approx(3.0)
     assert check_feasibility(sigma, B, FixedProfile(gamma), k=2) == []
 
@@ -127,7 +126,7 @@ def test_labeled_profile_per_label_voronoi(labeled_line_instance):
 def test_labeled_profile_crossing_demands_matches_lp(labeled_line_instance):
     B = labeled_line_instance.weighted_points()
     gamma = ClusterProfile(np.array([[1.0, 2.0], [2.0, 0.0]]))
-    cost, sigma = labeled_profile_cost(B, LINE_CENTERS, gamma, 1)
+    cost, sigma = profile_cost(B, LINE_CENTERS, gamma, 1)
     # Independent joint LP over sigma with per-(cluster,label) equalities.
     n, k, m = 5, 2, 2
     d = B.space.pairwise(B.indices, LINE_CENTERS)

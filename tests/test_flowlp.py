@@ -15,6 +15,7 @@ from weakcore.flowlp import (
     SolverLimit,
     TransportationProblem,
     Unbounded,
+    _certify,
     _ksink_transport,
     solve_bounded_transportation,
     solve_lp,
@@ -155,9 +156,11 @@ def test_zero_demand_ships_nothing(cost, supplies, demands):
 
 
 def test_unreachable_short_sink_is_solver_error():
-    """The only source sits at sink 0 and may not move to sink 1, which is short."""
+    """The sinks together take half the supply: once sink 1 is full, the rest
+    at sink 0 reaches no node short of its balance."""
+    bounds = np.array([0.0, 0.5])
     with pytest.raises(SolverError, match="reaches no sink"):
-        _ksink_transport(np.ones((1, 2)), np.ones(1), np.array([0.0, 1.0]), np.array([[False, True]]))
+        _ksink_transport(np.ones((1, 2)), np.ones(1), bounds, bounds)
 
 
 def test_flow_conservation_and_lp_agreement():
@@ -177,6 +180,44 @@ def test_flow_conservation_and_lp_agreement():
         assert np.all(bsol.sink_totals <= b.sink_upper + 1e-9)
         lp_sol = solve_lp(bounded_transportation_as_lp(b))
         assert bsol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12], ids=["exact", "over", "under"])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_bounded_tight_sum_lp_agreement(side, offset):
+    """When sum(lower) or sum(upper) equals the supply W, exactly or within
+    1e-12 relative, every sink sits on that bound: the bounded solve agrees
+    with the LP and with plain transport to those demands."""
+    for seed in range(20):
+        p = random_transportation(seed)
+        b = random_bounded_transportation(seed)
+        tight = p.demands * (1.0 + offset)
+        if side == "lower":
+            lower, upper = tight, np.maximum(b.sink_upper, tight)
+        else:
+            lower, upper = np.minimum(b.sink_lower, tight), tight
+        bp = BoundedTransportationProblem(p.cost, p.supplies, lower, upper)
+        bsol = solve_bounded_transportation(bp)
+        W = p.supplies.sum()
+        assert np.allclose(bsol.flow.sum(axis=1), p.supplies, rtol=1e-9, atol=1e-9)
+        assert np.allclose(bsol.sink_totals, p.demands, rtol=1e-9, atol=1e-9 * W)
+        assert bsol.objective == pytest.approx(solve_transportation(p).objective, rel=1e-9, abs=1e-9)
+        assert bsol.objective == pytest.approx(solve_lp(bounded_transportation_as_lp(bp)).objective, abs=1e-7)
+
+
+def test_certificate_checks_hub_arcs():
+    """On the line, sink 0 ends at its upper bound and sink 1 at its lower
+    one. The solver's potentials pass; moving the hub's potential by one
+    prices a hub arc that still has capacity below zero, and fails."""
+    lower, upper = np.array([2.0, 2.0]), np.array([3.0, 3.0])
+    flow, u, v = _ksink_transport(LINE_COSTS, np.ones(5), lower, upper)
+    totals = flow.sum(axis=0)
+    assert totals.tolist() == [3.0, 2.0]
+    rises, falls = totals < upper, totals > lower
+    _certify(LINE_COSTS, flow, u, v, rises, falls, 10.0)
+    for shift in (1.0, -1.0):
+        with pytest.raises(SolverError, match="hub arc"):
+            _certify(LINE_COSTS, flow, u, v + np.array([0.0, 0.0, shift]), rises, falls, 10.0)
 
 
 def test_planar_blobs_at_8000_points():
