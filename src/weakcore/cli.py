@@ -2,12 +2,13 @@
 and the generate / coreset / solve / oracle / verify commands.
 
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
-2 infeasible, 3 validation or input error, 4 resource ceiling exceeded.
+2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -72,8 +73,28 @@ def _malformed(kind: str):
         yield
     except ValidationError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {kind} file: {type(exc).__name__}: {exc}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a number that is not integral is malformed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values: list, name: str) -> list:
+    """``_integer`` of each value; a list of plain ints passes as it is."""
+    return values if set(map(type, values)) <= {int} else [_integer(v, name) for v in values]
+
+
+def _reject_bools(values, name: str) -> None:
+    """JSON ``true`` is not the number 1: a bool among numbers is malformed."""
+    if bool in set(map(type, values)):
+        raise ValueError(f"{name} must be a number, got a boolean")
 
 
 def load_json(path: str) -> dict:
@@ -124,7 +145,7 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
 
 
 def _referenced_point(facility: dict, point_ids: list) -> int:
-    ref = int(facility["point"])
+    ref = _integer(facility["point"], "facility point")
     if not 0 <= ref < len(point_ids):
         raise ValidationError(f"facility references unknown point {ref}")
     return point_ids[ref]
@@ -137,10 +158,11 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     raw_fac = payload.get("facilities", [])
     if not raw_points or not raw_fac:
         raise ValidationError("instance file needs nonempty points and facilities")
-    weights = [float(p.get("weight", 1.0)) for p in raw_points]
+    weights = [p.get("weight", 1.0) for p in raw_points]
+    _reject_bools(weights, "weight")
     labels = None
     if any("label" in p for p in raw_points):
-        labels = [int(p.get("label", 0)) for p in raw_points]
+        labels = _integers([p.get("label", 0) for p in raw_points], "label")
 
     if kind == "euclidean":
         coords = []
@@ -149,17 +171,18 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
             if "coords" not in p:
                 raise ValidationError("euclidean points need coords")
             point_ids.append(len(coords))
-            coords.append([float(c) for c in p["coords"]])
+            coords.append(p["coords"])
         fac_ids = []
         for f in raw_fac:
             if "point" in f:
                 fac_ids.append(_referenced_point(f, point_ids))
             elif "coords" in f:
                 fac_ids.append(len(coords))
-                coords.append([float(c) for c in f["coords"]])
+                coords.append(f["coords"])
             else:
                 raise ValidationError("euclidean facilities need coords or a point reference")
-        space = MetricSpace.euclidean(np.array(coords))
+        _reject_bools(itertools.chain.from_iterable(coords), "coordinate")
+        space = MetricSpace.euclidean(np.array(coords, dtype=np.float64))
     elif kind == "explicit":
         matrix_flat = payload.get("distance_matrix")
         if matrix_flat is None:
@@ -175,13 +198,13 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         for p in raw_points:
             if "index" not in p:
                 raise ValidationError("explicit points need an index")
-            point_ids.append(int(p["index"]))
+            point_ids.append(_integer(p["index"], "point index"))
         fac_ids = []
         for f in raw_fac:
             if "point" in f:
                 fac_ids.append(_referenced_point(f, point_ids))
             elif "index" in f:
-                fac_ids.append(int(f["index"]))
+                fac_ids.append(_integer(f["index"], "facility index"))
             else:
                 raise ValidationError("explicit facilities need an index or point reference")
     else:
@@ -190,10 +213,10 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     inst = ClusteringInstance(
         space=space,
         points=np.array(point_ids, dtype=np.int64),
-        weights=np.array(weights),
+        weights=np.array(weights, dtype=np.float64),
         facilities=np.array(fac_ids, dtype=np.int64),
-        k=int(payload.get("k", 1)),
-        z=int(payload.get("z", 1)),
+        k=_integer(payload.get("k", 1), "k"),
+        z=_integer(payload.get("z", 1), "z"),
         labels=np.array(labels, dtype=np.int64) if labels is not None else None,
     )
     report = validate_instance(inst)
@@ -243,15 +266,17 @@ def coreset_from_payload(payload: dict) -> WeakCoreset:
     if j_raw and isinstance(j_raw[0], list):
         j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)
     else:
-        j_ids, j_coords = np.array(j_raw, dtype=np.int64), None
+        j_ids, j_coords = np.array(_integers(j_raw, "J id"), dtype=np.int64), None
+    v = [e["weight"] for e in payload["S"]]
+    _reject_bools(v, "S weight")
     return WeakCoreset(
-        S=np.array([e["point"] for e in payload["S"]], dtype=np.int64),
-        v=np.array([e["weight"] for e in payload["S"]], dtype=np.float64),
+        S=np.array(_integers([e["point"] for e in payload["S"]], "S point"), dtype=np.int64),
+        v=np.array(v, dtype=np.float64),
         alpha=float(payload["alpha"]),
-        z=int(payload["z"]),
+        z=_integer(payload["z"], "z"),
         epsilon=float(payload["epsilon"]),
         delta=float(payload["delta"]),
-        seed=int(payload["seed"]),
+        seed=_integer(payload["seed"], "seed"),
         mode=payload.get("mode", "metric"),
         J=j_ids,
         J_coords=j_coords,
@@ -297,7 +322,7 @@ def constraint_from_payload(payload: dict, inst: ClusteringInstance) -> Constrai
             raise ValidationError("ldiversity direction must be at_least or at_most")
         if inst.labels is None:
             raise ValidationError("ldiversity requires a labeled instance")
-        return ldiversity_bounds(int(l), k, inst.n_labels, at_most=direction == "at_most")
+        return ldiversity_bounds(_integer(l, "l"), k, inst.n_labels, at_most=direction == "at_most")
     raise ValidationError(f"unknown constraint type {kind!r}")
 
 
@@ -572,8 +597,16 @@ def _common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code: argparse's 2 means infeasible here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weakcore",
         description="Universal weak coresets for constrained k-median / k-means.",
     )
@@ -609,8 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--coreset", required=True)
     s.add_argument("--constraint", required=True)
-    s.add_argument("--ordered", action="store_true", help="force ordered tuple enumeration")
-    s.add_argument("--unordered", action="store_true", help="force unordered enumeration")
+    order = s.add_mutually_exclusive_group()
+    order.add_argument("--ordered", action="store_true", help="force ordered tuple enumeration")
+    order.add_argument("--unordered", action="store_true", help="force unordered enumeration")
     s.add_argument("--allow-repeats", action="store_true")
     s.add_argument("--cost-target", type=float, default=None)
     s.add_argument("--csv", default=None, help="also write the assignment as CSV")

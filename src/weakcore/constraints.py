@@ -229,30 +229,19 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
     (cluster i, label j): alpha * mass(i) <= mass of label j in i <= beta * mass(i)."""
     n, k = d.shape
     m = alpha.shape[1]
-    nv = n * k
-
-    a_eq = np.zeros((n, nv))
-    for x in range(n):
-        a_eq[x, x * k : (x + 1) * k] = 1.0
-    b_eq = B.weights.copy()
-
-    rows = []
-    label_mask = [B.labels == j for j in range(m)]
-    for i in range(k):
-        for j in range(m):
-            low = np.zeros(nv)
-            high = np.zeros(nv)
-            for x in range(n):
-                in_label = bool(label_mask[j][x])
-                low[x * k + i] = alpha[i, j] - (1.0 if in_label else 0.0)
-                high[x * k + i] = (1.0 if in_label else 0.0) - beta[i, j]
-            rows.append(low)
-            rows.append(high)
-    a_ub = np.array(rows)
-    b_ub = np.zeros(len(rows))
-    lp = LinearProgram(objective=d.ravel(), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-    sol = solve_lp(lp)
-    return sol.x.reshape(n, k)
+    in_label = (B.labels == np.arange(m)[:, None]).astype(np.float64)  # (m, n)
+    fractions = np.zeros((k, m, 2, n, k))  # [i, j, low/high, x, i]: only cluster i's own column
+    i = np.arange(k)
+    fractions[i, :, 0, :, i] = alpha[:, :, None] - in_label
+    fractions[i, :, 1, :, i] = in_label - beta[:, :, None]
+    lp = LinearProgram(
+        objective=d.ravel(),
+        a_eq=np.kron(np.eye(n), np.ones(k)),
+        b_eq=B.weights,
+        a_ub=fractions.reshape(2 * k * m, n * k),
+        b_ub=np.zeros(2 * k * m),
+    )
+    return solve_lp(lp).x.reshape(n, k)
 
 
 def optimal_feasible_cost(

@@ -23,7 +23,7 @@ from .candidates import (
     dz_seed,
     resolve_eta,
 )
-from .model import ClusteringInstance, ValidationError, WeightedPoints, _positions
+from .model import REL_TOL, ClusteringInstance, ValidationError, WeightedPoints, _positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +265,10 @@ class WeakCoreset:
         Euclidean mode that is the instance's space augmented once with
         ``J_coords``. Raises :class:`ValidationError` when a summary weight
         v is not positive and finite, when S is not a subset of the
-        instance's points, when J is not a subset of its facilities, or when
-        ``J_coords`` has another dimension than its space."""
+        instance's points, when the weight of S differs from the instance's
+        (per label on a labeled instance) by more than ``REL_TOL`` relative,
+        when J is not a subset of its facilities, or when ``J_coords`` has
+        another dimension than its space."""
         bad = self.v[~(np.isfinite(self.v) & (self.v > 0))]
         if bad.size:
             raise ValidationError(
@@ -274,6 +276,12 @@ class WeakCoreset:
             )
         summary = self.summary_points(inst)
         full = inst.weighted_points()
+        got, want = _label_totals(summary, inst.n_labels), _label_totals(full, inst.n_labels)
+        if np.any(np.abs(got - want) > REL_TOL * np.maximum(1.0, np.abs(want))):
+            raise ValidationError(
+                f"coreset summary weight totals {got.tolist()} do not match the instance's "
+                f"{want.tolist()}"
+            )
         if self.J is not None:
             outside = self.J[_positions(inst.facilities, self.J) < 0]
             if outside.size:
@@ -288,6 +296,12 @@ class WeakCoreset:
             WeightedPoints(space, summary.indices, summary.weights, summary.labels),
             WeightedPoints(space, full.indices, full.weights, full.labels),
         )
+
+
+def _label_totals(B: WeightedPoints, m: int) -> np.ndarray:
+    """Weight per label, or the total weight as one entry when B has no labels."""
+    labels = B.labels if B.labels is not None else np.zeros(B.size, dtype=np.int64)
+    return np.bincount(labels, B.weights, minlength=m)
 
 
 def universal_alpha(z: int, points_are_facilities: bool) -> float:

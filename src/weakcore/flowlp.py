@@ -9,6 +9,10 @@ paths over an exchange graph with one node per sink plus one hub node that
 carries the sink bounds, started from the Voronoi assignment. Dijkstra ties
 go to the lowest node index and each arc's source is the least
 ``(cost difference, source index)``, so results are deterministic.
+The LP solver runs both simplex phases on one dense tableau over the
+structural and slack columns. Each row starts with an implicit artificial
+basic variable that has no column of its own, and the phase-2 cost row is
+carried through the phase-1 pivots (Chvatal, *Linear Programming*, 1983).
 Problem sizes are desk scale by design; the LP is capped at
 ``MAX_LP_VARIABLES`` structural variables.
 """
@@ -348,9 +352,10 @@ def _pivot(T, basis, row, col):
 
 
 def _run_simplex(T, basis, n_cols, tol):
-    """Iterate the tableau to optimality. The last row holds reduced costs,
-    the last column the rhs. Dantzig pricing, permanent Bland fallback."""
-    rows = T.shape[0] - 1
+    """Iterate the tableau to optimality over its first ``len(basis)`` rows.
+    The last row holds reduced costs, the last column the rhs; rows between
+    are pivoted along. Dantzig pricing, permanent Bland fallback."""
+    rows = len(basis)
     bland = False
     degenerate_streak = 0
     max_iter = 20_000 + 50 * (rows + n_cols)
@@ -384,45 +389,34 @@ def _run_simplex(T, basis, n_cols, tol):
 
 
 def solve_lp(p: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex for small linear programs.
+    """Two-phase dense simplex for small linear programs, on one tableau.
 
     Feasibility of the returned point holds within 1e-7 absolute on every
     constraint. Raises :class:`Infeasible` or :class:`Unbounded` accordingly.
     """
     c = p.objective
     n = c.size
-
-    blocks = []
-    rhs = []
+    n_eq = 0 if p.a_eq is None else p.b_eq.size
     n_ub = 0 if p.a_ub is None else p.b_ub.size
+    rows, cols = n_eq + n_ub, n + n_ub
+
+    # Rows: constraints (rhs made nonnegative), the phase-2 costs, the phase-1 costs.
+    T = np.zeros((rows + 2, cols + 1))
     if p.a_eq is not None:
-        blocks.append(np.hstack([p.a_eq, np.zeros((p.b_eq.size, n_ub))]))
-        rhs.append(p.b_eq)
+        T[:n_eq, :n] = p.a_eq
+        T[:n_eq, -1] = p.b_eq
     if p.a_ub is not None:
-        blocks.append(np.hstack([p.a_ub, np.eye(n_ub)]))
-        rhs.append(p.b_ub)
-    if not blocks:
-        # Only x >= 0: the origin is optimal unless some cost is negative.
-        if np.any(c < 0):
-            raise Unbounded("no constraints bound a negative-cost variable")
-        return LpSolution(np.zeros(n), 0.0)
-
-    A = np.vstack(blocks)
-    b = np.concatenate(rhs)
-    neg = b < 0
-    A[neg] *= -1
-    b[neg] *= -1
-    rows, cols = A.shape
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))) if b.size else 1.0)
+        T[n_eq:rows, :n] = p.a_ub
+        T[n_eq:rows, n:cols] = np.eye(n_ub)
+        T[n_eq:rows, -1] = p.b_ub
+    A = T[:rows]
+    A[A[:, -1] < 0] *= -1
+    scale = float(np.max(np.abs(A), initial=1.0))
     tol = 1e-10 * scale
+    T[rows, :n] = c
+    T[-1] = -A.sum(axis=0)
 
-    # Phase 1: artificial basis.
-    T = np.zeros((rows + 1, cols + rows + 1))
-    T[:rows, :cols] = A
-    T[:rows, cols : cols + rows] = np.eye(rows)
-    T[:rows, -1] = b
-    T[-1, :cols] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
+    # Phase 1: row r starts with an implicit artificial basic variable, marked cols + r.
     basis = list(range(cols, cols + rows))
     _run_simplex(T, basis, cols, tol)
     if -T[-1, -1] > 1e-7 * max(1.0, scale):
@@ -431,36 +425,20 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     # Drive artificials out of the basis; drop redundant rows.
     keep_rows = []
     for r in range(rows):
-        if basis[r] < cols:
-            keep_rows.append(r)
-            continue
-        pivot_col = None
-        for j in range(cols):
-            if abs(T[r, j]) > tol:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            continue  # redundant constraint
-        _pivot(T, basis, r, pivot_col)
+        if basis[r] >= cols:
+            nonzero = np.flatnonzero(np.abs(T[r, :cols]) > tol)
+            if nonzero.size == 0:
+                continue  # redundant constraint
+            _pivot(T, basis, r, int(nonzero[0]))
         keep_rows.append(r)
-    if len(keep_rows) < rows:
-        T = np.vstack([T[keep_rows], T[-1:]])
-        basis = [basis[r] for r in keep_rows]
-        rows = len(keep_rows)
 
-    # Phase 2 over structural + slack columns only.
-    c_full = np.concatenate([c, np.zeros(n_ub)])
-    T2 = np.zeros((rows + 1, cols + 1))
-    T2[:rows, :cols] = T[:rows, :cols]
-    T2[:rows, -1] = T[:rows, -1]
-    cb = c_full[basis]
-    T2[-1, :cols] = c_full - cb @ T2[:rows, :cols]
-    T2[-1, -1] = -float(cb @ T2[:rows, -1])
-    _run_simplex(T2, basis, cols, tol)
+    # Phase 2 on the kept rows under the carried phase-2 cost row.
+    basis = [basis[r] for r in keep_rows]
+    T = T[keep_rows + [rows]]
+    _run_simplex(T, basis, cols, tol)
 
     x_full = np.zeros(cols)
-    for r, col in enumerate(basis):
-        x_full[col] = T2[r, -1]
+    x_full[basis] = T[:-1, -1]
     x = np.maximum(x_full[:n], 0.0)
 
     _check_lp_feasibility(p, x)

@@ -420,3 +420,89 @@ def test_malformed_instance_or_constraint_exit_code(tmp_path, capsys, kind, edit
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: malformed {kind} file:"), err
+
+
+def _replace(payload):
+    """An edit that replaces the whole payload."""
+    return lambda _: payload
+
+
+NON_INTEGER = {
+    "k-fractional": ("line", "inst", _set(["k"], 2.5), "k must be an integer"),
+    "k-a-bool": ("line", "inst", _set(["k"], True), "k must be an integer"),
+    "label-fractional": ("line", "inst", _set(["points", 0, "label"], 0.7), "label must be"),
+    "weight-a-bool": ("line", "inst", _set(["points", 0, "weight"], True), "weight must be a number"),
+    "coordinate-a-bool": ("line", "inst", _set(["points", 0, "coords", 0], False), "coordinate must"),
+    "facility-point-fractional": ("line", "inst", _set(["facilities", 0, "point"], 1.5), "facility point"),
+    "point-index-fractional": ("random-metric", "inst", _set(["points", 0, "index"], 0.5), "point index"),
+    "facility-index-a-bool": ("random-metric", "inst", _set(["facilities", 0, "index"], True), "facility index"),
+    "coreset-z-fractional": ("line", "cs", _set(["z"], 1.5), "z must be an integer"),
+    "coreset-seed-fractional": ("line", "cs", _set(["seed"], 3.5), "seed must be an integer"),
+    "J-id-fractional": ("line", "cs", _set(["J", 0], 1.5), "J id must be an integer"),
+    "S-point-fractional": ("line", "cs", _set(["S", 0, "point"], 1.5), "S point must be an integer"),
+    "S-weight-a-bool": ("line", "cs", _set(["S", 0, "weight"], True), "S weight must be a number"),
+    "ldiversity-l-fractional": ("line", "con", _replace({"type": "ldiversity", "l": 1.5}), "l must be"),
+    "ldiversity-l-a-bool": ("line", "con", _replace({"type": "ldiversity", "l": True}), "l must be"),
+}
+
+
+@pytest.mark.parametrize("kind, name, edit, needle", NON_INTEGER.values(), ids=NON_INTEGER.keys())
+def test_non_integer_field_exit_code(tmp_path, capsys, kind, name, edit, needle):
+    """Integer fields take neither booleans nor fractions, and numbers are not
+    booleans: ``k: 2.5`` used to solve as k=2, and ``weight: true`` as 1.0."""
+    code, _ = full_pipeline(tmp_path, {"type": "balanced", "l": [0, 0], "u": [9, 9]},
+                            kind=kind, n=6, fac=4, m=2)
+    assert code == EXIT_OK
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(edit(load_json(str(path)))))
+    capsys.readouterr()
+    code = run(["solve", "--instance", tmp_path / "inst.json", "--coreset", tmp_path / "cs.json",
+                "--constraint", tmp_path / "con.json", "--out", tmp_path / "res.json"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed") and needle in err[0], err
+
+
+def _shift_between_labels(payload):
+    """Move half a unit of summary weight from a label-0 point to a label-1 point
+    (planar-blobs labels alternate with the point id), keeping the total."""
+    even = next(e for e in payload["S"] if e["point"] % 2 == 0)
+    odd = next(e for e in payload["S"] if e["point"] % 2 == 1)
+    even["weight"] -= 0.5
+    odd["weight"] += 0.5
+
+
+SUMMARY_WEIGHT_EDITS = {
+    "tripled-unlabeled": (1, lambda p: [e.__setitem__("weight", 3 * e["weight"]) for e in p["S"]]),
+    "tripled-labeled": (2, lambda p: [e.__setitem__("weight", 3 * e["weight"]) for e in p["S"]]),
+    "moved-between-labels": (2, _shift_between_labels),
+}
+
+
+@pytest.mark.parametrize("m, edit", SUMMARY_WEIGHT_EDITS.values(), ids=SUMMARY_WEIGHT_EDITS.keys())
+def test_summary_weight_totals_exit_code(tmp_path, capsys, m, edit):
+    """The summary must carry the instance's weight, per label when labeled:
+    a coreset with every weight tripled used to solve with exit 0."""
+    inst, cs = _coreset_files(tmp_path, m)
+    payload = load_json(str(cs))
+    edit(payload)
+    cs.write_text(json.dumps(payload))
+    _assert_rejected(tmp_path, capsys, inst, cs, "coreset summary weight totals")
+
+
+USAGE_ERRORS = {
+    "missing-out": ["generate", "--kind", "line"],
+    "ordered-and-unordered": ["solve", "--instance", "i.json", "--coreset", "c.json",
+                              "--constraint", "x.json", "--out", "o.json", "--ordered", "--unordered"],
+    "unknown-command": ["frobnicate"],
+}
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exit_code(tmp_path, capsys, args):
+    """A usage error is an input error (3); argparse's own code 2 would read
+    as "infeasible", and both ordering flags together used to mean ordered."""
+    with pytest.raises(SystemExit) as exc:
+        run([tmp_path / a if a.endswith(".json") else a for a in args])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err

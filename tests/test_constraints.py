@@ -28,10 +28,12 @@ LINE_CENTERS = np.array([1, 4])  # space indices of positions 1 and 10
 
 def fraction_lp_oracle(B, centers, alpha, beta, z):
     """The fraction-bound assignment LP handed to the independent
-    vertex-enumeration oracle."""
+    vertex-enumeration oracle; ``alpha``/``beta`` are scalars or (k, m)."""
     n = B.size
     k = centers.size
     m = B.n_labels
+    alpha = np.broadcast_to(alpha, (k, m))
+    beta = np.broadcast_to(beta, (k, m))
     d = B.space.pairwise(B.indices, centers) ** z
     a_eq = np.zeros((n, n * k))
     for x in range(n):
@@ -43,8 +45,8 @@ def fraction_lp_oracle(B, centers, alpha, beta, z):
             high = np.zeros(n * k)
             for x in range(n):
                 inl = 1.0 if B.labels[x] == j else 0.0
-                low[x * k + i] = alpha - inl
-                high[x * k + i] = inl - beta
+                low[x * k + i] = alpha[i, j] - inl
+                high[x * k + i] = inl - beta[i, j]
             rows.append(low)
             rows.append(high)
     _, obj = lp_vertex_enumeration(
@@ -173,11 +175,17 @@ def test_optimal_feasible_balanced_line(line_instance):
 
 def test_optimal_feasible_fraction_bounds_vs_vertex_oracle(labeled_line_instance):
     B = labeled_line_instance.weighted_points()
-    spec = FractionBounds(np.full(2, 0.2), np.full(2, 0.8))
-    cost, sigma, prof = optimal_feasible_cost(B, LINE_CENTERS, spec, 1)
-    oracle = fraction_lp_oracle(B, LINE_CENTERS, 0.2, 0.8, 1)
-    assert cost == pytest.approx(oracle, abs=1e-6)
-    assert check_feasibility(sigma, B, spec, k=2) == []
+    specs = [
+        FractionBounds(np.full(2, 0.2), np.full(2, 0.8)),
+        # One pair per (cluster, label), none equal to its transpose: a row
+        # built for (label, cluster) instead changes the optimum (9 -> 10).
+        FractionBounds(np.array([[0.5, 0.2], [0.1, 0.4]]), np.array([[0.8, 0.5], [0.6, 0.9]])),
+    ]
+    for spec in specs:
+        cost, sigma, prof = optimal_feasible_cost(B, LINE_CENTERS, spec, 1)
+        oracle = fraction_lp_oracle(B, LINE_CENTERS, *spec.per_label(2, 2), 1)
+        assert cost == pytest.approx(oracle, abs=1e-6)
+        assert check_feasibility(sigma, B, spec, k=2) == []
 
 
 def test_fraction_bounds_need_labels(line_instance):

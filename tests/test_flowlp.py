@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_vertex_enumeration, min_cost_integral_splits
@@ -369,9 +369,18 @@ def test_lp_variable_cap():
         LinearProgram(objective=np.zeros(20_001))
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_lp_matches_vertex_enumeration(seed):
+def test_lp_without_constraints():
+    """Only x >= 0: the origin is optimal unless some cost is negative."""
+    sol = solve_lp(LinearProgram(objective=[0.0, 2.0]))
+    assert sol.x.tolist() == [0.0, 0.0] and sol.objective == 0.0
+    with pytest.raises(Unbounded):
+        solve_lp(LinearProgram(objective=[1.0, -0.5]))
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans())
+@example(20, True)  # phase 1 ends with an artificial basic in a row it can pivot on
+@settings(max_examples=40, deadline=None)
+def test_lp_matches_vertex_enumeration(seed, with_equalities):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     r = int(rng.integers(1, 3))
@@ -379,6 +388,16 @@ def test_lp_matches_vertex_enumeration(seed):
     # x bounded by a simplex-like inequality so the LP stays bounded.
     a_ub = np.vstack([np.ones(n), rng.uniform(-1.0, 2.0, size=(r, n))])
     b_ub = np.concatenate([[rng.uniform(1.0, 5.0)], rng.uniform(0.5, 4.0, size=r)])
-    sol = solve_lp(LinearProgram(objective=c, a_ub=a_ub, b_ub=b_ub))
-    _, oracle_obj = lp_vertex_enumeration(c, a_ub=a_ub, b_ub=b_ub)
+    eq = {}
+    if with_equalities:
+        # Integer rows through a point x0 with zeros, so the LP is feasible and
+        # often degenerate; the last row repeats the first, scaled, so it is
+        # redundant and phase 1 must drive an artificial out or drop its row.
+        x0 = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.6)
+        a_eq = rng.integers(-1, 3, size=(int(rng.integers(1, 3)), n)).astype(float)
+        a_eq = np.vstack([a_eq, 2.0 * a_eq[0]])
+        eq = {"a_eq": a_eq, "b_eq": a_eq @ x0}
+        b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, size=r + 1)
+    sol = solve_lp(LinearProgram(objective=c, a_ub=a_ub, b_ub=b_ub, **eq))
+    _, oracle_obj = lp_vertex_enumeration(c, a_ub=a_ub, b_ub=b_ub, **eq)
     assert sol.objective == pytest.approx(oracle_obj, abs=1e-7)
