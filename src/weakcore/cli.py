@@ -2,7 +2,8 @@
 and the generate / coreset / solve / oracle / verify commands.
 
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
-2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded.
+2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded,
+5 solver error (a solve ended without a valid optimality certificate).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .constraints import (
 )
 from .coreset import SummaryParams, WeakCoreset, build_universal_weak_coreset
 from .candidates import CandidateParams
-from .flowlp import Infeasible, SolverLimit
+from .flowlp import Infeasible, SolverError, SolverLimit
 from .meta import SolveResult, solve_constrained
 from .model import ClusteringInstance, ClusterProfile, MetricSpace, ValidationError, validate_instance
 from .model import _positions
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 EXIT_CEILING = 4
+EXIT_SOLVER = 5
 
 MAX_INSTANCE_BYTES = 100 * 1024 * 1024
 
@@ -91,10 +93,19 @@ def _integers(values: list, name: str) -> list:
     return values if set(map(type, values)) <= {int} else [_integer(v, name) for v in values]
 
 
-def _reject_bools(values, name: str) -> None:
-    """JSON ``true`` is not the number 1: a bool among numbers is malformed."""
-    if bool in set(map(type, values)):
-        raise ValueError(f"{name} must be a number, got a boolean")
+def _numbers(values, name: str) -> None:
+    """JSON numbers only: a string such as ``"2.5"``, a boolean or null among
+    the values is malformed."""
+    odd = set(map(type, values)) - {int, float}
+    if odd:
+        raise ValueError(f"{name} must be a number, got {', '.join(sorted(t.__name__ for t in odd))}")
+
+
+def _number_array(values, name: str) -> np.ndarray:
+    """A list of JSON numbers, or a list of such lists, as a float array."""
+    nested = isinstance(values, list) and values and isinstance(values[0], list)
+    _numbers(itertools.chain.from_iterable(values) if nested else values, name)
+    return np.array(values, dtype=np.float64)
 
 
 def load_json(path: str) -> dict:
@@ -159,7 +170,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     if not raw_points or not raw_fac:
         raise ValidationError("instance file needs nonempty points and facilities")
     weights = [p.get("weight", 1.0) for p in raw_points]
-    _reject_bools(weights, "weight")
+    _numbers(weights, "weight")
     labels = None
     if any("label" in p for p in raw_points):
         labels = _integers([p.get("label", 0) for p in raw_points], "label")
@@ -181,7 +192,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
                 coords.append(f["coords"])
             else:
                 raise ValidationError("euclidean facilities need coords or a point reference")
-        _reject_bools(itertools.chain.from_iterable(coords), "coordinate")
+        _numbers(itertools.chain.from_iterable(coords), "coordinate")
         space = MetricSpace.euclidean(np.array(coords, dtype=np.float64))
     elif kind == "explicit":
         matrix_flat = payload.get("distance_matrix")
@@ -191,7 +202,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         if size * size != len(matrix_flat):
             raise ValidationError("distance_matrix length is not a perfect square")
         space = MetricSpace.explicit(
-            np.array(matrix_flat, dtype=np.float64).reshape(size, size),
+            _number_array(matrix_flat, "distance").reshape(size, size),
             triangle_check=triangle_check,
         )
         point_ids = []
@@ -264,11 +275,12 @@ def coreset_from_payload(payload: dict) -> WeakCoreset:
         raise ValidationError(f"coreset file lacks {', '.join(missing)}")
     j_raw = payload["J"]
     if j_raw and isinstance(j_raw[0], list):
-        j_ids, j_coords = None, np.array(j_raw, dtype=np.float64)
+        j_ids, j_coords = None, _number_array(j_raw, "J coordinate")
     else:
         j_ids, j_coords = np.array(_integers(j_raw, "J id"), dtype=np.int64), None
     v = [e["weight"] for e in payload["S"]]
-    _reject_bools(v, "S weight")
+    _numbers(v, "S weight")
+    _numbers([payload[key] for key in ("alpha", "epsilon", "delta")], "alpha, epsilon and delta")
     return WeakCoreset(
         S=np.array(_integers([e["point"] for e in payload["S"]], "S point"), dtype=np.int64),
         v=np.array(v, dtype=np.float64),
@@ -299,20 +311,21 @@ def constraint_from_payload(payload: dict, inst: ClusteringInstance) -> Constrai
         gamma = payload.get("gamma")
         if gamma is None:
             raise ValidationError("profile constraint needs a gamma array")
-        return FixedProfile(ClusterProfile(np.array(gamma, dtype=np.float64)))
+        return FixedProfile(ClusterProfile(_number_array(gamma, "gamma")))
     if kind == "balanced":
         lo = payload.get("l")
         hi = payload.get("u")
         if lo is None or hi is None:
             raise ValidationError("balanced constraint needs l and u arrays")
-        hi = [np.inf if h is None else float(h) for h in hi]
-        return Balanced(np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64))
+        _numbers([h for h in hi if h is not None], "u")
+        hi = [np.inf if h is None else h for h in hi]
+        return Balanced(_number_array(lo, "l"), np.array(hi, dtype=np.float64))
     if kind == "fractions":
         alpha = payload.get("alpha")
         beta = payload.get("beta")
         if alpha is None or beta is None:
             raise ValidationError("fraction constraint needs alpha and beta")
-        return FractionBounds(np.array(alpha, dtype=np.float64), np.array(beta, dtype=np.float64))
+        return FractionBounds(_number_array(alpha, "alpha"), _number_array(beta, "beta"))
     if kind == "ldiversity":
         l = payload.get("l")
         if l is None:
@@ -685,6 +698,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SolverLimit as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_CEILING
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -18,6 +18,7 @@ import numpy as np
 from .flowlp import (
     BoundedTransportationProblem,
     LinearProgram,
+    SolverError,
     TransportationProblem,
     solve_bounded_transportation,
     solve_lp,
@@ -241,7 +242,15 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
         a_ub=fractions.reshape(2 * k * m, n * k),
         b_ub=np.zeros(2 * k * m),
     )
-    return solve_lp(lp).x.reshape(n, k)
+    sol = solve_lp(lp)
+    # Certificate: the Lagrangian bound of the fraction-row multipliers y <= 0
+    # (each point at its cheapest cluster under the priced costs) meets c.x.
+    y = sol.ub_duals
+    priced = d - (y @ lp.a_ub).reshape(n, k)
+    bound = float(B.weights @ priced.min(axis=1) + lp.b_ub @ y)
+    if sol.objective - bound > 1e-9 * max(1.0, abs(sol.objective)):
+        raise SolverError(f"fraction LP duality gap {sol.objective - bound:.3e} at cost {sol.objective:.12g}")
+    return sol.x.reshape(n, k)
 
 
 def optimal_feasible_cost(

@@ -1,18 +1,24 @@
 """Exact transportation, bounded transportation, and dense-simplex LP solvers.
 
-All solvers are pure functions over float64 inputs and certify optimality
-before returning: the network solvers check complementary slackness via the
-final node potentials, the LP solver relies on a Bland-safeguarded simplex.
+All solvers are pure functions over float64 inputs. The network solvers
+certify optimality before returning, by complementary slackness on the final
+node potentials; the LP solver checks feasibility and returns the multipliers
+of its ``<=`` rows, whose Lagrangian bound the fraction-bound LP in
+:mod:`weakcore.constraints` checks against the objective.
 Every transportation problem here has many sources (points) and few sinks
 (clusters), so one solver serves both network problems: successive shortest
 paths over an exchange graph with one node per sink plus one hub node that
 carries the sink bounds, started from the Voronoi assignment. Dijkstra ties
 go to the lowest node index and each arc's source is the least
 ``(cost difference, source index)``, so results are deterministic.
-The LP solver runs both simplex phases on one dense tableau over the
-structural and slack columns. Each row starts with an implicit artificial
-basic variable that has no column of its own, and the phase-2 cost row is
-carried through the phase-1 pivots (Chvatal, *Linear Programming*, 1983).
+The LP solver works on one dense tableau over the structural and slack
+columns, with no artificial variables. It starts from a crash basis (Bixby,
+"Implementing the simplex method: the initial basis", ORSA J. Comput. 1992):
+each equality row takes a column of its own as basic, which for the
+fraction-bound LP is every point at its nearest center. Phase 1 is the dual
+simplex (Lemke 1954) under the reduced costs shifted up to zero, so a start
+that breaks only a few rows takes only a few pivots; the true cost row is
+carried through it, and phase 2 is the primal simplex under that row.
 Problem sizes are desk scale by design; the LP is capped at
 ``MAX_LP_VARIABLES`` structural variables.
 """
@@ -106,7 +112,8 @@ class BoundedTransportationProblem:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0."""
+    """min c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0; a block
+    left out is stored with zero rows."""
 
     objective: np.ndarray
     a_eq: Optional[np.ndarray] = None
@@ -122,7 +129,7 @@ class LinearProgram:
 
         def _pair(a, b, name):
             if a is None and b is None:
-                return None, None
+                return np.zeros((0, n)), np.zeros(0)
             a = _float_array(a, f"{name} matrix", ndim=2)
             b = _float_array(b, f"{name} rhs", ndim=1)
             if a.shape != (b.size, n):
@@ -157,6 +164,7 @@ class BoundedTransportSolution:
 class LpSolution:
     x: np.ndarray
     objective: float
+    ub_duals: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,8 @@ def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    hit = np.flatnonzero(factors)  # rows the entering column is absent from stay as they are
+    T[hit] -= np.outer(factors[hit], T[row])
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -388,71 +397,120 @@ def _run_simplex(T, basis, n_cols, tol):
     raise SolverLimit("LP simplex exceeded its iteration ceiling")
 
 
+def _run_dual_simplex(T, basis, n_cols, tol):
+    """Iterate the tableau to primal feasibility over its first ``len(basis)``
+    rows, keeping the last row's reduced costs nonnegative (Lemke 1954); rows
+    between are pivoted along. The row with the most negative rhs leaves and
+    the least ratio enters, ties to the lowest column. After a degenerate
+    streak the dual Bland rule takes over for good: the infeasible row with
+    the lowest basis index leaves."""
+    rows = len(basis)
+    bland = False
+    degenerate_streak = 0
+    max_iter = 20_000 + 50 * (rows + n_cols)
+    for _ in range(max_iter):
+        rhs = T[:rows, -1]
+        short = np.flatnonzero(rhs < -tol)
+        if short.size == 0:
+            return
+        if bland:
+            row = int(min(short, key=basis.__getitem__))
+        else:
+            row = int(short[np.argmin(rhs[short])])
+        coeffs = T[row, :n_cols]
+        negative = coeffs < -tol
+        if not negative.any():
+            raise Infeasible(f"a constraint row has rhs {rhs[row]:.3e} and no column that can raise it")
+        ratios = np.where(negative, T[-1, :n_cols] / np.where(negative, -coeffs, 1.0), np.inf)
+        best = ratios.min()
+        col = int(np.flatnonzero(ratios - best <= 1e-12 * max(1.0, abs(best)))[0])
+        if T[-1, col] <= tol:
+            degenerate_streak += 1
+            if degenerate_streak > 3 * rows + 20:
+                bland = True
+        else:
+            degenerate_streak = 0
+        _pivot(T, basis, row, col)
+    raise SolverLimit("LP dual simplex exceeded its iteration ceiling")
+
+
 def solve_lp(p: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex for small linear programs, on one tableau.
+    """Dense simplex for small linear programs, started from a crash basis.
+
+    Each equality row takes as basic its cheapest column (cost per unit of
+    the row, ties to the lowest) that is zero in every other equality row and
+    has the sign of the row's rhs (positive for a zero rhs); a row without
+    one becomes two ``<=`` rows, and every ``<=`` row starts with its slack
+    basic. Phase 1 is the dual simplex under the reduced costs shifted up to
+    zero, phase 2 the primal simplex under the true ones. ``ub_duals`` are
+    the ``<=`` rows' multipliers (all <= 0), read from their slack columns.
 
     Feasibility of the returned point holds within 1e-7 absolute on every
     constraint. Raises :class:`Infeasible` or :class:`Unbounded` accordingly.
     """
-    c = p.objective
+    c, a_eq, b_eq, a_ub, b_ub = p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub
     n = c.size
-    n_eq = 0 if p.a_eq is None else p.b_eq.size
-    n_ub = 0 if p.a_ub is None else p.b_ub.size
-    rows, cols = n_eq + n_ub, n + n_ub
 
-    # Rows: constraints (rhs made nonnegative), the phase-2 costs, the phase-1 costs.
-    T = np.zeros((rows + 2, cols + 1))
-    if p.a_eq is not None:
-        T[:n_eq, :n] = p.a_eq
-        T[:n_eq, -1] = p.b_eq
-    if p.a_ub is not None:
-        T[n_eq:rows, :n] = p.a_ub
-        T[n_eq:rows, n:cols] = np.eye(n_ub)
-        T[n_eq:rows, -1] = p.b_ub
-    A = T[:rows]
-    A[A[:, -1] < 0] *= -1
-    scale = float(np.max(np.abs(A), initial=1.0))
+    # Crash basis: each column that is nonzero in one equality row only, with
+    # the sign of that row's rhs, prices the row at c / |a|; the cheapest wins.
+    n_eq, n_ub = b_eq.size, b_ub.size
+    own = np.where(b_eq[:, None] < 0, a_eq < 0, a_eq > 0) & (np.count_nonzero(a_eq, axis=0) == 1)
+    cand, row = np.nonzero(own.T)
+    order = np.lexsort((cand, c[cand] / np.abs(a_eq[row, cand]), row))  # by row, price, column
+    first = order[np.diff(row[order], prepend=-1) != 0]
+    crash_rows, crash = row[first], cand[first]
+    split = np.ones(n_eq, dtype=bool)
+    split[crash_rows] = False
+
+    # Rows: the equality rows, the inequality rows, then -a x <= -b for each
+    # equality row without a crash column, which itself becomes a x <= b.
+    # Every row but a crash row has a slack.
+    n_s = int(split.sum())
+    rows = n_eq + n_ub + n_s
+    slack_rows = np.concatenate([np.flatnonzero(split), np.arange(n_eq, rows)])
+    cols = n + slack_rows.size
+    T = np.zeros((rows + 2, cols + 1))  # plus the true and the shifted cost rows
+    T[:n_eq, :n] = a_eq
+    T[n_eq : n_eq + n_ub, :n] = a_ub
+    T[n_eq + n_ub : rows, :n] = -a_eq[split]
+    T[slack_rows, n + np.arange(slack_rows.size)] = 1.0
+    T[:rows, -1] = np.concatenate([b_eq, b_ub, -b_eq[split]])
+    scale = max(1.0, T[:rows].max(initial=0.0), -T[:rows].min(initial=0.0))
     tol = 1e-10 * scale
     T[rows, :n] = c
-    T[-1] = -A.sum(axis=0)
+    # One block step makes the crash rows unit rows and clears their columns
+    # elsewhere; the crash columns are zero in the other equality rows.
+    pivots = np.ones(n_eq)
+    pivots[crash_rows] = a_eq[crash_rows, crash]
+    T[:n_eq] /= pivots[:, None]
+    factors = np.zeros((rows + 2 - n_eq, n_eq))
+    factors[:, crash_rows] = T[n_eq:, crash]
+    T[n_eq:] -= factors @ T[:n_eq]
+    basis = np.empty(rows, dtype=np.int64)
+    basis[crash_rows] = crash
+    basis[slack_rows] = np.arange(n, cols)
+    basis = basis.tolist()
 
-    # Phase 1: row r starts with an implicit artificial basic variable, marked cols + r.
-    basis = list(range(cols, cols + rows))
-    _run_simplex(T, basis, cols, tol)
-    if -T[-1, -1] > 1e-7 * max(1.0, scale):
-        raise Infeasible(f"phase-1 residual {-T[-1, -1]:.3e}")
-
-    # Drive artificials out of the basis; drop redundant rows.
-    keep_rows = []
-    for r in range(rows):
-        if basis[r] >= cols:
-            nonzero = np.flatnonzero(np.abs(T[r, :cols]) > tol)
-            if nonzero.size == 0:
-                continue  # redundant constraint
-            _pivot(T, basis, r, int(nonzero[0]))
-        keep_rows.append(r)
-
-    # Phase 2 on the kept rows under the carried phase-2 cost row.
-    basis = [basis[r] for r in keep_rows]
-    T = T[keep_rows + [rows]]
+    T[-1, :cols] = np.maximum(T[rows, :cols], 0.0)  # shifted: dual feasible at the start
+    _run_dual_simplex(T, basis, cols, tol)
+    T = T[:-1]
     _run_simplex(T, basis, cols, tol)
 
     x_full = np.zeros(cols)
-    x_full[basis] = T[:-1, -1]
+    x_full[basis] = T[:rows, -1]
     x = np.maximum(x_full[:n], 0.0)
 
     _check_lp_feasibility(p, x)
-    return LpSolution(x=x, objective=float(c @ x))
+    ub_duals = np.minimum(-T[rows, n + n_s : n + n_s + n_ub], 0.0)  # after the split rows' slacks
+    return LpSolution(x=x, objective=float(c @ x), ub_duals=ub_duals)
 
 
 def _check_lp_feasibility(p: LinearProgram, x: np.ndarray, tol: float = 1e-7) -> None:
-    if p.a_eq is not None:
-        resid = np.max(np.abs(p.a_eq @ x - p.b_eq), initial=0.0)
-        if resid > tol:
-            raise SolverError(f"LP equality residual {resid:.3e} exceeds {tol}")
-    if p.a_ub is not None:
-        excess = np.max(p.a_ub @ x - p.b_ub, initial=0.0)
-        if excess > tol:
-            raise SolverError(f"LP inequality excess {excess:.3e} exceeds {tol}")
+    resid = np.max(np.abs(p.a_eq @ x - p.b_eq), initial=0.0)
+    if resid > tol:
+        raise SolverError(f"LP equality residual {resid:.3e} exceeds {tol}")
+    excess = np.max(p.a_ub @ x - p.b_ub, initial=0.0)
+    if excess > tol:
+        raise SolverError(f"LP inequality excess {excess:.3e} exceeds {tol}")
     if np.min(x, initial=0.0) < -tol:
         raise SolverError("LP solution has a negative variable")

@@ -15,7 +15,8 @@ import numpy as np
 
 def lp_vertex_enumeration(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, tol=1e-9):
     """Optimum of min c.x st a_eq x = b_eq, a_ub x <= b_ub, x >= 0 by
-    enumerating basic feasible solutions of the standard form."""
+    enumerating basic feasible solutions of the standard form; (None, None)
+    when there is none, i.e. the constraints admit no point."""
     c = np.asarray(c, dtype=float)
     n = c.size
     blocks, rhs = [], []
@@ -61,7 +62,8 @@ def lp_vertex_enumeration(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, tol=1e-
         obj = float(c_full @ x)
         if best is None or obj < best[0] - 1e-12:
             best = (obj, x[:n])
-    assert best is not None, "vertex enumeration found no feasible basis"
+    if best is None:
+        return None, None
     return best[1], best[0]
 
 

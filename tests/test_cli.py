@@ -7,6 +7,7 @@ from weakcore.cli import (
     EXIT_CEILING,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     coreset_from_payload,
     coreset_to_payload,
@@ -19,8 +20,10 @@ from weakcore.cli import (
     make_line_instance,
     make_random_metric,
 )
+import weakcore.constraints as constraints
 from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained
 from weakcore.coreset import identity_weak_coreset
+from weakcore.flowlp import SolverError
 from weakcore.model import MetricSpace
 
 
@@ -461,6 +464,56 @@ def test_non_integer_field_exit_code(tmp_path, capsys, kind, name, edit, needle)
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed") and needle in err[0], err
+
+
+NUMERIC_STRING = {
+    "weight": ("line", "inst", _set(["points", 0, "weight"], "2.5"), "weight must be a number"),
+    "coordinate": ("line", "inst", _set(["points", 0, "coords", 0], "0.5"), "coordinate must be"),
+    "facility-coordinate": ("planar-blobs", "inst", _set(["facilities", 0, "coords", 1], "1"),
+                            "coordinate must be"),
+    "distance": ("random-metric", "inst", _set(["distance_matrix", 1], "1.0"), "distance must be"),
+    "S-weight": ("line", "cs", _set(["S", 0, "weight"], "1.0"), "S weight must be a number"),
+    "coreset-alpha": ("line", "cs", _set(["alpha"], "3"), "alpha, epsilon and delta must be"),
+    "coreset-epsilon": ("line", "cs", _set(["epsilon"], "0.25"), "alpha, epsilon and delta must be"),
+    "coreset-delta": ("line", "cs", _set(["delta"], "0.1"), "alpha, epsilon and delta must be"),
+    "balanced-l": ("line", "con", _set(["l", 0], "0"), "l must be a number"),
+    "balanced-u": ("line", "con", _set(["u", 1], "9"), "u must be a number"),
+    "profile-gamma": ("line", "con", _replace({"type": "profile", "gamma": ["3", 3]}), "gamma must be"),
+    "fractions-alpha": ("line", "con", _replace({"type": "fractions", "alpha": [[0, "0"], [0, 0]],
+                                                 "beta": [[1, 1], [1, 1]]}), "alpha must be"),
+    "fractions-beta": ("line", "con", _replace({"type": "fractions", "alpha": [0, 0], "beta": [1, "1"]}),
+                       "beta must be"),
+}
+
+
+@pytest.mark.parametrize("kind, name, edit, needle", NUMERIC_STRING.values(), ids=NUMERIC_STRING.keys())
+def test_numeric_string_exit_code(tmp_path, capsys, kind, name, edit, needle):
+    """Float fields hold JSON numbers: ``"weight": "2.5"`` used to solve as 2.5."""
+    code, _ = full_pipeline(tmp_path, {"type": "balanced", "l": [0, 0], "u": [9, 9]},
+                            kind=kind, n=6, fac=4, m=2)
+    assert code == EXIT_OK
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(edit(load_json(str(path)))))
+    capsys.readouterr()
+    code = run(["solve", "--instance", tmp_path / "inst.json", "--coreset", tmp_path / "cs.json",
+                "--constraint", tmp_path / "con.json", "--out", tmp_path / "res.json"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed") and needle in err[0], err
+
+
+def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    """A solve without a valid certificate exits 5 with one line, not a
+    traceback with exit 1, which ``verify`` uses for FAIL."""
+    def uncertified(problem):
+        raise SolverError("complementary slackness violated on the flow support")
+
+    monkeypatch.setattr(constraints, "solve_bounded_transportation", uncertified)
+    capsys.readouterr()
+    code, _ = full_pipeline(tmp_path, {"type": "balanced", "l": [2, 2], "u": [3, 3]})
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["solver error: complementary slackness violated on the flow support"]
 
 
 def _shift_between_labels(payload):

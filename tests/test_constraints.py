@@ -1,12 +1,16 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weakcore.constraints as constraints
+import weakcore.flowlp as flowlp
 from conftest import random_small_instance
 from oracles import lp_vertex_enumeration
+from weakcore.cli import make_planar_blobs
 from weakcore.constraints import (
     Balanced,
     FixedProfile,
@@ -21,6 +25,7 @@ from weakcore.constraints import (
     voronoi_assignment,
     voronoi_profile,
 )
+from weakcore.flowlp import SolverError
 from weakcore.model import Assignment, ClusterProfile, MetricSpace, ValidationError, WeightedPoints
 
 LINE_CENTERS = np.array([1, 4])  # space indices of positions 1 and 10
@@ -199,6 +204,94 @@ def test_fraction_bounds_zero_one_equals_unconstrained(labeled_line_instance):
     spec = FractionBounds(np.zeros(2), np.ones(2))
     cost, _, _ = optimal_feasible_cost(B, LINE_CENTERS, spec, 1)
     assert cost == pytest.approx(3.0, abs=1e-7)
+
+
+def segregated_blobs(n, seed):
+    """Planar blobs (k=3, m=2) whose labels split the points by x coordinate,
+    so nearest-center clusters are far from the label shares."""
+    inst = make_planar_blobs(n, 6, 3, m=2, seed=seed)
+    x = inst.space.coords[inst.points, 0]
+    labels = (x > np.median(x)).astype(np.int64)
+    return WeightedPoints(inst.space, inst.points, inst.weights, labels), inst.facilities[:3]
+
+
+def test_fraction_lp_at_voronoi_takes_no_pivot(monkeypatch):
+    """The crash basis is the Voronoi assignment: when it meets the bounds,
+    the LP is solved without a single pivot."""
+    inst = make_planar_blobs(60, 4, 3, m=2, seed=2)
+    B, centers = inst.weighted_points(), inst.facilities[:3]
+    spec = FractionBounds(np.full(3, 0.3), np.full(3, 0.7))
+    voronoi_cost, sigma = voronoi_assignment(B, centers, 1)
+    assert check_feasibility(sigma, B, spec, k=3) == []
+    pivots = []
+    pivot = flowlp._pivot
+
+    def counted(T, basis, row, col):
+        pivots.append((row, col))
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(flowlp, "_pivot", counted)
+    cost, _, _ = optimal_feasible_cost(B, centers, spec, 1)
+    assert pivots == []
+    assert cost == pytest.approx(voronoi_cost, rel=1e-12)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_fraction_lp_multipliers_certify_the_optimum(seed):
+    """The fraction rows' multipliers y are <= 0 and their Lagrangian bound
+    sum_x w_x min_i (d[x,i] - a_ub[:, (x,i)].y) + b_ub.y meets c.x."""
+    rng = np.random.default_rng(seed)
+    B, centers = segregated_blobs(int(rng.integers(6, 40)), int(rng.integers(0, 2**31)))
+    shares = np.array([B.label_weight(j) for j in range(2)]) / B.total_weight
+    alpha = shares * rng.uniform(0.0, 1.0, size=(3, 2))
+    beta = shares + (1.0 - shares) * rng.uniform(0.0, 1.0, size=(3, 2))
+    seen = []
+
+    def solve(lp):
+        seen.append((lp, flowlp.solve_lp(lp)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constraints, "solve_lp", solve)
+        optimal_feasible_cost(B, centers, FractionBounds(alpha, beta), int(rng.integers(1, 3)))
+    (lp, sol), = seen
+    y = sol.ub_duals
+    assert y.shape == lp.b_ub.shape and np.all(y <= 0.0)
+    priced = (lp.objective - y @ lp.a_ub).reshape(B.size, 3)
+    bound = B.weights @ priced.min(axis=1) + lp.b_ub @ y
+    assert bound == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+
+
+def test_fraction_lp_with_wrong_multipliers_is_solver_error(monkeypatch):
+    """Zero multipliers give the Voronoi bound, which is below the optimum
+    when the bounds bind: the certificate check refuses the solve."""
+    B, centers = segregated_blobs(40, 3)
+    spec = ldiversity_bounds(2, 3, 2)
+
+    def without_duals(lp):
+        sol = flowlp.solve_lp(lp)
+        return flowlp.LpSolution(sol.x, sol.objective, np.zeros_like(sol.ub_duals))
+
+    monkeypatch.setattr(constraints, "solve_lp", without_duals)
+    with pytest.raises(SolverError, match="duality gap"):
+        optimal_feasible_cost(B, centers, spec, 1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ldiversity_bounds(2, 3, 2), FractionBounds(np.full(3, 0.3), np.full(3, 0.7))],
+    ids=["ldiv-at-least", "fractions-0.3-0.7"],
+)
+def test_fraction_lp_at_1000_points(spec):
+    """One full fraction LP with 3,000 variables on label-segregated blobs
+    finishes in under 5 s and meets its bounds."""
+    B, centers = segregated_blobs(1_000, 7)
+    started = time.perf_counter()
+    cost, sigma, _ = optimal_feasible_cost(B, centers, spec, 1)
+    assert time.perf_counter() - started < 5.0
+    assert check_feasibility(sigma, B, spec, k=3) == []
+    assert cost > voronoi_assignment(B, centers, 1)[0]
 
 
 def test_check_feasibility_names_upper_bound(line_instance):

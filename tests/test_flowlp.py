@@ -377,10 +377,11 @@ def test_lp_without_constraints():
         solve_lp(LinearProgram(objective=[1.0, -0.5]))
 
 
-@given(st.integers(0, 2**31 - 1), st.booleans())
-@example(20, True)  # phase 1 ends with an artificial basic in a row it can pivot on
-@settings(max_examples=40, deadline=None)
-def test_lp_matches_vertex_enumeration(seed, with_equalities):
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans())
+@example(20, True, False)  # a negative cost: the primal phase pivots after the dual one
+@example(4, True, True)  # a shifted rhs that no x >= 0 meets
+@settings(max_examples=60, deadline=None)
+def test_lp_matches_vertex_enumeration(seed, with_equalities, shift_rhs):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     r = int(rng.integers(1, 3))
@@ -390,14 +391,21 @@ def test_lp_matches_vertex_enumeration(seed, with_equalities):
     b_ub = np.concatenate([[rng.uniform(1.0, 5.0)], rng.uniform(0.5, 4.0, size=r)])
     eq = {}
     if with_equalities:
-        # Integer rows through a point x0 with zeros, so the LP is feasible and
-        # often degenerate; the last row repeats the first, scaled, so it is
-        # redundant and phase 1 must drive an artificial out or drop its row.
+        # Integer rows through a point x0 with zeros, so the LP is often
+        # degenerate. A shifted rhs may leave them with no nonnegative
+        # solution. The last row repeats the first, scaled, so the pair is
+        # redundant and neither row has a column of its own (a crash column).
         x0 = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.6)
         a_eq = rng.integers(-1, 3, size=(int(rng.integers(1, 3)), n)).astype(float)
-        a_eq = np.vstack([a_eq, 2.0 * a_eq[0]])
-        eq = {"a_eq": a_eq, "b_eq": a_eq @ x0}
+        b_eq = a_eq @ x0
+        if shift_rhs:
+            b_eq = b_eq + rng.integers(-1, 2, size=b_eq.size)
+        eq = {"a_eq": np.vstack([a_eq, 2.0 * a_eq[0]]), "b_eq": np.append(b_eq, 2.0 * b_eq[0])}
         b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, size=r + 1)
-    sol = solve_lp(LinearProgram(objective=c, a_ub=a_ub, b_ub=b_ub, **eq))
+    lp = LinearProgram(objective=c, a_ub=a_ub, b_ub=b_ub, **eq)
     _, oracle_obj = lp_vertex_enumeration(c, a_ub=a_ub, b_ub=b_ub, **eq)
-    assert sol.objective == pytest.approx(oracle_obj, abs=1e-7)
+    if oracle_obj is None:
+        with pytest.raises(Infeasible):
+            solve_lp(lp)
+    else:
+        assert solve_lp(lp).objective == pytest.approx(oracle_obj, abs=1e-7)
