@@ -24,7 +24,6 @@ from .flowlp import (
     LinearProgram,
     SolverLimit,
     TransportationProblem,
-    Unbounded,
     solve_bounded_transportation,
     solve_lp,
     solve_transportation,
@@ -87,7 +86,6 @@ __all__ = [
     "SolverLimit",
     "SummaryParams",
     "TransportationProblem",
-    "Unbounded",
     "Unconstrained",
     "ValidationError",
     "VerificationReport",

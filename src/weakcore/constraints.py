@@ -3,8 +3,9 @@
 The four families (unconstrained, fixed profile, balanced weight bounds,
 per-label fraction bounds) all reduce to exact solves in
 :mod:`weakcore.flowlp`: plain transportation, bounded transportation, or a
-dense LP. Costs are always reported as the exact sum over the returned
-assignment, so the assignment and its cost never disagree.
+dense LP with one conservation row per point. Costs are always reported as
+the exact sum over the returned assignment, so the assignment and its cost
+never disagree.
 """
 
 from __future__ import annotations
@@ -236,8 +237,7 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
     fractions[i, :, 0, :, i] = alpha[:, :, None] - in_label
     fractions[i, :, 1, :, i] = in_label - beta[:, :, None]
     lp = LinearProgram(
-        objective=d.ravel(),
-        a_eq=np.kron(np.eye(n), np.ones(k)),
+        objective=d,
         b_eq=B.weights,
         a_ub=fractions.reshape(2 * k * m, n * k),
         b_ub=np.zeros(2 * k * m),
@@ -250,7 +250,7 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
     bound = float(B.weights @ priced.min(axis=1) + lp.b_ub @ y)
     if sol.objective - bound > 1e-9 * max(1.0, abs(sol.objective)):
         raise SolverError(f"fraction LP duality gap {sol.objective - bound:.3e} at cost {sol.objective:.12g}")
-    return sol.x.reshape(n, k)
+    return sol.x
 
 
 def optimal_feasible_cost(

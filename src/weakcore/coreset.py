@@ -258,17 +258,23 @@ class WeakCoreset:
         labels = inst.labels[pos] if inst.labels is not None else None
         return WeightedPoints(inst.space, self.S, self.v, labels)
 
-    def bind(self, inst: ClusteringInstance) -> tuple[np.ndarray, WeightedPoints, WeightedPoints]:
-        """(candidate ids, summary, full data) for scoring centers on ``inst``.
+    def bind(
+        self, inst: ClusteringInstance, z: int
+    ) -> tuple[np.ndarray, WeightedPoints, WeightedPoints]:
+        """(candidate ids, summary, full data) for scoring centers on ``inst``
+        under the cost exponent ``z``.
 
         Both point sets live on the space the candidate ids index; in
         Euclidean mode that is the instance's space augmented once with
-        ``J_coords``. Raises :class:`ValidationError` when a summary weight
-        v is not positive and finite, when S is not a subset of the
-        instance's points, when the weight of S differs from the instance's
-        (per label on a labeled instance) by more than ``REL_TOL`` relative,
-        when J is not a subset of its facilities, or when ``J_coords`` has
-        another dimension than its space."""
+        ``J_coords``. Raises :class:`ValidationError` when ``z`` is not the
+        coreset's z, when a summary weight v is not positive and finite,
+        when S is not a subset of the instance's points, when the weight of
+        S differs from the instance's (per label on a labeled instance) by
+        more than ``REL_TOL`` relative, when J is not a subset of its
+        facilities, or when ``J_coords`` has another dimension than its
+        space."""
+        if z != self.z:
+            raise ValidationError(f"coreset was built for z={self.z}, scored with z={z}")
         bad = self.v[~(np.isfinite(self.v) & (self.v > 0))]
         if bad.size:
             raise ValidationError(

@@ -11,14 +11,13 @@ paths over an exchange graph with one node per sink plus one hub node that
 carries the sink bounds, started from the Voronoi assignment. Dijkstra ties
 go to the lowest node index and each arc's source is the least
 ``(cost difference, source index)``, so results are deterministic.
-The LP solver works on one dense tableau over the structural and slack
-columns, with no artificial variables. It starts from a crash basis (Bixby,
-"Implementing the simplex method: the initial basis", ORSA J. Comput. 1992):
-each equality row takes a column of its own as basic, which for the
-fraction-bound LP is every point at its nearest center. Phase 1 is the dual
-simplex (Lemke 1954) under the reduced costs shifted up to zero, so a start
-that breaks only a few rows takes only a few pivots; the true cost row is
-carried through it, and phase 2 is the primal simplex under that row.
+The LP solver takes the shape of its one caller, the fraction-bound LP: an
+(n, k) cost matrix whose every column sits in one conservation row (a
+generalized-upper-bounding row, Dantzig and Van Slyke 1967), plus a few
+``<=`` rows that couple the rows. Each conservation row's cheapest column
+and the ``<=`` slacks form a basis that is optimal for the costs, which for
+the fraction LP is every point at its nearest center; the dual simplex
+(Lemke 1954) on one dense tableau then repairs the ``<=`` rows it breaks.
 Problem sizes are desk scale by design; the LP is capped at
 ``MAX_LP_VARIABLES`` structural variables.
 """
@@ -39,10 +38,6 @@ MAX_LP_VARIABLES = 20_000
 
 class Infeasible(Exception):
     """The problem admits no feasible solution."""
-
-
-class Unbounded(Exception):
-    """The objective is unbounded below."""
 
 
 class SolverLimit(Exception):
@@ -112,34 +107,33 @@ class BoundedTransportationProblem:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0; a block
-    left out is stored with zero rows."""
+    """min sum c[r, i] x[r, i] over x >= 0 with row totals sum_i x[r, i] =
+    b_eq[r] and a_ub x.ravel() <= b_ub. ``objective`` is the (n, k) matrix
+    c, one row per conservation row; a left-out ``<=`` block is stored with
+    zero rows."""
 
     objective: np.ndarray
-    a_eq: Optional[np.ndarray] = None
-    b_eq: Optional[np.ndarray] = None
+    b_eq: np.ndarray
     a_ub: Optional[np.ndarray] = None
     b_ub: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        c = _float_array(self.objective, "objective", ndim=1)
-        n = c.size
-        if n > MAX_LP_VARIABLES:
-            raise SolverLimit(f"LP has {n} variables; the cap is {MAX_LP_VARIABLES}")
-
-        def _pair(a, b, name):
-            if a is None and b is None:
-                return np.zeros((0, n)), np.zeros(0)
-            a = _float_array(a, f"{name} matrix", ndim=2)
-            b = _float_array(b, f"{name} rhs", ndim=1)
-            if a.shape != (b.size, n):
-                raise ValidationError(f"{name} dimensions inconsistent with objective")
-            return a, b
-
-        a_eq, b_eq = _pair(self.a_eq, self.b_eq, "equality")
-        a_ub, b_ub = _pair(self.a_ub, self.b_ub, "inequality")
+        c = _float_array(self.objective, "objective", ndim=2)
+        if c.size > MAX_LP_VARIABLES:
+            raise SolverLimit(f"LP has {c.size} variables; the cap is {MAX_LP_VARIABLES}")
+        if c.shape[1] == 0:
+            raise ValidationError("the objective needs at least one column")
+        b_eq = _float_array(self.b_eq, "row totals", ndim=1)
+        if b_eq.size != c.shape[0] or np.any(b_eq < 0):
+            raise ValidationError("need one nonnegative row total per objective row")
+        if self.a_ub is None and self.b_ub is None:
+            a_ub, b_ub = np.zeros((0, c.size)), np.zeros(0)
+        else:
+            a_ub = _float_array(self.a_ub, "inequality matrix", ndim=2)
+            b_ub = _float_array(self.b_ub, "inequality rhs", ndim=1)
+            if a_ub.shape != (b_ub.size, c.size):
+                raise ValidationError("inequality dimensions inconsistent with objective")
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "a_ub", a_ub)
         object.__setattr__(self, "b_ub", b_ub)
@@ -290,11 +284,15 @@ def _ksink_transport(cost, supply, lower, upper):
 
 def _certify(cost, flow, u, v, rises, falls, scale):
     """Check complementary slackness; ``rises``/``falls`` mark the sinks whose
-    hub arc can still carry more/less, which bounds ``v_b - v_hub`` below/above."""
+    hub arc can still carry more/less, which bounds ``v_b - v_hub`` below/above.
+
+    ``u`` is the row minimum of ``cost - v``, so every reduced cost is >= 0 by
+    construction, and a zero reduced cost on the flow support says that each
+    source ships only to sinks of least ``cost - v``. That is the same test
+    as taking ``u`` from the support and checking the reduced costs for sign.
+    """
     red = cost - u[:, None] - v[None, :-1]
     cert_tol = 1e-9 * max(1.0, scale)
-    if red.min(initial=np.inf) < -cert_tol:
-        raise SolverError(f"negative reduced cost after convergence: {red.min():.3e}")
     support = flow > 0
     if support.any() and np.max(np.abs(np.where(support, red, 0.0))) > cert_tol:
         raise SolverError("complementary slackness violated on the flow support")
@@ -360,50 +358,12 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, n_cols, tol):
-    """Iterate the tableau to optimality over its first ``len(basis)`` rows.
-    The last row holds reduced costs, the last column the rhs; rows between
-    are pivoted along. Dantzig pricing, permanent Bland fallback."""
-    rows = len(basis)
-    bland = False
-    degenerate_streak = 0
-    max_iter = 20_000 + 50 * (rows + n_cols)
-    for _ in range(max_iter):
-        costs = T[-1, :n_cols]
-        if bland:
-            hits = np.flatnonzero(costs < -tol)
-            if hits.size == 0:
-                return
-            col = int(hits[0])
-        else:
-            col = int(np.argmin(costs))
-            if costs[col] >= -tol:
-                return
-        coeffs = T[:rows, col]
-        positive = coeffs > tol
-        if not positive.any():
-            raise Unbounded("LP objective is unbounded below")
-        ratios = np.where(positive, T[:rows, -1] / np.where(positive, coeffs, 1.0), np.inf)
-        best = ratios.min()
-        candidates = np.flatnonzero(ratios - best <= 1e-12 * max(1.0, abs(best)))
-        row = int(min(candidates, key=lambda r: basis[r]))
-        if T[row, -1] <= tol:
-            degenerate_streak += 1
-            if degenerate_streak > 3 * rows + 20:
-                bland = True
-        else:
-            degenerate_streak = 0
-        _pivot(T, basis, row, col)
-    raise SolverLimit("LP simplex exceeded its iteration ceiling")
-
-
 def _run_dual_simplex(T, basis, n_cols, tol):
     """Iterate the tableau to primal feasibility over its first ``len(basis)``
-    rows, keeping the last row's reduced costs nonnegative (Lemke 1954); rows
-    between are pivoted along. The row with the most negative rhs leaves and
-    the least ratio enters, ties to the lowest column. After a degenerate
-    streak the dual Bland rule takes over for good: the infeasible row with
-    the lowest basis index leaves."""
+    rows, keeping the last row's reduced costs nonnegative (Lemke 1954). The
+    row with the most negative rhs leaves and the least ratio enters, ties to
+    the lowest column. After a degenerate streak the dual Bland rule takes
+    over for good: the infeasible row with the lowest basis index leaves."""
     rows = len(basis)
     bland = False
     degenerate_streak = 0
@@ -435,82 +395,49 @@ def _run_dual_simplex(T, basis, n_cols, tol):
 
 
 def solve_lp(p: LinearProgram) -> LpSolution:
-    """Dense simplex for small linear programs, started from a crash basis.
+    """Dense dual simplex from the basis of each row's cheapest column.
 
-    Each equality row takes as basic its cheapest column (cost per unit of
-    the row, ties to the lowest) that is zero in every other equality row and
-    has the sign of the row's rhs (positive for a zero rhs); a row without
-    one becomes two ``<=`` rows, and every ``<=`` row starts with its slack
-    basic. Phase 1 is the dual simplex under the reduced costs shifted up to
-    zero, phase 2 the primal simplex under the true ones. ``ub_duals`` are
-    the ``<=`` rows' multipliers (all <= 0), read from their slack columns.
+    Every column sits in one conservation row, so each row's cheapest column
+    (ties to the lowest) and every ``<=`` row's slack form a basis whose
+    reduced costs ``c[r, i] - c[r, home(r)]`` are all >= 0: the start is dual
+    feasible for any objective, and the dual simplex alone reaches the
+    optimum. ``ub_duals`` are the ``<=`` rows' multipliers (all <= 0), read
+    from their slack columns.
 
     Feasibility of the returned point holds within 1e-7 absolute on every
-    constraint. Raises :class:`Infeasible` or :class:`Unbounded` accordingly.
+    constraint. Raises :class:`Infeasible` when no point meets the ``<=`` rows.
     """
-    c, a_eq, b_eq, a_ub, b_ub = p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub
-    n = c.size
+    c, b_eq, a_ub, b_ub = p.objective, p.b_eq, p.a_ub, p.b_ub
+    n, k = c.shape
+    nk, n_ub = c.size, b_ub.size
+    rows, cols = n + n_ub, nk + n_ub
+    home = np.arange(n) * k + np.argmin(c, axis=1)
+    # The conservation rows are unit rows; every other row, the cost row
+    # included, is written with the home columns eliminated.
+    a_home = a_ub[:, home]
+    T = np.zeros((rows + 1, cols + 1))
+    T[np.arange(n).repeat(k), np.arange(nk)] = 1.0
+    T[:n, -1] = b_eq
+    T[n:rows, :nk] = a_ub - a_home.repeat(k, axis=1)
+    T[np.arange(n, rows), np.arange(nk, cols)] = 1.0
+    T[n:rows, -1] = b_ub - a_home @ b_eq
+    T[rows, :nk] = (c - c.min(axis=1, keepdims=True)).ravel()
+    basis = home.tolist() + list(range(nk, cols))
+    scale = max(1.0, *(np.abs(a).max(initial=0.0) for a in (b_eq, a_ub, b_ub)))
+    _run_dual_simplex(T, basis, cols, 1e-10 * scale)
 
-    # Crash basis: each column that is nonzero in one equality row only, with
-    # the sign of that row's rhs, prices the row at c / |a|; the cheapest wins.
-    n_eq, n_ub = b_eq.size, b_ub.size
-    own = np.where(b_eq[:, None] < 0, a_eq < 0, a_eq > 0) & (np.count_nonzero(a_eq, axis=0) == 1)
-    cand, row = np.nonzero(own.T)
-    order = np.lexsort((cand, c[cand] / np.abs(a_eq[row, cand]), row))  # by row, price, column
-    first = order[np.diff(row[order], prepend=-1) != 0]
-    crash_rows, crash = row[first], cand[first]
-    split = np.ones(n_eq, dtype=bool)
-    split[crash_rows] = False
-
-    # Rows: the equality rows, the inequality rows, then -a x <= -b for each
-    # equality row without a crash column, which itself becomes a x <= b.
-    # Every row but a crash row has a slack.
-    n_s = int(split.sum())
-    rows = n_eq + n_ub + n_s
-    slack_rows = np.concatenate([np.flatnonzero(split), np.arange(n_eq, rows)])
-    cols = n + slack_rows.size
-    T = np.zeros((rows + 2, cols + 1))  # plus the true and the shifted cost rows
-    T[:n_eq, :n] = a_eq
-    T[n_eq : n_eq + n_ub, :n] = a_ub
-    T[n_eq + n_ub : rows, :n] = -a_eq[split]
-    T[slack_rows, n + np.arange(slack_rows.size)] = 1.0
-    T[:rows, -1] = np.concatenate([b_eq, b_ub, -b_eq[split]])
-    scale = max(1.0, T[:rows].max(initial=0.0), -T[:rows].min(initial=0.0))
-    tol = 1e-10 * scale
-    T[rows, :n] = c
-    # One block step makes the crash rows unit rows and clears their columns
-    # elsewhere; the crash columns are zero in the other equality rows.
-    pivots = np.ones(n_eq)
-    pivots[crash_rows] = a_eq[crash_rows, crash]
-    T[:n_eq] /= pivots[:, None]
-    factors = np.zeros((rows + 2 - n_eq, n_eq))
-    factors[:, crash_rows] = T[n_eq:, crash]
-    T[n_eq:] -= factors @ T[:n_eq]
-    basis = np.empty(rows, dtype=np.int64)
-    basis[crash_rows] = crash
-    basis[slack_rows] = np.arange(n, cols)
-    basis = basis.tolist()
-
-    T[-1, :cols] = np.maximum(T[rows, :cols], 0.0)  # shifted: dual feasible at the start
-    _run_dual_simplex(T, basis, cols, tol)
-    T = T[:-1]
-    _run_simplex(T, basis, cols, tol)
-
-    x_full = np.zeros(cols)
-    x_full[basis] = T[:rows, -1]
-    x = np.maximum(x_full[:n], 0.0)
-
+    x = np.zeros(cols)
+    x[basis] = T[:rows, -1]
+    x = np.maximum(x[:nk], 0.0).reshape(n, k)
     _check_lp_feasibility(p, x)
-    ub_duals = np.minimum(-T[rows, n + n_s : n + n_s + n_ub], 0.0)  # after the split rows' slacks
-    return LpSolution(x=x, objective=float(c @ x), ub_duals=ub_duals)
+    ub_duals = np.minimum(-T[rows, nk:cols], 0.0)
+    return LpSolution(x=x, objective=float(np.vdot(c, x)), ub_duals=ub_duals)
 
 
 def _check_lp_feasibility(p: LinearProgram, x: np.ndarray, tol: float = 1e-7) -> None:
-    resid = np.max(np.abs(p.a_eq @ x - p.b_eq), initial=0.0)
+    resid = np.max(np.abs(x.sum(axis=1) - p.b_eq), initial=0.0)
     if resid > tol:
-        raise SolverError(f"LP equality residual {resid:.3e} exceeds {tol}")
-    excess = np.max(p.a_ub @ x - p.b_ub, initial=0.0)
+        raise SolverError(f"LP row-total residual {resid:.3e} exceeds {tol}")
+    excess = np.max(p.a_ub @ x.ravel() - p.b_ub, initial=0.0)
     if excess > tol:
         raise SolverError(f"LP inequality excess {excess:.3e} exceeds {tol}")
-    if np.min(x, initial=0.0) < -tol:
-        raise SolverError("LP solution has a negative variable")

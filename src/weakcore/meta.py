@@ -212,15 +212,13 @@ def solve_constrained(
     order, whose summary cost reaches it.
     """
     z = inst.z if z is None else z
-    if coreset.z != z:
-        raise ValidationError(f"coreset was built for z={coreset.z}, solve requested z={z}")
     if isinstance(spec, FractionBounds) and inst.labels is None:
         raise ValidationError("fraction-bound constraints require a labeled instance")
     if ordered is None:
         ordered = not is_symmetric(spec)
 
     start = time.perf_counter()
-    candidate_ids, summary, full = coreset.bind(inst)
+    candidate_ids, summary, full = coreset.bind(inst, z)
     cost_summary, winning, _, evaluated = best_tuple(
         summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target
     )

@@ -130,7 +130,7 @@ def verify_property_B(
     its ratio lies in [1 - eps, 1 + eps].
     """
     z = inst.z if z is None else z
-    candidate_ids, summary, full = coreset.bind(inst)
+    candidate_ids, summary, full = coreset.bind(inst, z)
     W = full.total_weight
     k = inst.k
 
@@ -192,9 +192,8 @@ def verify_property_A(
     spec = spec if spec is not None else Unconstrained()
     ordered = not is_symmetric(spec)
 
+    candidate_ids, _, full = coreset.bind(inst, z)
     opt_tup, opt_cost, _ = brute_force_opt(inst, spec, z, ordered=ordered, max_solves=max_solves)
-
-    candidate_ids, _, full = coreset.bind(inst)
     if np.array_equal(candidate_ids, np.sort(inst.facilities)):
         cost_j, tup_j = opt_cost, opt_tup
     else:

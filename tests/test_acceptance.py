@@ -55,14 +55,13 @@ def test_criterion_1_transportation_vs_lp_oracle():
         if on_flow.any():
             assert np.max(np.abs(red[on_flow])) <= 1e-9, "slackness certificate failed"
 
-        a_eq = np.zeros((m + n, m * n))
-        for i in range(m):
-            a_eq[i, i * n : (i + 1) * n] = 1.0
-        for j in range(n):
-            a_eq[m + j, j::n] = 1.0
+        received = np.tile(np.eye(n), m)  # sink totals, as a pair of <= rows each
         lp = solve_lp(
             LinearProgram(
-                objective=cost.ravel(), a_eq=a_eq, b_eq=np.concatenate([supplies, demands])
+                objective=cost,
+                b_eq=supplies,
+                a_ub=np.vstack([received, -received]),
+                b_ub=np.concatenate([demands, -demands]),
             )
         )
         worst = max(worst, abs(sol.objective - lp.objective))

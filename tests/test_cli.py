@@ -302,6 +302,18 @@ def _assert_rejected(tmp_path, capsys, inst, cs, needle):
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0], err
 
 
+def test_verify_z_mismatch_exit_code(tmp_path, capsys):
+    """``verify --z 2`` on a coreset built for z=1 exits 3 with one line."""
+    inst, cs = _coreset_files(tmp_path)
+    capsys.readouterr()
+    for which in ("A", "B"):
+        code = run(["verify", "--instance", inst, "--coreset", cs, "--which", which,
+                    "--trials", 4, "--z", 2, "--out", tmp_path / "out.json"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "z=1" in err[0], err
+
+
 @pytest.mark.parametrize("bad_id", [12, 99], ids=["facility", "beyond-space"])
 @pytest.mark.parametrize("m", [1, 2], ids=["unlabeled", "labeled"])
 def test_summary_outside_instance_exit_code(tmp_path, capsys, m, bad_id):

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from weakcore.constraints import (
     voronoi_assignment,
     voronoi_profile,
 )
-from weakcore.flowlp import SolverError
+from weakcore.flowlp import SolverError, SolverLimit
 from weakcore.model import Assignment, ClusterProfile, MetricSpace, ValidationError, WeightedPoints
 
 LINE_CENTERS = np.array([1, 4])  # space indices of positions 1 and 10
@@ -258,8 +259,9 @@ def test_fraction_lp_multipliers_certify_the_optimum(seed):
     (lp, sol), = seen
     y = sol.ub_duals
     assert y.shape == lp.b_ub.shape and np.all(y <= 0.0)
-    priced = (lp.objective - y @ lp.a_ub).reshape(B.size, 3)
-    bound = B.weights @ priced.min(axis=1) + lp.b_ub @ y
+    assert lp.objective.shape == (B.size, 3) and np.array_equal(lp.b_eq, B.weights)
+    priced = lp.objective - (y @ lp.a_ub).reshape(B.size, 3)
+    bound = lp.b_eq @ priced.min(axis=1) + lp.b_ub @ y
     assert bound == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
 
 
@@ -276,6 +278,21 @@ def test_fraction_lp_with_wrong_multipliers_is_solver_error(monkeypatch):
     monkeypatch.setattr(constraints, "solve_lp", without_duals)
     with pytest.raises(SolverError, match="duality gap"):
         optimal_feasible_cost(B, centers, spec, 1)
+
+
+def test_fraction_lp_cap_fires_before_allocation():
+    """7,000 points at k=3 is 21,000 LP variables, over the cap: the solve
+    refuses with SolverLimit before building anything of n x nk size (the
+    tableau alone would be over 1 GB)."""
+    B, centers = segregated_blobs(7_000, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverLimit):
+            optimal_feasible_cost(B, centers, ldiversity_bounds(2, 3, 2), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weakcore.flowlp as flowlp
 from oracles import lp_vertex_enumeration, min_cost_integral_splits
 from weakcore.cli import make_planar_blobs
 from weakcore.flowlp import (
@@ -14,7 +15,6 @@ from weakcore.flowlp import (
     SolverError,
     SolverLimit,
     TransportationProblem,
-    Unbounded,
     _certify,
     _ksink_transport,
     solve_bounded_transportation,
@@ -74,28 +74,37 @@ def assert_certificate(p, sol, tol=1e-9):
         assert np.max(np.abs(red[mask])) <= tol
 
 
-def transportation_as_lp(p):
-    m, n = p.cost.shape
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([p.supplies, p.demands])
-    return LinearProgram(objective=p.cost.ravel(), a_eq=a_eq, b_eq=b_eq)
-
-
 def bounded_transportation_as_lp(p):
+    """Each source's supply as its row total; each sink's received total
+    between its bounds as a pair of ``<=`` rows."""
     m, n = p.cost.shape
-    rows = np.kron(np.eye(m), np.ones(n))  # supply of source i
     cols = np.tile(np.eye(n), m)  # total received by sink j
     return LinearProgram(
-        objective=p.cost.ravel(),
-        a_eq=rows,
+        objective=p.cost,
         b_eq=p.supplies,
         a_ub=np.vstack([cols, -cols]),
         b_ub=np.concatenate([p.sink_upper, -p.sink_lower]),
     )
+
+
+def transportation_as_lp(p):
+    return bounded_transportation_as_lp(
+        BoundedTransportationProblem(p.cost, p.supplies, p.demands, p.demands)
+    )
+
+
+def lp_oracle(lp):
+    """Vertex-enumeration optimum of ``lp``, with its row totals written out
+    as equality rows; None when no point is feasible."""
+    n, k = lp.objective.shape
+    _, obj = lp_vertex_enumeration(
+        lp.objective.ravel(),
+        a_eq=np.kron(np.eye(n), np.ones(k)),
+        b_eq=lp.b_eq,
+        a_ub=lp.a_ub,
+        b_ub=lp.b_ub,
+    )
+    return obj
 
 
 def test_single_cell():
@@ -114,12 +123,7 @@ def test_fractional_split_matches_hand_derivation():
     p = TransportationProblem([[1.0, 2.0], [3.0, 1.0]], [1.5, 0.5], [1.0, 1.0])
     sol = solve_transportation(p)
     assert sol.objective == pytest.approx(2.5, abs=1e-9)
-    _, oracle_obj = lp_vertex_enumeration(
-        p.cost.ravel(),
-        a_eq=transportation_as_lp(p).a_eq,
-        b_eq=transportation_as_lp(p).b_eq,
-    )
-    assert sol.objective == pytest.approx(oracle_obj, abs=1e-9)
+    assert sol.objective == pytest.approx(lp_oracle(transportation_as_lp(p)), abs=1e-9)
 
 
 def test_unbalanced_rejected():
@@ -218,6 +222,21 @@ def test_certificate_checks_hub_arcs():
     for shift in (1.0, -1.0):
         with pytest.raises(SolverError, match="hub arc"):
             _certify(LINE_COSTS, flow, u, v + np.array([0.0, 0.0, shift]), rises, falls, 10.0)
+
+
+def test_certificate_refuses_flow_off_its_cheapest_sink():
+    """``u`` is the row minimum of ``cost - v``, so only the support check can
+    refuse a flow: moving point 0 from sink 0, its cheapest under the
+    solver's potentials, to sink 1 puts flow on a positive reduced cost."""
+    lower, upper = np.array([2.0, 2.0]), np.array([3.0, 3.0])
+    flow, u, v = _ksink_transport(LINE_COSTS, np.ones(5), lower, upper)
+    assert flow[0].tolist() == [1.0, 0.0]
+    assert LINE_COSTS[0, 1] - v[1] > LINE_COSTS[0, 0] - v[0]
+    moved = flow.copy()
+    moved[0] = [0.0, 1.0]
+    totals = moved.sum(axis=0)
+    with pytest.raises(SolverError, match="complementary slackness"):
+        _certify(LINE_COSTS, moved, u, v, totals < upper, totals > lower, 10.0)
 
 
 def test_planar_blobs_at_8000_points():
@@ -332,78 +351,86 @@ def test_bounded_matches_integral_oracle(seed):
 
 
 def test_lp_simple_lower_bound():
-    sol = solve_lp(LinearProgram(objective=[1.0], a_ub=[[-1.0]], b_ub=[-3.0]))
-    assert sol.x[0] == pytest.approx(3.0)
+    """x[0, 0] >= 3 moves mass off the row's cheapest column; the bound's
+    multiplier is the cost difference of the two columns."""
+    sol = solve_lp(LinearProgram(objective=[[1.0, 0.0]], b_eq=[5.0], a_ub=[[-1.0, 0.0]], b_ub=[-3.0]))
+    assert sol.x.tolist() == [[pytest.approx(3.0), pytest.approx(2.0)]]
     assert sol.objective == pytest.approx(3.0)
+    assert sol.ub_duals == pytest.approx([-1.0])
 
 
 def test_lp_equality():
-    sol = solve_lp(LinearProgram(objective=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+    sol = solve_lp(LinearProgram(objective=[[1.0, 1.0]], b_eq=[1.0]))
     assert sol.objective == pytest.approx(1.0)
 
 
 def test_lp_three_variable_vertex_oracle():
-    c = [-1.0, -2.0, -3.0]
-    a_ub = [[1.0, 1.0, 1.0], [1.0, 3.0, 0.0]]
-    b_ub = [4.0, 6.0]
-    sol = solve_lp(LinearProgram(objective=c, a_ub=a_ub, b_ub=b_ub))
-    _, oracle_obj = lp_vertex_enumeration(c, a_ub=a_ub, b_ub=b_ub)
+    """max x1 + 2 x2 + 3 x3 over x1 + x2 + x3 <= 4 and x1 + 3 x2 <= 6; the
+    fourth column takes up the first row's slack at zero cost."""
+    lp = LinearProgram(
+        objective=[[-1.0, -2.0, -3.0, 0.0]], b_eq=[4.0], a_ub=[[1.0, 3.0, 0.0, 0.0]], b_ub=[6.0]
+    )
+    oracle_obj = lp_oracle(lp)
     assert oracle_obj == pytest.approx(-12.0)  # frozen
-    assert sol.objective == pytest.approx(oracle_obj, abs=1e-7)
+    assert solve_lp(lp).objective == pytest.approx(oracle_obj, abs=1e-7)
 
 
 def test_lp_infeasible():
     with pytest.raises(Infeasible):
-        solve_lp(
-            LinearProgram(objective=[1.0], a_eq=[[1.0]], b_eq=[1.0], a_ub=[[1.0]], b_ub=[0.5])
-        )
-
-
-def test_lp_unbounded():
-    with pytest.raises(Unbounded):
-        solve_lp(LinearProgram(objective=[-1.0], a_ub=[[-1.0]], b_ub=[0.0]))
+        solve_lp(LinearProgram(objective=[[1.0]], b_eq=[1.0], a_ub=[[1.0]], b_ub=[0.5]))
 
 
 def test_lp_variable_cap():
     with pytest.raises(SolverLimit):
-        LinearProgram(objective=np.zeros(20_001))
+        LinearProgram(objective=np.zeros((6_667, 3)), b_eq=np.ones(6_667))
 
 
-def test_lp_without_constraints():
-    """Only x >= 0: the origin is optimal unless some cost is negative."""
-    sol = solve_lp(LinearProgram(objective=[0.0, 2.0]))
-    assert sol.x.tolist() == [0.0, 0.0] and sol.objective == 0.0
-    with pytest.raises(Unbounded):
-        solve_lp(LinearProgram(objective=[1.0, -0.5]))
+@pytest.mark.parametrize(
+    "objective, b_eq",
+    [(np.zeros(3), [1.0]), (np.zeros((2, 0)), [1.0, 1.0]), (np.zeros((2, 2)), [1.0]), (np.zeros((1, 2)), [-1.0])],
+    ids=["vector-objective", "no-columns", "row-count", "negative-total"],
+)
+def test_lp_rejects_malformed_rows(objective, b_eq):
+    with pytest.raises(ValidationError):
+        LinearProgram(objective=objective, b_eq=b_eq)
 
 
-@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans())
-@example(20, True, False)  # a negative cost: the primal phase pivots after the dual one
-@example(4, True, True)  # a shifted rhs that no x >= 0 meets
+def test_lp_without_constraints(monkeypatch):
+    """With no ``<=`` rows each row sends its total to its cheapest column,
+    ties to the lowest, without a pivot; with no rows at all the solution is
+    empty, and a ``<=`` row that no point meets is infeasible."""
+    pivots = []
+    monkeypatch.setattr(flowlp, "_pivot", lambda *args: pivots.append(args))
+    c = np.array([[3.0, -1.0, 2.0], [0.5, 0.5, 4.0], [2.0, 2.0, -7.0]])
+    sol = solve_lp(LinearProgram(objective=c, b_eq=[1.0, 2.0, 0.5]))
+    assert pivots == []
+    assert sol.x.tolist() == [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.5]]
+    assert sol.objective == pytest.approx(-3.5) and sol.ub_duals.size == 0
+
+    empty = solve_lp(LinearProgram(objective=np.zeros((0, 2)), b_eq=[]))
+    assert empty.x.shape == (0, 2) and empty.objective == 0.0 and empty.ub_duals.size == 0
+    with pytest.raises(Infeasible):
+        solve_lp(LinearProgram(objective=np.zeros((0, 2)), b_eq=[], a_ub=np.zeros((1, 0)), b_ub=[-1.0]))
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans())
+@example(15, False)  # negative costs; the dual simplex takes four pivots
+@example(1, True)  # a shifted rhs that no x >= 0 meets
 @settings(max_examples=60, deadline=None)
-def test_lp_matches_vertex_enumeration(seed, with_equalities, shift_rhs):
+def test_lp_matches_vertex_enumeration(seed, shift_rhs):
+    """Random costs of both signs; integer ``<=`` rows through a point x0 with
+    zeros, plus a scaled copy of the first, so the LP is often degenerate. A
+    shifted rhs may leave the rows with no nonnegative solution."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    r = int(rng.integers(1, 3))
-    c = rng.uniform(-2.0, 3.0, size=n)
-    # x bounded by a simplex-like inequality so the LP stays bounded.
-    a_ub = np.vstack([np.ones(n), rng.uniform(-1.0, 2.0, size=(r, n))])
-    b_ub = np.concatenate([[rng.uniform(1.0, 5.0)], rng.uniform(0.5, 4.0, size=r)])
-    eq = {}
-    if with_equalities:
-        # Integer rows through a point x0 with zeros, so the LP is often
-        # degenerate. A shifted rhs may leave them with no nonnegative
-        # solution. The last row repeats the first, scaled, so the pair is
-        # redundant and neither row has a column of its own (a crash column).
-        x0 = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.6)
-        a_eq = rng.integers(-1, 3, size=(int(rng.integers(1, 3)), n)).astype(float)
-        b_eq = a_eq @ x0
-        if shift_rhs:
-            b_eq = b_eq + rng.integers(-1, 2, size=b_eq.size)
-        eq = {"a_eq": np.vstack([a_eq, 2.0 * a_eq[0]]), "b_eq": np.append(b_eq, 2.0 * b_eq[0])}
-        b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, size=r + 1)
-    lp = LinearProgram(objective=c, a_ub=a_ub, b_ub=b_ub, **eq)
-    _, oracle_obj = lp_vertex_enumeration(c, a_ub=a_ub, b_ub=b_ub, **eq)
+    n, k, r = (int(v) for v in rng.integers(1, 4, size=3))
+    c = rng.uniform(-2.0, 3.0, size=(n, k))
+    x0 = rng.uniform(0.0, 1.0, size=(n, k)) * (rng.random((n, k)) < 0.6)
+    a_ub = rng.integers(-1, 3, size=(r, n * k)).astype(float)
+    b_ub = a_ub @ x0.ravel()
+    if shift_rhs:
+        b_ub = b_ub + rng.integers(-1, 2, size=r)
+    lp = LinearProgram(c, x0.sum(axis=1), np.vstack([a_ub, 2.0 * a_ub[0]]), np.append(b_ub, 2.0 * b_ub[0]))
+    oracle_obj = lp_oracle(lp)
     if oracle_obj is None:
         with pytest.raises(Infeasible):
             solve_lp(lp)

@@ -8,7 +8,7 @@ from weakcore.constraints import Balanced, FixedProfile, Unconstrained, voronoi_
 from weakcore.coreset import SummaryParams, build_universal_weak_coreset, identity_weak_coreset
 from weakcore.flowlp import SolverLimit
 from weakcore.meta import solve_constrained
-from weakcore.model import ClusteringInstance
+from weakcore.model import ClusteringInstance, ValidationError
 from weakcore.oracle import brute_force_opt, verify_property_A, verify_property_B
 
 
@@ -153,6 +153,17 @@ def test_property_a_reports_bad_j(line_instance):
     )
     rep = verify_property_A(line_instance, crippled)
     assert rep.worst_ratio > 1.0
+
+
+@pytest.mark.parametrize("prop", ["A", "B"])
+def test_verify_rejects_a_coreset_built_for_another_z(line_instance, prop):
+    """A z=1 coreset scored with z=2 is an input error, not a silent pass."""
+    cs = identity_weak_coreset(line_instance)
+    with pytest.raises(ValidationError, match="z=1"):
+        if prop == "A":
+            verify_property_A(line_instance.with_z(2), cs)
+        else:
+            verify_property_B(line_instance, cs, trials=2, eps=0.1, z=2)
 
 
 def test_property_a_statistical_suite():
