@@ -52,7 +52,6 @@ from .coreset import (
     SummaryParams,
     WeakCoreset,
     build_summary,
-    build_summary_labeled,
     build_universal_weak_coreset,
     identity_weak_coreset,
     ring_decomposition,
@@ -97,7 +96,6 @@ __all__ = [
     "build_candidates_euclidean_means",
     "build_candidates_metric",
     "build_summary",
-    "build_summary_labeled",
     "build_universal_weak_coreset",
     "check_feasibility",
     "distance",

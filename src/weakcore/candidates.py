@@ -1,9 +1,9 @@
 """Candidate-center set construction via adaptive power-distance sampling.
 
 The metric-mode set J mixes uniform and D^z draws around an adaptive seed
-and maps every sampled point to its nearest facility. The Euclidean k-means
-mode instead emits means of small multisets drawn from a sampled base, as
-synthetic center coordinates.
+and maps each drawn point to its nearest facility; only drawn points are
+looked up, never all n. The Euclidean k-means mode instead emits means of
+small multisets drawn from a sampled base, as synthetic center coordinates.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ def _rng_from(seed) -> np.random.Generator:
     return default_rng(SeedSequence(int(seed)))
 
 
-def _nearest_facility_map(inst: ClusteringInstance) -> np.ndarray:
-    """For every point, the lowest-index nearest facility (precomputed)."""
-    d = inst.space.pairwise(inst.points, inst.facilities)
-    order = np.argsort(inst.facilities, kind="stable")
-    d_sorted = d[:, order]
-    fac_sorted = inst.facilities[order]
-    return fac_sorted[np.argmin(d_sorted, axis=1)]
+def _nearest_facilities(inst: ClusteringInstance, positions) -> np.ndarray:
+    """The lowest-id nearest facility of each point at the given positions."""
+    fac = np.sort(inst.facilities)
+    d = inst.space.pairwise(inst.points[positions], fac)
+    return fac[np.argmin(d, axis=1)]
 
 
 def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> np.ndarray:
@@ -76,7 +74,6 @@ def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> np.ndarray:
     if t > inst.facilities.size:
         raise ValidationError(f"cannot seed {t} centers from {inst.facilities.size} facilities")
     rng = _rng_from(seed)
-    nf = _nearest_facility_map(inst)
     w = inst.weights
     chosen: list[int] = []
     chosen_set: set[int] = set()
@@ -92,7 +89,7 @@ def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> np.ndarray:
         picked = None
         for _ in range(100):
             x_pos = int(rng.choice(inst.n, p=probs))
-            f = int(nf[x_pos])
+            f = int(_nearest_facilities(inst, [x_pos])[0])
             if f not in chosen_set:
                 picked = f
                 break
@@ -144,8 +141,7 @@ def build_candidates_metric(
     seed_centers = dz_seed(inst, inst.k, inst.z, SeedSequence(int(params.seed), spawn_key=(0,)))
     rng = default_rng(SeedSequence(int(params.seed), spawn_key=(1,)))
     draws = _mixed_point_draws(inst, eta, params.mix, seed_centers, inst.z, rng)
-    nf = _nearest_facility_map(inst)
-    j = np.union1d(seed_centers, nf[draws])
+    j = np.union1d(seed_centers, _nearest_facilities(inst, draws))
     assert j.size <= eta + inst.k
     return j
 

@@ -230,6 +230,10 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         z=_integer(payload.get("z", 1), "z"),
         labels=np.array(labels, dtype=np.int64) if labels is not None else None,
     )
+    return _require_valid(inst)
+
+
+def _require_valid(inst: ClusteringInstance) -> ClusteringInstance:
     report = validate_instance(inst)
     if report:
         raise ValidationError("invalid instance: " + "; ".join(report))
@@ -431,7 +435,15 @@ GENERATORS = {
 # ---------------------------------------------------------------------------
 
 
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ValidationError(f"--{name} must be positive, got {value}")
+
+
 def cmd_generate(args) -> int:
+    _require_positive(args, "n", "facilities", "k", "m")
     if args.kind == "line":
         inst = make_line_instance(n=args.n, k=args.k, z=args.z or 1, m=args.m, seed=args.seed)
     elif args.kind == "planar-blobs":
@@ -442,7 +454,7 @@ def cmd_generate(args) -> int:
         inst = make_random_metric(
             args.n, args.facilities, args.k, z=args.z or 1, m=args.m, seed=args.seed
         )
-    dump_json(instance_to_payload(inst), args.out)
+    dump_json(instance_to_payload(_require_valid(inst)), args.out)
     print(f"wrote {args.kind} instance: n={inst.n} |F|={inst.facilities.size} k={inst.k} -> {args.out}")
     return EXIT_OK
 
@@ -544,6 +556,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_positive(args, "trials")
     inst = load_instance(args.instance, triangle_check=args.triangle_check, z=args.z)
     cs = coreset_from_payload(load_json(args.coreset))
     payload = {}

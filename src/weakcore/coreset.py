@@ -70,6 +70,8 @@ class SummaryParams:
             raise ValidationError("delta must lie in (0, 1)")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValidationError("sample_count must be positive")
+        if not (math.isfinite(self.c0) and self.c0 > 0):
+            raise ValidationError(f"c0 must be finite and positive, got {self.c0}")
 
 
 def resolve_sample_count(
@@ -83,13 +85,7 @@ def resolve_sample_count(
     return max(1, math.ceil(raw))
 
 
-def _points_view(source) -> WeightedPoints:
-    if isinstance(source, ClusteringInstance):
-        return source.weighted_points()
-    return source
-
-
-def ring_decomposition(source, centers, z: int) -> RingDecomposition:
+def ring_decomposition(inst: ClusteringInstance, centers, z: int) -> RingDecomposition:
     """Partition points around seed centers into geometric cost bands.
 
     Points go to their nearest center (ties to the lowest cluster index).
@@ -97,7 +93,7 @@ def ring_decomposition(source, centers, z: int) -> RingDecomposition:
     level j holds (2^(j-1) d_avg, 2^j d_avg]. A zero-average cluster is one
     [0, 0] ring.
     """
-    B = _points_view(source)
+    B = inst.weighted_points()
     centers = np.asarray(centers, dtype=np.int64)
     d = B.space.pairwise(B.indices, centers) ** z
     nearest = np.argmin(d, axis=1)
@@ -141,7 +137,6 @@ class SummaryResult:
     weights: np.ndarray
     sample_count: int
     ring_count: int
-    seed_centers: np.ndarray
 
 
 def _sample_ring(ring: Ring, B: WeightedPoints, s: int, rng: np.random.Generator):
@@ -157,69 +152,54 @@ def _sample_ring(ring: Ring, B: WeightedPoints, s: int, rng: np.random.Generator
     return members[picked], values
 
 
-def build_summary(
-    inst: ClusteringInstance,
-    J,
-    eps: float,
-    params: SummaryParams,
-    _label_tag: int = 0,
-) -> SummaryResult:
-    """The weighted summary S: per-ring weight-proportional sampling around
-    an adaptive seed, take-all for small rings. Total weight is conserved."""
+def _label_classes(inst: ClusteringInstance):
+    """(spawn-key tag, unlabeled sub-instance) per nonempty label class: tag 0
+    for the whole of an unlabeled instance, tag j + 1 for label j."""
+    if inst.labels is None:
+        yield 0, inst
+        return
+    for j in range(inst.n_labels):
+        mask = inst.labels == j
+        if mask.any():
+            yield j + 1, ClusteringInstance(
+                inst.space, inst.points[mask], inst.weights[mask], inst.facilities, inst.k, inst.z
+            )
+
+
+def build_summary(inst: ClusteringInstance, J, eps: float, params: SummaryParams) -> SummaryResult:
+    """The weighted summary S: per label class (the whole instance when it is
+    unlabeled), per-ring weight-proportional sampling around an adaptive
+    seed, take-all for small rings. Each class's weight is conserved.
+
+    ``sample_count`` is the largest per-class budget, ``ring_count`` the sum."""
     j_size = J if isinstance(J, int) else len(J)
     if j_size < 1:
         raise ValidationError("candidate set J must be nonempty")
-    seed_centers = dz_seed(
-        inst, inst.k, inst.z, SeedSequence(int(params.seed), spawn_key=(0, _label_tag))
-    )
-    decomp = ring_decomposition(inst, seed_centers, inst.z)
-    s = resolve_sample_count(params, inst.k, eps, inst.z, j_size, decomp.ring_count)
-    B = inst.weighted_points()
     parts_idx = []
     parts_w = []
-    for ring in decomp.rings:
-        rng = default_rng(
-            SeedSequence(int(params.seed), spawn_key=(1, _label_tag, ring.cluster, ring.level))
-        )
-        idx, w = _sample_ring(ring, B, s, rng)
-        parts_idx.append(idx)
-        parts_w.append(w)
+    sample_count = ring_count = 0
+    for tag, sub in _label_classes(inst):
+        seed_centers = dz_seed(sub, sub.k, sub.z, SeedSequence(int(params.seed), spawn_key=(0, tag)))
+        decomp = ring_decomposition(sub, seed_centers, sub.z)
+        s = resolve_sample_count(params, sub.k, eps, sub.z, j_size, decomp.ring_count)
+        B = sub.weighted_points()
+        for ring in decomp.rings:
+            rng = default_rng(
+                SeedSequence(int(params.seed), spawn_key=(1, tag, ring.cluster, ring.level))
+            )
+            idx, w = _sample_ring(ring, B, s, rng)
+            parts_idx.append(idx)
+            parts_w.append(w)
+        sample_count = max(sample_count, s)
+        ring_count += decomp.ring_count
     indices = np.concatenate(parts_idx)
     weights = np.concatenate(parts_w)
     order = np.argsort(indices, kind="stable")
-    return SummaryResult(indices[order], weights[order], s, decomp.ring_count, seed_centers)
+    return SummaryResult(indices[order], weights[order], sample_count, ring_count)
 
 
-def build_summary_labeled(
-    inst: ClusteringInstance, J, eps: float, params: SummaryParams
-) -> SummaryResult:
-    """Independent summaries per label class, unioned; labels survive on S."""
-    if inst.labels is None:
-        raise ValidationError("labeled summary requires instance labels")
-    parts = []
-    for j in range(inst.n_labels):
-        mask = inst.labels == j
-        if not mask.any():
-            continue
-        sub = ClusteringInstance(
-            inst.space,
-            inst.points[mask],
-            inst.weights[mask],
-            inst.facilities,
-            inst.k,
-            inst.z,
-        )
-        parts.append(build_summary(sub, J, eps, params, _label_tag=j + 1))
-    indices = np.concatenate([p.indices for p in parts])
-    weights = np.concatenate([p.weights for p in parts])
-    order = np.argsort(indices, kind="stable")
-    return SummaryResult(
-        indices[order],
-        weights[order],
-        max(p.sample_count for p in parts),
-        sum(p.ring_count for p in parts),
-        parts[0].seed_centers,
-    )
+# Not a second code path; kept because perfbench's tracer hooks coreset.build_summary_labeled.
+build_summary_labeled = build_summary
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +329,8 @@ def build_universal_weak_coreset(
     """
     if mode not in ("metric", "euclidean_kmeans"):
         raise ValidationError(f"unknown coreset mode {mode!r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"epsilon must be finite and positive, got {eps}")
     cand_seed = int(SeedSequence(int(seed), spawn_key=(0,)).generate_state(1)[0])
     summ_seed = int(SeedSequence(int(seed), spawn_key=(1,)).generate_state(1)[0])
     cparams = candidate_params if candidate_params is not None else CandidateParams(seed=cand_seed)
@@ -367,10 +349,7 @@ def build_universal_weak_coreset(
         alpha = 1.0
         j_size = int(j_coords.shape[0])
 
-    if inst.labels is not None:
-        summary = build_summary_labeled(inst, j_size, eps, sparams)
-    else:
-        summary = build_summary(inst, j_size, eps, sparams)
+    summary = build_summary(inst, j_size, eps, sparams)
 
     info = {
         "eta": resolve_eta(cparams, inst.k, eps),

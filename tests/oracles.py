@@ -67,6 +67,16 @@ def lp_vertex_enumeration(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, tol=1e-
     return best[1], best[0]
 
 
+def nearest_facility_map(inst):
+    """For every point of ``inst``, the lowest-id nearest facility, from the
+    full point-by-facility distance matrix."""
+    d = inst.space.pairwise(inst.points, inst.facilities)
+    order = np.argsort(inst.facilities, kind="stable")
+    d_sorted = d[:, order]
+    fac_sorted = inst.facilities[order]
+    return fac_sorted[np.argmin(d_sorted, axis=1)]
+
+
 def min_cost_integral_splits(costs, lower, upper):
     """Optimal unit-weight assignment with per-sink count bounds, by
     enumerating every map from points to sinks. Exact for integral data."""

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_small_instance
+from oracles import nearest_facility_map
 from weakcore.candidates import (
     CandidateParams,
+    _nearest_facilities,
     build_candidates_euclidean_means,
     build_candidates_metric,
     default_eta,
@@ -47,6 +49,40 @@ def test_dz_seed_deterministic(line_instance):
 def test_dz_seed_too_many_centers(line_instance):
     with pytest.raises(ValidationError):
         dz_seed(line_instance, 6, 1, seed=0)
+
+
+def _tied_integer_metric(seed):
+    """Manhattan distances on a 4x4 integer grid: many equidistant
+    facilities, listed in shuffled id order."""
+    rng = np.random.default_rng(seed)
+    n, f = 25, 7
+    grid = rng.integers(0, 4, size=(n + f, 2))
+    mat = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=2).astype(float)
+    facilities = n + rng.permutation(f)
+    return ClusteringInstance(MetricSpace.explicit(mat), np.arange(n), np.ones(n), facilities, k=2)
+
+
+def _label_subinstances(seed):
+    inst = make_planar_blobs(60, 9, 3, m=3, seed=seed)
+    for j in range(inst.n_labels):
+        mask = inst.labels == j
+        yield ClusteringInstance(inst.space, inst.points[mask], inst.weights[mask],
+                                 inst.facilities[::-1], inst.k, inst.z)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_nearest_facilities_keep_the_full_map_tie_rule(seed):
+    """Looking up only the drawn positions picks, at every position, the
+    facility the full nearest-facility map picks: the lowest id among the
+    nearest."""
+    tied = _tied_integer_metric(seed)
+    d = tied.space.pairwise(tied.points, tied.facilities)
+    assert np.any((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1)  # ties occur
+    for inst in [tied, *_label_subinstances(seed)]:
+        everywhere = np.arange(inst.n)
+        assert _nearest_facilities(inst, everywhere).tolist() == nearest_facility_map(inst).tolist()
+        drawn = np.random.default_rng(seed).integers(0, inst.n, size=10)
+        assert _nearest_facilities(inst, drawn).tolist() == nearest_facility_map(inst)[drawn].tolist()
 
 
 def test_metric_candidates_subset_of_facilities(line_instance):

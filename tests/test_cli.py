@@ -560,14 +560,43 @@ USAGE_ERRORS = {
     "ordered-and-unordered": ["solve", "--instance", "i.json", "--coreset", "c.json",
                               "--constraint", "x.json", "--out", "o.json", "--ordered", "--unordered"],
     "unknown-command": ["frobnicate"],
+    **{
+        f"coreset-{flag[2:]}-{value}": ["coreset", "--instance", "i.json", "--out", "o.json",
+                                        "--epsilon", "0.5", flag, value]
+        for flag, value in [("--epsilon", "0"), ("--epsilon", "-1"), ("--epsilon", "nan"),
+                            ("--epsilon", "inf"), ("--c0", "nan")]
+    },
+    **{
+        f"generate-{flag[2:]}-{value}": ["generate", "--kind", "planar-blobs", "--out", "o.json",
+                                         flag, value]
+        for flag, value in [("--n", "-1"), ("--n", "0"), ("--facilities", "0"), ("--k", "9"),
+                            ("--m", "0")]
+    },
+    **{
+        f"verify-trials-{value}": ["verify", "--instance", "i.json", "--coreset", "c.json",
+                                   "--out", "o.json", "--trials", value]
+        for value in ("0", "-3")
+    },
 }
 
 
 @pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_exit_code(tmp_path, capsys, args):
-    """A usage error is an input error (3); argparse's own code 2 would read
-    as "infeasible", and both ordering flags together used to mean ordered."""
-    with pytest.raises(SystemExit) as exc:
-        run([tmp_path / a if a.endswith(".json") else a for a in args])
-    assert exc.value.code == EXIT_VALIDATION
+    """A usage error or an out-of-range number is an input error (3) with an
+    ``error:`` line and no output file: argparse's own code 2 would read as
+    "infeasible", both ordering flags together used to mean ordered, and an
+    epsilon of 0 used to end in a traceback, an infinite one in a non-JSON
+    coreset file, ``generate --n 0`` in a file the loader refuses and
+    ``verify --trials 0`` in a pass with nothing checked."""
+    assert run(["generate", "--kind", "planar-blobs", "--n", 10, "--facilities", 4, "--m", 2,
+                "--out", tmp_path / "i.json"]) == EXIT_OK
+    assert run(["coreset", "--instance", tmp_path / "i.json", "--epsilon", 0.5,
+                "--out", tmp_path / "c.json"]) == EXIT_OK
+    capsys.readouterr()
+    try:
+        code = run([tmp_path / a if a.endswith(".json") else a for a in args])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

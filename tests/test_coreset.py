@@ -8,8 +8,8 @@ from weakcore.cli import make_line_instance, make_planar_blobs
 from weakcore.constraints import profile_cost, voronoi_profile
 from weakcore.coreset import (
     SummaryParams,
+    WeakCoreset,
     build_summary,
-    build_summary_labeled,
     build_universal_weak_coreset,
     identity_weak_coreset,
     resolve_sample_count,
@@ -118,7 +118,7 @@ def test_resolve_sample_count_formula():
 
 def test_summary_labeled_per_label_conservation():
     inst = make_planar_blobs(100, 8, 2, m=2, seed=12)
-    res = build_summary_labeled(inst, 30, 0.25, SummaryParams(sample_count=4, seed=2))
+    res = build_summary(inst, 30, 0.25, SummaryParams(sample_count=4, seed=2))
     pos = {int(p): i for i, p in enumerate(inst.points)}
     for j in range(inst.n_labels):
         target = float(inst.weights[inst.labels == j].sum())
@@ -129,16 +129,26 @@ def test_summary_labeled_per_label_conservation():
         assert got == pytest.approx(target, rel=1e-12)
 
 
-def test_summary_labeled_single_label_matches_plain():
-    inst = make_planar_blobs(60, 6, 2, seed=14)
-    labeled = ClusteringInstance(
-        inst.space, inst.points, inst.weights, inst.facilities, 2, 1,
-        np.zeros(inst.n, dtype=np.int64),
+def test_summary_of_labeled_instance_conserves_labels_and_binds():
+    """One summary builder serves labeled instances: each label's weight is
+    conserved, so the coreset binds to the instance."""
+    base = make_planar_blobs(90, 8, 3, m=3, seed=14)
+    weights = np.random.default_rng(14).uniform(0.5, 4.0, base.n)
+    inst = ClusteringInstance(
+        base.space, base.points, weights, base.facilities, 3, 1, base.labels
     )
-    a = build_summary(inst, 20, 0.25, SummaryParams(sample_count=4, seed=6), _label_tag=1)
-    b = build_summary_labeled(labeled, 20, 0.25, SummaryParams(sample_count=4, seed=6))
-    assert a.indices.tolist() == b.indices.tolist()
-    assert a.weights.tolist() == b.weights.tolist()
+    res = build_summary(inst, 20, 0.25, SummaryParams(sample_count=4, seed=6))
+    assert res.indices.size < inst.n
+    pos = np.searchsorted(inst.points, res.indices)
+    got = np.bincount(inst.labels[pos], res.weights, minlength=3)
+    want = np.bincount(inst.labels, inst.weights, minlength=3)
+    assert got == pytest.approx(want, rel=1e-12)
+    cs = WeakCoreset(
+        S=res.indices, v=res.weights, alpha=3.0, z=1, epsilon=0.25, delta=0.05, seed=6,
+        mode="metric", J=np.sort(inst.facilities),
+    )
+    _, summary, _ = cs.bind(inst, 1)
+    assert summary.labels.tolist() == inst.labels[pos].tolist()
 
 
 @pytest.mark.parametrize(
