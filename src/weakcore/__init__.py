@@ -15,7 +15,6 @@ from .model import (
     ValidationError,
     WeightedPoints,
     distance,
-    nearest_facility,
     validate_instance,
 )
 from .flowlp import (
@@ -104,7 +103,6 @@ __all__ = [
     "finalize_assignment",
     "identity_weak_coreset",
     "ldiversity_bounds",
-    "nearest_facility",
     "optimal_feasible_cost",
     "profile_cost",
     "ring_decomposition",

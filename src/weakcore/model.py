@@ -180,17 +180,6 @@ def distance(space: MetricSpace, a: int, b: int) -> float:
     return space.distance(a, b)
 
 
-def nearest_facility(space: MetricSpace, x: int, facilities) -> tuple[int, float]:
-    """Facility of minimum distance to ``x``; ties break to the lowest facility index."""
-    fac = _index_array(facilities)
-    if fac.size == 0:
-        raise ValidationError("facility list is empty")
-    d = space.pairwise([x], fac)[0]
-    dmin = d.min()
-    winners = fac[d <= dmin]
-    return int(winners.min()), float(dmin)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedPoints:
     """A weighted subset of a metric space, optionally labeled.

@@ -1,14 +1,19 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weakcore.cli as cli
 from weakcore.cli import (
     EXIT_CEILING,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    _json_default,
     coreset_from_payload,
     coreset_to_payload,
     constraint_from_payload,
@@ -279,6 +284,85 @@ def test_dump_json_numpy_matches_python():
         dump_json({"set": {1, 2}}, None)
 
 
+def _stdlib_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+KEYS = st.text(max_size=4) | st.sampled_from(["%", "%s", "%%d", '"', "\\", "é", "\u2028", "日本"])
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e308])
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=4) | KEYS
+NUMPY = (
+    st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(-(2**31), 2**31 - 1).map(np.int32)
+    | FLOATS.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.booleans().map(np.bool_)
+    | st.lists(FLOATS, max_size=4).map(np.array)
+    | st.lists(st.integers(-5, 5), max_size=3).map(lambda row: np.array([row, row[::-1]]))
+)
+ONE_TYPE = st.sampled_from(
+    [st.integers(), FLOATS, st.floats(-1e6, 1e6), st.text(max_size=3), st.booleans(), st.none()]
+)
+
+
+@st.composite
+def uniform_rows(draw, children):
+    """Lists of dicts with one key set. Each key holds scalars of one type or
+    of mixed types, lists or tuples of them of one length or of several
+    lengths, or anything."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 5))
+    columns = []
+    for _ in keys:
+        scalar = draw(st.sampled_from([draw(ONE_TYPE), SCALARS]))
+        width = draw(st.integers(0, 3))
+        value = draw(st.sampled_from([
+            scalar,
+            st.lists(scalar, min_size=width, max_size=width),
+            st.lists(scalar, min_size=width, max_size=width).map(tuple),
+            st.lists(scalar, max_size=3),
+            children,
+        ]))
+        columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+JSON_TREES = st.recursive(
+    SCALARS | NUMPY | ONE_TYPE.flatmap(lambda values: st.lists(values, max_size=6)),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(), children,
+                          max_size=3)
+        | uniform_rows(children)
+    ),
+    max_leaves=30,
+)
+
+
+@given(st.dictionaries(KEYS, JSON_TREES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_dump_json_matches_stdlib(payload):
+    assert dump_json(payload, None) == _stdlib_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"rows": [{"a": 1, "b": [1.5, 2.5]}, {"a": 2, "c": [1.5, 2.5]}]},  # one key differs
+    {"rows": [{"a": 1}, {"a": 2, "b": 3}]},  # key counts differ
+    {"rows": [{"a": [1, 2]}, {"a": [3]}]},  # list lengths differ
+    {"rows": [{"a": []}, {"a": []}]},
+    {"rows": [{"a": {"b": 1}}, {"a": {"b": 2}}]},
+    {"rows": [{"a": np.float32(0.5)}, {"a": np.int64(2)}]},
+    {"rows": [{1: "x"}, {1: "y"}]},
+    {"rows": [{"%s": 1.0, "%": math.nan}, {"%s": math.inf, "%": -0.0}]},
+    {"rows": [{"a": 1e308}, {"a": 1e308}]},  # finite, but the sum overflows
+    {"nan": [math.nan, -math.inf, 1.0], "tuple": ((1, 2), ("x", None)), "empty": [[], {}, ()]},
+])
+def test_dump_json_matches_stdlib_on_row_edges(payload):
+    assert dump_json(payload, None) == _stdlib_text(payload)
+
+
 def _coreset_files(tmp_path, m=1, mode="metric"):
     inst = tmp_path / "inst.json"
     cs = tmp_path / "cs.json"
@@ -526,6 +610,58 @@ def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["solver error: complementary slackness violated on the flow support"]
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 2.98 GiB for an array"),
+     "resource ceiling: Unable to allocate 2.98 GiB for an array"),
+    (MemoryError(), "resource ceiling: out of memory"),
+])
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, error, line):
+    """Running out of memory (numpy raises a MemoryError subclass) exits 4
+    with one line, not a traceback with exit 1."""
+    def exhausted(*args, **kwargs):
+        raise error
+
+    inst = tmp_path / "inst.json"
+    run(["generate", "--kind", "line", "--n", 5, "--k", 2, "--out", inst])
+    monkeypatch.setattr(cli, "build_universal_weak_coreset", exhausted)
+    capsys.readouterr()
+    code = run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", tmp_path / "cs.json"])
+    assert code == EXIT_CEILING
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
+def test_out_files_are_stdlib_json_bytes(tmp_path):
+    """Every command's --out file is the stdlib's sort_keys, indent=2 text of
+    its own content; a float's repr round-trips, so these are its bytes."""
+    d = tmp_path
+    (d / "con.json").write_text(json.dumps({"type": "ldiversity", "l": 2}))
+    (d / "free.json").write_text(json.dumps({"type": "unconstrained"}))
+    commands = [
+        ["generate", "--kind", "planar-blobs", "--n", 40, "--facilities", 6, "--k", 2, "--m", 2,
+         "--seed", 4, "--out", d / "blobs.json"],
+        ["generate", "--kind", "random-metric", "--n", 12, "--facilities", 4, "--k", 2,
+         "--seed", 4, "--out", d / "metric.json"],
+        ["coreset", "--instance", d / "blobs.json", "--epsilon", 0.5, "--seed", 7,
+         "--out", d / "cs.json"],
+        ["coreset", "--instance", d / "metric.json", "--epsilon", 0.5, "--seed", 7,
+         "--out", d / "cs_metric.json"],
+        ["coreset", "--instance", d / "blobs.json", "--epsilon", 0.5, "--mode", "euclidean_kmeans",
+         "--z", 2, "--subset-size", 2, "--base-size", 8, "--seed", 7, "--out", d / "cs_means.json"],
+        ["solve", "--instance", d / "blobs.json", "--coreset", d / "cs.json",
+         "--constraint", d / "con.json", "--out", d / "res.json"],
+        ["solve", "--instance", d / "blobs.json", "--coreset", d / "cs_means.json", "--z", 2,
+         "--constraint", d / "free.json", "--out", d / "res_means.json"],
+        ["oracle", "--instance", d / "metric.json", "--constraint", d / "free.json",
+         "--out", d / "opt.json"],
+        ["verify", "--instance", d / "metric.json", "--coreset", d / "cs_metric.json",
+         "--which", "both", "--trials", 6, "--seed", 3, "--out", d / "report.json"],
+    ]
+    for args in commands:
+        assert run(args) in (EXIT_OK, 1), args
+        text = args[-1].read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", args[0]
 
 
 def _shift_between_labels(payload):

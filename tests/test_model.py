@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakcore.candidates import _nearest_facilities
 from weakcore.model import (
     Assignment,
     ClusteringInstance,
@@ -11,7 +12,6 @@ from weakcore.model import (
     ValidationError,
     WeightedPoints,
     distance,
-    nearest_facility,
     validate_instance,
 )
 
@@ -63,28 +63,32 @@ def test_index_out_of_range():
         space.distance(0, 2)
 
 
+def _nearest(space, x, facilities):
+    """Stage 1's lookup for the single point ``x`` among ``facilities``."""
+    inst = ClusteringInstance(space, np.array([x]), np.ones(1), np.array(facilities), k=1)
+    return int(_nearest_facilities(inst, [0])[0])
+
+
 def test_nearest_facility_basic(line_instance):
     space = line_instance.space
-    fac, d = nearest_facility(space, 2, [1, 4])  # positions 1 and 10
-    assert fac == 1 and d == 1.0
+    assert _nearest(space, 2, [1, 4]) == 1  # positions 1 and 10
 
 
 def test_nearest_facility_tie_breaks_low_index():
     space = MetricSpace.euclidean([[5.0], [1.0], [9.0]])
-    fac, d = nearest_facility(space, 0, [2, 1])  # both at distance 4
-    assert fac == 1 and d == 4.0
+    assert _nearest(space, 0, [2, 1]) == 1  # both at distance 4
 
 
 def test_nearest_facility_singleton():
     space = MetricSpace.euclidean([[0.0], [7.0]])
-    fac, d = nearest_facility(space, 0, [1])
-    assert fac == 1 and d == 7.0
+    assert _nearest(space, 0, [1]) == 1
 
 
 def test_nearest_facility_empty_errors():
+    """An instance without facilities never reaches the lookup: validation refuses it."""
     space = MetricSpace.euclidean([[0.0]])
-    with pytest.raises(ValidationError):
-        nearest_facility(space, 0, [])
+    inst = ClusteringInstance(space, np.array([0]), np.ones(1), np.array([], dtype=np.int64), k=1)
+    assert "instance has no facilities" in validate_instance(inst)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -94,10 +98,9 @@ def test_nearest_facility_is_minimal(seed):
     coords = rng.normal(size=(8, 2))
     space = MetricSpace.euclidean(coords)
     fac_ids = list(range(1, 8))
-    fac, d = nearest_facility(space, 0, fac_ids)
+    fac = _nearest(space, 0, fac_ids)
     for other in fac_ids:
-        assert d <= space.distance(0, other) + 1e-12
-    assert abs(space.distance(0, fac) - d) < 1e-12
+        assert space.distance(0, fac) <= space.distance(0, other)
 
 
 def test_validate_instance_clean(line_instance):
