@@ -14,7 +14,6 @@ from .model import (
     MetricSpace,
     ValidationError,
     WeightedPoints,
-    distance,
     validate_instance,
 )
 from .flowlp import (
@@ -22,10 +21,8 @@ from .flowlp import (
     Infeasible,
     LinearProgram,
     SolverLimit,
-    TransportationProblem,
     solve_bounded_transportation,
     solve_lp,
-    solve_transportation,
 )
 from .constraints import (
     Balanced,
@@ -55,7 +52,7 @@ from .coreset import (
     identity_weak_coreset,
     ring_decomposition,
 )
-from .meta import SolveResult, enumerate_center_tuples, finalize_assignment, solve_constrained
+from .meta import SolveResult, enumerate_center_tuples, solve_constrained
 from .oracle import (
     VerificationReport,
     best_centers_for_assignment,
@@ -83,7 +80,6 @@ __all__ = [
     "SolveResult",
     "SolverLimit",
     "SummaryParams",
-    "TransportationProblem",
     "Unconstrained",
     "ValidationError",
     "VerificationReport",
@@ -97,10 +93,8 @@ __all__ = [
     "build_summary",
     "build_universal_weak_coreset",
     "check_feasibility",
-    "distance",
     "dz_seed",
     "enumerate_center_tuples",
-    "finalize_assignment",
     "identity_weak_coreset",
     "ldiversity_bounds",
     "optimal_feasible_cost",
@@ -109,7 +103,6 @@ __all__ = [
     "solve_bounded_transportation",
     "solve_constrained",
     "solve_lp",
-    "solve_transportation",
     "validate_instance",
     "verify_property_A",
     "verify_property_B",

@@ -2,10 +2,10 @@
 
 The four families (unconstrained, fixed profile, balanced weight bounds,
 per-label fraction bounds) all reduce to exact solves in
-:mod:`weakcore.flowlp`: plain transportation, bounded transportation, or a
-dense LP with one conservation row per point. Costs are always reported as
-the exact sum over the returned assignment, so the assignment and its cost
-never disagree.
+:mod:`weakcore.flowlp`: bounded transportation, with lower == upper for a
+fixed profile, or a dense LP with one conservation row per point. Costs are
+always reported as the exact sum over the returned assignment, so the
+assignment and its cost never disagree.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from .flowlp import (
     BoundedTransportationProblem,
     LinearProgram,
     SolverError,
-    TransportationProblem,
     solve_bounded_transportation,
     solve_lp,
-    solve_transportation,
 )
 from .model import (
     Assignment,
@@ -35,6 +33,9 @@ from .model import (
 )
 
 FEAS_TOL = 1e-7
+
+# Not a second code path; kept because perfbench's tracer hooks constraints.solve_transportation.
+solve_transportation = solve_bounded_transportation
 
 
 @dataclass(frozen=True)
@@ -191,26 +192,22 @@ def profile_cost(
     B: WeightedPoints, centers, profile: ClusterProfile, z: int
 ) -> tuple[float, Assignment]:
     """Minimum assignment cost consistent with a profile: one transportation
-    solve, or for a labeled profile one independent solve per label."""
+    solve per label class with every sink pinned to its target, the whole
+    set being one class when the profile is unlabeled."""
     centers = _index_array(centers)
     if profile.k != centers.size:
         raise ValidationError(f"profile length {profile.k} != number of centers {centers.size}")
     bad = profile.check_consistency(B)
     if bad:
         raise ValidationError("; ".join(bad))
-    if not profile.is_labeled:
-        d = _cost_matrix(B, centers, z)
-        sol = solve_transportation(TransportationProblem(d, B.weights, profile.values))
-        sigma = _assignment_from_flow(B, sol.flow)
-        return assignment_cost(B, sigma, centers, z), sigma
+    classes = B.labels if profile.is_labeled else np.zeros(B.size, dtype=np.int64)
+    gamma = profile.values.reshape(profile.k, profile.m)
     parts = []
-    for j in range(B.n_labels):
-        mask = B.labels == j
-        if not mask.any():
-            continue
+    for j in range(profile.m):
+        mask = classes == j
         sub = WeightedPoints(B.space, B.indices[mask], B.weights[mask])
-        d = _cost_matrix(sub, centers, z)
-        sol = solve_transportation(TransportationProblem(d, sub.weights, profile.values[:, j]))
+        d, target = _cost_matrix(sub, centers, z), gamma[:, j]
+        sol = solve_bounded_transportation(BoundedTransportationProblem(d, sub.weights, target, target))
         parts.append(_assignment_from_flow(sub, sol.flow))
     sigma = Assignment(
         np.concatenate([p.points for p in parts]),
@@ -296,60 +293,38 @@ def optimal_feasible_cost(
 def check_feasibility(
     sigma: Assignment, B: WeightedPoints, spec: ConstraintSpec, k: Optional[int] = None
 ) -> list[str]:
-    """Violations of ``spec`` by a given assignment, within 1e-7 absolute each."""
+    """Violations of ``spec`` by a given assignment, within 1e-7 absolute each.
+
+    Every family is a box on a mass table: the cluster totals, or the
+    (cluster, label) masses, lie between lower and upper bounds of the same
+    shape (the profile on both sides, the balanced bounds, or the fraction
+    bounds times each cluster's total). Raises :class:`ValidationError` when
+    the spec is shaped for another k or another label count.
+    """
     if k is None:
         k = int(sigma.clusters.max()) + 1 if len(sigma) else 1
-    totals = sigma.cluster_totals(k)
-    report: list[str] = []
     if isinstance(spec, Unconstrained):
-        return report
+        return []
+    totals = sigma.cluster_totals(k)
     if isinstance(spec, FixedProfile):
-        prof = spec.profile
-        if prof.is_labeled:
-            got = sigma.label_cluster_mass(B, k)
-            for i in range(prof.k):
-                for j in range(prof.m):
-                    if abs(got[i, j] - prof.values[i, j]) > FEAS_TOL:
-                        report.append(
-                            f"cluster {i}, label {j}: mass {got[i, j]:.9g} != "
-                            f"target {prof.values[i, j]:.9g}"
-                        )
-        else:
-            for i in range(prof.k):
-                if abs(totals[i] - prof.values[i]) > FEAS_TOL:
-                    report.append(
-                        f"cluster {i}: mass {totals[i]:.9g} != target {prof.values[i]:.9g}"
-                    )
-        return report
-    if isinstance(spec, Balanced):
-        for i in range(spec.lower.size):
-            if totals[i] < spec.lower[i] - FEAS_TOL:
-                report.append(
-                    f"cluster {i} total {totals[i]:.9g} below lower bound {spec.lower[i]:.9g}"
-                )
-            if totals[i] > spec.upper[i] + FEAS_TOL:
-                report.append(
-                    f"cluster {i} total {totals[i]:.9g} exceeds upper bound {spec.upper[i]:.9g}"
-                )
-        return report
-    if isinstance(spec, FractionBounds):
+        lo = hi = spec.profile.values
+    elif isinstance(spec, Balanced):
+        lo, hi = spec.lower, spec.upper
+    elif isinstance(spec, FractionBounds):
         if B.labels is None:
             return ["fraction bounds require labels"]
         alpha, beta = spec.per_label(k, B.n_labels)
-        mass = sigma.label_cluster_mass(B, k)
-        for i in range(k):
-            for j in range(B.n_labels):
-                lo = alpha[i, j] * totals[i]
-                hi = beta[i, j] * totals[i]
-                if mass[i, j] < lo - FEAS_TOL:
-                    report.append(
-                        f"cluster {i}, label {j}: mass {mass[i, j]:.9g} below "
-                        f"fraction bound {lo:.9g}"
-                    )
-                if mass[i, j] > hi + FEAS_TOL:
-                    report.append(
-                        f"cluster {i}, label {j}: mass {mass[i, j]:.9g} above "
-                        f"fraction bound {hi:.9g}"
-                    )
-        return report
-    raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
+        lo, hi = alpha * totals[:, None], beta * totals[:, None]
+    else:
+        raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
+    mass = sigma.label_cluster_mass(B, k) if lo.ndim == 2 else totals
+    if lo.shape != mass.shape:
+        raise ValidationError(
+            f"{type(spec).__name__} has shape {lo.shape}, the assignment's mass table {mass.shape}"
+        )
+    below, above = mass < lo - FEAS_TOL, mass > hi + FEAS_TOL
+    return [
+        f"cluster {', label '.join(map(str, cell))}: mass {mass[cell]:.9g} "
+        + (f"below lower bound {lo[cell]:.9g}" if below[cell] else f"above upper bound {hi[cell]:.9g}")
+        for cell in map(tuple, np.argwhere(below | above))
+    ]

@@ -1,15 +1,18 @@
-"""Exact transportation, bounded transportation, and dense-simplex LP solvers.
+"""Exact transportation and dense-simplex LP solvers.
 
-All solvers are pure functions over float64 inputs. The network solvers
-certify optimality before returning, by complementary slackness on the final
-node potentials; the LP solver checks feasibility and returns the multipliers
-of its ``<=`` rows, whose Lagrangian bound the fraction-bound LP in
-:mod:`weakcore.constraints` checks against the objective.
-Every transportation problem here has many sources (points) and few sinks
-(clusters), so one solver serves both network problems: successive shortest
-paths over an exchange graph with one node per sink plus one hub node that
-carries the sink bounds, started from the Voronoi assignment. Dijkstra ties
-go to the lowest node index and each arc's source is the least
+All solvers are pure functions over float64 inputs. The transportation
+solver certifies optimality before returning, by complementary slackness on
+the final node potentials, and returns them; the LP solver checks
+feasibility and returns the multipliers of its ``<=`` rows, whose Lagrangian
+bound the fraction-bound LP in :mod:`weakcore.constraints` checks against
+the objective.
+Transportation has one entry point, :func:`solve_bounded_transportation`:
+every sink receives between a lower and an upper bound, and a fixed demand
+is the bound pair ``lower == upper``. Every transportation problem here has
+many sources (points) and few sinks (clusters), so the solver is successive
+shortest paths over an exchange graph with one node per sink plus one hub
+node that carries the sink bounds, started from the Voronoi assignment.
+Dijkstra ties go to the lowest node index and each arc's source is the least
 ``(cost difference, source index)``, so results are deterministic.
 The LP solver takes the shape of its one caller, the fraction-bound LP: an
 (n, k) cost matrix whose every column sits in one conservation row (a
@@ -46,33 +49,6 @@ class SolverLimit(Exception):
 
 class SolverError(RuntimeError):
     """Internal failure: a solve finished without a valid optimality certificate."""
-
-
-@dataclass(frozen=True, eq=False)
-class TransportationProblem:
-    """Balanced transportation: ship supplies to demands at per-arc unit costs."""
-
-    cost: np.ndarray
-    supplies: np.ndarray
-    demands: np.ndarray
-
-    def __post_init__(self):
-        cost = _float_array(self.cost, "cost matrix", ndim=2)
-        sup = _float_array(self.supplies, "supplies", ndim=1)
-        dem = _float_array(self.demands, "demands", ndim=1)
-        if cost.shape != (sup.size, dem.size):
-            raise ValidationError(
-                f"cost shape {cost.shape} does not match {sup.size} supplies x {dem.size} demands"
-            )
-        if np.any(sup < 0) or np.any(dem < 0):
-            raise ValidationError("supplies and demands must be nonnegative")
-        total_s = float(sup.sum())
-        total_d = float(dem.sum())
-        if abs(total_s - total_d) > 1e-9 * max(1.0, total_s):
-            raise ValidationError(f"unbalanced problem: supply {total_s} vs demand {total_d}")
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "supplies", sup)
-        object.__setattr__(self, "demands", dem)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +116,18 @@ class LinearProgram:
 
 
 @dataclass(frozen=True, eq=False)
-class TransportSolution:
-    flow: np.ndarray
-    objective: float
-    source_potentials: np.ndarray
-    sink_potentials: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class BoundedTransportSolution:
+    """An optimal flow with the node potentials that certify it: every
+    reduced cost ``cost - u - v`` is >= 0 and vanishes on the flow, and
+    ``v_b - v_hub`` is >= 0 below sink b's upper bound and <= 0 above its
+    lower one, so it prices the bound that sink sits on."""
+
     flow: np.ndarray
     objective: float
     sink_totals: np.ndarray
+    source_potentials: np.ndarray
+    sink_potentials: np.ndarray
+    hub_potential: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,27 +277,14 @@ def _certify(cost, flow, u, v, rises, falls, scale):
         raise SolverError("a hub arc with residual capacity has a negative reduced cost")
 
 
-def solve_transportation(p: TransportationProblem) -> TransportSolution:
-    """Exact minimum-cost solution of a balanced transportation problem.
-
-    The returned potentials certify optimality: every reduced cost is
-    >= -1e-9 and reduced costs vanish on arcs carrying flow. Zero-supply
-    sources and zero-demand sinks carry no flow.
-    """
-    dem = p.demands
-    if dem.sum() > 0:
-        dem = dem * (p.supplies.sum() / dem.sum())  # exact rebalance within tolerance
-    flow, u, v = _ksink_transport(p.cost, p.supplies, dem, dem)
-    objective = float(np.sum(flow * p.cost))
-    return TransportSolution(flow=flow, objective=objective, source_potentials=u, sink_potentials=v[:-1])
-
-
 def solve_bounded_transportation(p: BoundedTransportationProblem) -> BoundedTransportSolution:
-    """Transportation with per-sink [lower, upper] bounds on received weight.
+    """Exact transportation with per-sink [lower, upper] bounds on received
+    weight; ``lower == upper`` ships a fixed demand to every sink.
 
     One k-sink solve with a hub node behind the sinks. A bound sum within
-    tolerance of the supply total is rescaled onto it exactly. Raises
-    :class:`Infeasible` when the bound sums exclude the supply total.
+    tolerance of the supply total is rescaled onto it exactly. Zero-supply
+    sources and zero-bound sinks carry no flow. Raises :class:`Infeasible`
+    when the bound sums exclude the supply total.
     """
     W = float(p.supplies.sum())
     lo = p.sink_lower
@@ -335,11 +298,11 @@ def solve_bounded_transportation(p: BoundedTransportationProblem) -> BoundedTran
     # A bound sum within tolerance of W pins every sink to that bound: put it on W exactly.
     lower = lo * (W / lo.sum()) if lo.sum() > 0 and W - lo.sum() <= tol else lo
     upper = hi * (W / hi.sum()) if hi.sum() > 0 and hi.sum() - W <= tol else hi
-    flow, _, _ = _ksink_transport(p.cost, p.supplies, lower, upper)
+    flow, u, v = _ksink_transport(p.cost, p.supplies, lower, upper)
     totals = flow.sum(axis=0)
     if np.any(totals < lo - tol) or np.any(totals > hi + tol):
         raise SolverError("bounded transportation produced out-of-bound sink totals")
-    return BoundedTransportSolution(flow, float(np.sum(flow * p.cost)), totals)
+    return BoundedTransportSolution(flow, float(np.sum(flow * p.cost)), totals, u, v[:-1], float(v[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,6 @@ class SolveResult:
     center_coords: Optional[np.ndarray] = None
 
 
-def finalize_assignment(
-    inst: ClusteringInstance, centers, spec: ConstraintSpec, z: Optional[int] = None
-) -> tuple[Assignment, float]:
-    """Exact optimal feasible assignment of the full instance to fixed centers."""
-    z = inst.z if z is None else z
-    cost, sigma, _ = optimal_feasible_cost(inst.weighted_points(), centers, spec, z)
-    return sigma, cost
-
-
 def check_tuple_ceiling(
     j_size: int, k: int, ordered: bool, allow_repeats: bool, ceiling: int
 ) -> int:

@@ -175,11 +175,6 @@ class MetricSpace:
         return bool(np.all(m <= through + TRIANGLE_TOL))
 
 
-def distance(space: MetricSpace, a: int, b: int) -> float:
-    """Metric distance between two indices of the space."""
-    return space.distance(a, b)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedPoints:
     """A weighted subset of a metric space, optionally labeled.

@@ -20,7 +20,7 @@ from .constraints import (
 from .constraints import optimal_feasible_cost  # noqa: F401
 from .coreset import WeakCoreset
 from .meta import best_tuple, check_tuple_ceiling
-from .model import Assignment, ClusteringInstance, ClusterProfile, WeightedPoints
+from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError, WeightedPoints
 
 DEFAULT_SOLVE_CEILING = 1_000_000
 
@@ -133,6 +133,8 @@ def verify_property_B(
     candidate_ids, summary, full = coreset.bind(inst, z)
     W = full.total_weight
     k = inst.k
+    if len(candidate_ids) < k:
+        raise ValidationError(f"cannot choose {k} distinct centers from {len(candidate_ids)} candidates")
 
     records = []
     passes = 0

@@ -23,7 +23,7 @@ from weakcore.constraints import (
     voronoi_profile,
 )
 from weakcore.coreset import SummaryParams, build_universal_weak_coreset, identity_weak_coreset
-from weakcore.flowlp import LinearProgram, TransportationProblem, solve_lp, solve_transportation
+from weakcore.flowlp import BoundedTransportationProblem, LinearProgram, solve_bounded_transportation, solve_lp
 from weakcore.meta import solve_constrained
 from weakcore.model import ClusteringInstance, ClusterProfile, MetricSpace, WeightedPoints
 from weakcore.oracle import brute_force_opt, verify_property_B
@@ -46,8 +46,8 @@ def test_criterion_1_transportation_vs_lp_oracle():
         supplies = rng.uniform(0.1, 5.0, size=m)
         split = rng.exponential(1.0, size=n)
         demands = supplies.sum() * split / split.sum()
-        p = TransportationProblem(cost, supplies, demands)
-        sol = solve_transportation(p)
+        p = BoundedTransportationProblem(cost, supplies, demands, demands)
+        sol = solve_bounded_transportation(p)
 
         red = cost - sol.source_potentials[:, None] - sol.sink_potentials[None, :]
         assert red.min() >= -1e-9, "reduced-cost certificate failed"

@@ -419,6 +419,21 @@ def test_candidates_outside_facilities_exit_code(tmp_path, capsys):
     _assert_rejected(tmp_path, capsys, inst, cs, "not instance facilities: [0, 1, 2]")
 
 
+def test_fewer_candidates_than_k_exit_code(tmp_path, capsys):
+    """A J with fewer ids than k exits 3 with one line, from ``solve`` and
+    from ``verify --which B``, which draws k distinct centers from J."""
+    inst, cs = _coreset_files(tmp_path)
+    payload = load_json(str(cs))
+    payload["J"] = payload["J"][:1]
+    cs.write_text(json.dumps(payload))
+    needle = "cannot choose 2 distinct centers from 1 candidates"
+    _assert_rejected(tmp_path, capsys, inst, cs, needle)
+    code = run(["verify", "--instance", inst, "--coreset", cs, "--which", "B", "--trials", 4,
+                "--out", tmp_path / "out.json"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {needle}"]
+
+
 def test_candidate_coords_of_another_dimension_exit_code(tmp_path, capsys):
     inst, cs = _coreset_files(tmp_path, mode="euclidean_kmeans")
     payload = load_json(str(cs))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -317,6 +318,54 @@ def test_check_feasibility_names_upper_bound(line_instance):
     spec = Balanced(np.zeros(2), np.array([4.0, 4.0]))
     report = check_feasibility(sigma, B, spec, k=2)
     assert len(report) == 1 and "upper bound" in report[0]
+
+
+# Each spec breaks one cell of the Voronoi assignment to LINE_CENTERS, whose
+# cluster totals are [3, 2] and (cluster, label) masses [[3, 0], [0, 2]].
+ONE_BROKEN_CELL = {
+    "profile": (FixedProfile(ClusterProfile([2.5, 2.0])), "cluster 0: mass 3 above upper bound 2.5"),
+    "labeled-profile": (
+        FixedProfile(ClusterProfile([[3.0, 0.5], [0.0, 2.0]])),
+        "cluster 0, label 1: mass 0 below lower bound 0.5",
+    ),
+    "balanced-lower": (Balanced([0.0, 2.5], [5.0, 5.0]), "cluster 1: mass 2 below lower bound 2.5"),
+    "fraction-low": (
+        FractionBounds([[0.0, 0.0], [0.1, 0.0]], np.ones((2, 2))),
+        "cluster 1, label 0: mass 0 below lower bound 0.2",
+    ),
+    "fraction-high": (
+        FractionBounds(np.zeros((2, 2)), [[0.5, 1.0], [1.0, 1.0]]),
+        "cluster 0, label 0: mass 3 above upper bound 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, message", ONE_BROKEN_CELL.values(), ids=ONE_BROKEN_CELL.keys())
+def test_check_feasibility_reports_the_one_broken_cell(labeled_line_instance, spec, message):
+    B = labeled_line_instance.weighted_points()
+    _, sigma = voronoi_assignment(B, LINE_CENTERS, 1)
+    assert check_feasibility(sigma, B, spec, k=2) == [message]
+
+
+@pytest.mark.parametrize(
+    "spec, shapes",
+    [
+        (Balanced(np.zeros(3), np.full(3, 5.0)), "Balanced has shape (3,), the assignment's mass table (2,)"),
+        (FixedProfile(ClusterProfile([1.0, 2.0, 2.0])), "has shape (3,), the assignment's mass table (2,)"),
+        (
+            FixedProfile(ClusterProfile([[3.0, 0.0, 0.0], [0.0, 2.0, 0.0]])),
+            "has shape (2, 3), the assignment's mass table (2, 2)",
+        ),
+    ],
+    ids=["balanced-k3", "profile-k3", "profile-3-labels"],
+)
+def test_check_feasibility_rejects_a_spec_of_another_shape(labeled_line_instance, spec, shapes):
+    """A spec sized for k=3, or a profile with more label columns than the
+    point set has labels, used to raise IndexError."""
+    B = labeled_line_instance.weighted_points()
+    _, sigma = voronoi_assignment(B, LINE_CENTERS, 1)
+    with pytest.raises(ValidationError, match=re.escape(shapes)):
+        check_feasibility(sigma, B, spec, k=2)
 
 
 def test_check_feasibility_exact_proportional_split(labeled_line_instance):

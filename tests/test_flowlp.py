@@ -14,12 +14,10 @@ from weakcore.flowlp import (
     LinearProgram,
     SolverError,
     SolverLimit,
-    TransportationProblem,
     _certify,
     _ksink_transport,
     solve_bounded_transportation,
     solve_lp,
-    solve_transportation,
 )
 from weakcore.model import ValidationError
 
@@ -28,11 +26,16 @@ LINE_COSTS = np.array(
 )  # positions 0,1,2,9,10 against sinks at 1 and 10, z=1
 
 
+def pinned(cost, supplies, demands):
+    """Plain transportation: every sink receives exactly its demand."""
+    return BoundedTransportationProblem(cost, supplies, demands, demands)
+
+
 def random_transportation(seed):
-    """Small problems, except that seeds ending in 9 draw a large one
-    (50-300 sources, 2-4 sinks) that needs many augmenting paths. Half of the
-    large ones have integral costs, supplies and demands, so many of their
-    cost differences and sink totals tie."""
+    """Pinned problems: small ones, except that seeds ending in 9 draw a
+    large one (50-300 sources, 2-4 sinks) that needs many augmenting paths.
+    Half of the large ones have integral costs, supplies and demands, so many
+    of their cost differences and sink totals tie."""
     rng = np.random.default_rng(seed)
     if seed % 10 == 9:
         m = int(rng.integers(50, 301))
@@ -41,7 +44,7 @@ def random_transportation(seed):
             cost = rng.integers(1, 10, size=(m, n)).astype(float)
             supplies = rng.integers(1, 6, size=m).astype(float)
             demands = rng.multinomial(int(supplies.sum()) - n, np.full(n, 1 / n)) + 1.0
-            return TransportationProblem(cost, supplies, demands)
+            return pinned(cost, supplies, demands)
     else:
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 4))
@@ -49,29 +52,36 @@ def random_transportation(seed):
     supplies = rng.uniform(0.1, 5.0, size=m)
     split = rng.exponential(1.0, size=n)
     demands = supplies.sum() * split / split.sum()
-    return TransportationProblem(cost, supplies, demands)
+    return pinned(cost, supplies, demands)
 
 
 def random_bounded_transportation(seed):
     """Integral sink bounds around the demands of ``random_transportation(seed)``,
     so the problem is feasible; about a quarter of the sinks are pinned to
-    their demand, which makes them mandatory-only in the split."""
+    their demand."""
     p = random_transportation(seed)
+    demands = p.sink_lower
     rng = np.random.default_rng(seed + 1)
-    n = p.demands.size
-    lower = np.floor(p.demands * rng.uniform(0.0, 1.0, size=n))
-    upper = np.ceil(p.demands * rng.uniform(1.0, 2.0, size=n))
-    pinned = rng.random(n) < 0.25
-    lower[pinned] = upper[pinned] = p.demands[pinned]
+    n = demands.size
+    lower = np.floor(demands * rng.uniform(0.0, 1.0, size=n))
+    upper = np.ceil(demands * rng.uniform(1.0, 2.0, size=n))
+    fixed = rng.random(n) < 0.25
+    lower[fixed] = upper[fixed] = demands[fixed]
     return BoundedTransportationProblem(p.cost, p.supplies, lower, upper)
 
 
 def assert_certificate(p, sol, tol=1e-9):
+    """Reduced costs are >= 0 and vanish on the flow; ``v_b - v_hub`` is
+    >= 0 where sink b could receive more and <= 0 where it could receive less."""
     red = p.cost - sol.source_potentials[:, None] - sol.sink_potentials[None, :]
     assert red.min(initial=0.0) >= -tol
     mask = sol.flow > 0
     if mask.any():
         assert np.max(np.abs(red[mask])) <= tol
+    gap = sol.sink_potentials - sol.hub_potential
+    slack = 1e-9 * max(1.0, p.supplies.sum())
+    assert np.all(gap[sol.sink_totals < p.sink_upper - slack] >= -tol)
+    assert np.all(gap[sol.sink_totals > p.sink_lower + slack] <= tol)
 
 
 def bounded_transportation_as_lp(p):
@@ -84,12 +94,6 @@ def bounded_transportation_as_lp(p):
         b_eq=p.supplies,
         a_ub=np.vstack([cols, -cols]),
         b_ub=np.concatenate([p.sink_upper, -p.sink_lower]),
-    )
-
-
-def transportation_as_lp(p):
-    return bounded_transportation_as_lp(
-        BoundedTransportationProblem(p.cost, p.supplies, p.demands, p.demands)
     )
 
 
@@ -108,39 +112,37 @@ def lp_oracle(lp):
 
 
 def test_single_cell():
-    sol = solve_transportation(TransportationProblem([[7.0]], [1.0], [1.0]))
+    sol = solve_bounded_transportation(pinned([[7.0]], [1.0], [1.0]))
     assert sol.objective == pytest.approx(7.0)
 
 
 def test_diagonal_matching():
-    p = TransportationProblem([[0.0, 10.0], [10.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
-    sol = solve_transportation(p)
+    p = pinned([[0.0, 10.0], [10.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
+    sol = solve_bounded_transportation(p)
     assert sol.objective == pytest.approx(0.0)
 
 
 def test_fractional_split_matches_hand_derivation():
     # Frozen from the vertex-enumeration oracle: x11=1, x12=0.5, x22=0.5.
-    p = TransportationProblem([[1.0, 2.0], [3.0, 1.0]], [1.5, 0.5], [1.0, 1.0])
-    sol = solve_transportation(p)
+    p = pinned([[1.0, 2.0], [3.0, 1.0]], [1.5, 0.5], [1.0, 1.0])
+    sol = solve_bounded_transportation(p)
     assert sol.objective == pytest.approx(2.5, abs=1e-9)
-    assert sol.objective == pytest.approx(lp_oracle(transportation_as_lp(p)), abs=1e-9)
+    assert sol.objective == pytest.approx(lp_oracle(bounded_transportation_as_lp(p)), abs=1e-9)
 
 
 def test_unbalanced_rejected():
-    with pytest.raises(ValidationError):
-        TransportationProblem([[1.0]], [1.0], [2.0])
+    with pytest.raises(Infeasible, match="exclude the supply"):
+        solve_bounded_transportation(pinned([[1.0]], [1.0], [2.0]))
 
 
 def test_nonfinite_cost_rejected():
     with pytest.raises(ValidationError):
-        TransportationProblem([[np.inf]], [1.0], [1.0])
+        pinned([[np.inf]], [1.0], [1.0])
 
 
 def test_zero_rows_and_columns_reinstated():
-    p = TransportationProblem(
-        [[1.0, 5.0, 2.0], [4.0, 1.0, 3.0]], [2.0, 0.0], [1.0, 0.0, 1.0]
-    )
-    sol = solve_transportation(p)
+    p = pinned([[1.0, 5.0, 2.0], [4.0, 1.0, 3.0]], [2.0, 0.0], [1.0, 0.0, 1.0])
+    sol = solve_bounded_transportation(p)
     assert sol.flow[1].sum() == 0.0
     assert sol.flow[:, 1].sum() == 0.0
     assert sol.objective == pytest.approx(3.0)
@@ -153,8 +155,8 @@ def test_zero_rows_and_columns_reinstated():
     ids=["no-sinks", "supply-within-balance-tolerance"],
 )
 def test_zero_demand_ships_nothing(cost, supplies, demands):
-    p = TransportationProblem(cost, supplies, demands)
-    sol = solve_transportation(p)
+    p = pinned(cost, supplies, demands)
+    sol = solve_bounded_transportation(p)
     assert sol.flow.shape == p.cost.shape and not sol.flow.any() and sol.objective == 0.0
     assert_certificate(p, sol)
 
@@ -170,11 +172,11 @@ def test_unreachable_short_sink_is_solver_error():
 def test_flow_conservation_and_lp_agreement():
     for seed in range(60):
         p = random_transportation(seed)
-        sol = solve_transportation(p)
+        sol = solve_bounded_transportation(p)
         assert np.allclose(sol.flow.sum(axis=1), p.supplies, rtol=1e-9, atol=1e-9)
-        assert np.allclose(sol.flow.sum(axis=0), p.demands, rtol=1e-9, atol=1e-9)
+        assert np.allclose(sol.flow.sum(axis=0), p.sink_lower, rtol=1e-9, atol=1e-9)
         assert_certificate(p, sol)
-        lp_sol = solve_lp(transportation_as_lp(p))
+        lp_sol = solve_lp(bounded_transportation_as_lp(p))
         assert sol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
 
         b = random_bounded_transportation(seed)
@@ -182,6 +184,7 @@ def test_flow_conservation_and_lp_agreement():
         assert np.allclose(bsol.flow.sum(axis=1), b.supplies, rtol=1e-9, atol=1e-9)
         assert np.all(bsol.sink_totals >= b.sink_lower - 1e-9)
         assert np.all(bsol.sink_totals <= b.sink_upper + 1e-9)
+        assert_certificate(b, bsol)
         lp_sol = solve_lp(bounded_transportation_as_lp(b))
         assert bsol.objective == pytest.approx(lp_sol.objective, abs=1e-7)
 
@@ -191,11 +194,11 @@ def test_flow_conservation_and_lp_agreement():
 def test_bounded_tight_sum_lp_agreement(side, offset):
     """When sum(lower) or sum(upper) equals the supply W, exactly or within
     1e-12 relative, every sink sits on that bound: the bounded solve agrees
-    with the LP and with plain transport to those demands."""
+    with the LP and with the pinned solve at those demands."""
     for seed in range(20):
         p = random_transportation(seed)
         b = random_bounded_transportation(seed)
-        tight = p.demands * (1.0 + offset)
+        tight = p.sink_lower * (1.0 + offset)
         if side == "lower":
             lower, upper = tight, np.maximum(b.sink_upper, tight)
         else:
@@ -204,8 +207,8 @@ def test_bounded_tight_sum_lp_agreement(side, offset):
         bsol = solve_bounded_transportation(bp)
         W = p.supplies.sum()
         assert np.allclose(bsol.flow.sum(axis=1), p.supplies, rtol=1e-9, atol=1e-9)
-        assert np.allclose(bsol.sink_totals, p.demands, rtol=1e-9, atol=1e-9 * W)
-        assert bsol.objective == pytest.approx(solve_transportation(p).objective, rel=1e-9, abs=1e-9)
+        assert np.allclose(bsol.sink_totals, p.sink_lower, rtol=1e-9, atol=1e-9 * W)
+        assert bsol.objective == pytest.approx(solve_bounded_transportation(p).objective, rel=1e-9, abs=1e-9)
         assert bsol.objective == pytest.approx(solve_lp(bounded_transportation_as_lp(bp)).objective, abs=1e-7)
 
 
@@ -261,8 +264,8 @@ def test_planar_blobs_at_8000_points():
     assert np.all(bsol.sink_totals <= upper + 1e-9 * W)
 
     for shares in ([1 / 3, 1 / 3, 1 / 3], [0.3, 0.34, 0.36], [0.36, 0.34, 0.3]):
-        p = TransportationProblem(cost, supplies, np.array(shares) * W)
-        sol = solve_transportation(p)
+        p = pinned(cost, supplies, np.array(shares) * W)
+        sol = solve_bounded_transportation(p)
         assert_certificate(p, sol)
         assert bsol.objective <= sol.objective * (1 + 1e-12)
 
@@ -272,13 +275,13 @@ def test_planar_blobs_at_8000_points():
 def test_duplicated_sink_keeps_objective(seed):
     p = random_transportation(seed)
     rng = np.random.default_rng(seed + 1)
-    j = int(rng.integers(0, p.demands.size))
+    j = int(rng.integers(0, p.sink_lower.size))
     frac = rng.uniform(0.2, 0.8)
     cost2 = np.hstack([p.cost, p.cost[:, j : j + 1]])
-    demands2 = np.concatenate([p.demands, [p.demands[j] * (1 - frac)]])
+    demands2 = np.concatenate([p.sink_lower, [p.sink_lower[j] * (1 - frac)]])
     demands2[j] *= frac
-    sol = solve_transportation(p)
-    sol2 = solve_transportation(TransportationProblem(cost2, p.supplies, demands2))
+    sol = solve_bounded_transportation(p)
+    sol2 = solve_bounded_transportation(pinned(cost2, p.supplies, demands2))
     assert sol2.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
 
 
@@ -286,8 +289,8 @@ def test_duplicated_sink_keeps_objective(seed):
 @settings(max_examples=30, deadline=None)
 def test_cost_scaling_scales_objective(seed, s):
     p = random_transportation(seed)
-    sol = solve_transportation(p)
-    scaled = solve_transportation(TransportationProblem(p.cost * s, p.supplies, p.demands))
+    sol = solve_bounded_transportation(p)
+    scaled = solve_bounded_transportation(pinned(p.cost * s, p.supplies, p.sink_lower))
     assert scaled.objective == pytest.approx(sol.objective * s, rel=1e-9, abs=1e-12)
     # The optimal flow of the original remains optimal for the scaled problem.
     assert np.sum(sol.flow * p.cost * s) == pytest.approx(scaled.objective, rel=1e-9, abs=1e-12)
@@ -318,6 +321,10 @@ def test_bounded_line_4_1():
     sol = solve_bounded_transportation(p)
     assert sol.objective == pytest.approx(10.0, abs=1e-9)
     assert min_cost_integral_splits(LINE_COSTS, [4, 1], [5, 5]) == pytest.approx(10.0)
+    # Sink 0 sits on its lower bound: each unit it must take moves the point
+    # at 9 from cost 1 to cost 8, so v_0 - v_hub prices that bound at 7.
+    assert (sol.sink_potentials - sol.hub_potential).tolist() == pytest.approx([7.0, 0.0])
+    assert_certificate(p, sol)
 
 
 def test_bounded_infeasible_bounds():

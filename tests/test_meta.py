@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_small_instance
 from oracles import exhaustive_voronoi_opt
-from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained
+from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained, optimal_feasible_cost
 from weakcore.coreset import build_universal_weak_coreset, identity_weak_coreset
 from weakcore.flowlp import Infeasible, SolverLimit
 import weakcore.meta as meta
@@ -11,7 +11,6 @@ from weakcore.meta import (
     best_tuple,
     count_center_tuples,
     enumerate_center_tuples,
-    finalize_assignment,
     solve_constrained,
     voronoi_bounds,
 )
@@ -76,17 +75,19 @@ def test_solve_balanced_heterogeneous_ordered(line_instance):
 
 
 def test_finalize_voronoi(line_instance):
-    sigma, cost = finalize_assignment(line_instance, np.array([1, 4]), Unconstrained())
-    assert cost == pytest.approx(3.0)
     B = line_instance.weighted_points()
-    prof = voronoi_profile(B, np.array([1, 4]), 1)
-    sigma2, cost2 = finalize_assignment(line_instance, np.array([1, 4]), FixedProfile(prof))
+    z = line_instance.z
+    cost, sigma, _ = optimal_feasible_cost(B, np.array([1, 4]), Unconstrained(), z)
+    assert cost == pytest.approx(3.0)
+    prof = voronoi_profile(B, np.array([1, 4]), z)
+    cost2, sigma2, _ = optimal_feasible_cost(B, np.array([1, 4]), FixedProfile(prof), z)
     assert cost2 == pytest.approx(cost)
 
 
 def test_finalize_balanced(line_instance):
     spec = Balanced(np.array([2.0, 2.0]), np.array([3.0, 3.0]))
-    sigma, cost = finalize_assignment(line_instance, np.array([1, 4]), spec)
+    B = line_instance.weighted_points()
+    cost, sigma, _ = optimal_feasible_cost(B, np.array([1, 4]), spec, line_instance.z)
     assert cost == pytest.approx(3.0)
     assert sorted(sigma.cluster_totals(2).tolist()) == [2.0, 3.0]
 

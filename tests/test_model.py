@@ -11,27 +11,26 @@ from weakcore.model import (
     MetricSpace,
     ValidationError,
     WeightedPoints,
-    distance,
     validate_instance,
 )
 
 
 def test_distance_345_triangle():
     space = MetricSpace.euclidean([[0.0, 0.0], [3.0, 4.0]])
-    assert distance(space, 0, 1) == 5.0
+    assert space.distance(0, 1) == 5.0
 
 
 def test_distance_identity():
     space = MetricSpace.euclidean([[1.0, 2.0], [3.0, 4.0]])
-    assert distance(space, 0, 0) == 0.0
-    assert distance(space, 1, 1) == 0.0
+    assert space.distance(0, 0) == 0.0
+    assert space.distance(1, 1) == 0.0
 
 
 def test_explicit_lookup():
     mat = np.array([[0.0, 7.5], [7.5, 0.0]])
     space = MetricSpace.explicit(mat)
-    assert distance(space, 0, 1) == 7.5
-    assert distance(space, 1, 0) == 7.5
+    assert space.distance(0, 1) == 7.5
+    assert space.distance(1, 0) == 7.5
 
 
 def test_explicit_rejects_asymmetry():
