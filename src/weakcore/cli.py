@@ -4,7 +4,7 @@ and the generate / coreset / solve / oracle / verify commands.
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
 2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded
 (a solver limit or out of memory), 5 solver error (a solve ended without a
-valid optimality certificate).
+valid optimality certificate), 6 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 EXIT_CEILING = 4
 EXIT_SOLVER = 5
+EXIT_INTERNAL = 6
 
 MAX_INSTANCE_BYTES = 100 * 1024 * 1024
 
@@ -880,6 +881,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # a bug, not a verdict: never the exit 1 of a verify FAIL
+        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

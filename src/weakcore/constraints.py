@@ -189,32 +189,45 @@ def voronoi_profile(B: WeightedPoints, centers, z: int) -> ClusterProfile:
 
 
 def profile_cost(
-    B: WeightedPoints, centers, profile: ClusterProfile, z: int
-) -> tuple[float, Assignment]:
+    B: WeightedPoints, centers, profile: ClusterProfile, z: int, *, prices=None, return_prices: bool = False
+):
     """Minimum assignment cost consistent with a profile: one transportation
     solve per label class with every sink pinned to its target, the whole
-    set being one class when the profile is unlabeled."""
-    centers = _index_array(centers)
-    if profile.k != centers.size:
-        raise ValidationError(f"profile length {profile.k} != number of centers {centers.size}")
-    bad = profile.check_consistency(B)
-    if bad:
-        raise ValidationError("; ".join(bad))
-    classes = B.labels if profile.is_labeled else np.zeros(B.size, dtype=np.int64)
-    gamma = profile.values.reshape(profile.k, profile.m)
-    parts = []
-    for j in range(profile.m):
-        mask = classes == j
-        sub = WeightedPoints(B.space, B.indices[mask], B.weights[mask])
-        d, target = _cost_matrix(sub, centers, z), gamma[:, j]
-        sol = solve_bounded_transportation(BoundedTransportationProblem(d, sub.weights, target, target))
+    set being one class when the profile is unlabeled.
+
+    Returns (cost, assignment), and the sink prices as a third item with
+    ``return_prices``; ``prices`` warm-starts the solves (see
+    :func:`optimal_feasible_cost`)."""
+    cost, sigma, _, out = _solve(B, centers, FixedProfile(profile), z, prices)
+    return (cost, sigma, out) if return_prices else (cost, sigma)
+
+
+def _transport(B, centers, z, classes, lower, upper, prices):
+    """One bounded transport per label class j of ``classes`` (all of ``B``
+    when None), between the columns ``lower[:, j]`` and ``upper[:, j]``,
+    started from ``prices[j]``: (cost, assignment, sink totals per class,
+    prices per class)."""
+    shape = lower.shape[::-1]
+    if prices is not None and np.shape(prices) != shape:
+        raise ValidationError(f"start prices have shape {np.shape(prices)}, need {shape}")
+    parts, totals, out = [], [], []
+    for j in range(shape[0]):
+        mask = None if classes is None else classes == j
+        sub = B if mask is None else WeightedPoints(B.space, B.indices[mask], B.weights[mask])
+        d = _cost_matrix(sub, centers, z)
+        sol = solve_bounded_transportation(
+            BoundedTransportationProblem(d, sub.weights, lower[:, j], upper[:, j]),
+            None if prices is None else prices[j],
+        )
         parts.append(_assignment_from_flow(sub, sol.flow))
+        totals.append(sol.sink_totals)
+        out.append(sol.prices)
     sigma = Assignment(
         np.concatenate([p.points for p in parts]),
         np.concatenate([p.clusters for p in parts]),
         np.concatenate([p.masses for p in parts]),
     )
-    return assignment_cost(B, sigma, centers, z), sigma
+    return assignment_cost(B, sigma, centers, z), sigma, np.stack(totals, axis=1), np.stack(out)
 
 
 def _realized_profile(sigma: Assignment, B: WeightedPoints, k: int, labeled: bool) -> ClusterProfile:
@@ -251,30 +264,48 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
 
 
 def optimal_feasible_cost(
-    B: WeightedPoints, centers, spec: ConstraintSpec, z: int
-) -> tuple[float, Assignment, ClusterProfile]:
+    B: WeightedPoints, centers, spec: ConstraintSpec, z: int, *, prices=None, return_prices: bool = False
+):
     """Minimum cost over all assignments satisfying ``spec`` for fixed centers.
 
-    Returns (cost, minimizing assignment, realized profile). Raises
+    Returns (cost, minimizing assignment, realized profile), and with
+    ``return_prices`` a fourth item: the sink prices of the transport solves
+    as an (m, k) array, one row per label class (one row for ``Balanced``),
+    or None for the families solved without transport. Passing such prices,
+    say from the same centers on a summary of ``B``, warm-starts the
+    transport solves; the result is exact either way. Raises
     :class:`weakcore.flowlp.Infeasible` when the constraint set is empty.
     """
+    cost, sigma, profile, out = _solve(B, centers, spec, z, prices)
+    return (cost, sigma, profile, out) if return_prices else (cost, sigma, profile)
+
+
+def _solve(B: WeightedPoints, centers, spec: ConstraintSpec, z: int, prices=None):
+    """The one exact solve behind :func:`optimal_feasible_cost` and
+    :func:`profile_cost`: (cost, assignment, realized profile, prices)."""
     centers = _index_array(centers)
     k = centers.size
     if isinstance(spec, Unconstrained):
         cost, sigma = voronoi_assignment(B, centers, z)
-        return cost, sigma, _realized_profile(sigma, B, k, labeled=False)
+        return cost, sigma, _realized_profile(sigma, B, k, labeled=False), None
     if isinstance(spec, FixedProfile):
-        cost, sigma = profile_cost(B, centers, spec.profile, z)
-        return cost, sigma, spec.profile
+        profile = spec.profile
+        if profile.k != k:
+            raise ValidationError(f"profile length {profile.k} != number of centers {k}")
+        bad = profile.check_consistency(B)
+        if bad:
+            raise ValidationError("; ".join(bad))
+        classes = B.labels if profile.is_labeled else None
+        gamma = profile.values.reshape(k, profile.m)
+        cost, sigma, _, out = _transport(B, centers, z, classes, gamma, gamma, prices)
+        return cost, sigma, profile, out
     if isinstance(spec, Balanced):
         if spec.lower.size != k:
             raise ValidationError(f"balanced bounds length {spec.lower.size} != k={k}")
-        d = _cost_matrix(B, centers, z)
-        sol = solve_bounded_transportation(
-            BoundedTransportationProblem(d, B.weights, spec.lower, spec.upper)
+        cost, sigma, totals, out = _transport(
+            B, centers, z, None, spec.lower[:, None], spec.upper[:, None], prices
         )
-        sigma = _assignment_from_flow(B, sol.flow)
-        return assignment_cost(B, sigma, centers, z), sigma, ClusterProfile(sol.sink_totals)
+        return cost, sigma, ClusterProfile(totals[:, 0]), out
     if isinstance(spec, FractionBounds):
         if B.labels is None:
             raise ValidationError("fraction bounds require a labeled point set")
@@ -286,6 +317,7 @@ def optimal_feasible_cost(
             assignment_cost(B, sigma, centers, z),
             sigma,
             _realized_profile(sigma, B, k, labeled=True),
+            None,
         )
     raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
 
@@ -299,13 +331,11 @@ def check_feasibility(
     (cluster, label) masses, lie between lower and upper bounds of the same
     shape (the profile on both sides, the balanced bounds, or the fraction
     bounds times each cluster's total). Raises :class:`ValidationError` when
-    the spec is shaped for another k or another label count.
+    the spec is shaped for another k or another label count. Without ``k``,
+    k is the spec's own: its number of rows.
     """
-    if k is None:
-        k = int(sigma.clusters.max()) + 1 if len(sigma) else 1
     if isinstance(spec, Unconstrained):
         return []
-    totals = sigma.cluster_totals(k)
     if isinstance(spec, FixedProfile):
         lo = hi = spec.profile.values
     elif isinstance(spec, Balanced):
@@ -313,10 +343,15 @@ def check_feasibility(
     elif isinstance(spec, FractionBounds):
         if B.labels is None:
             return ["fraction bounds require labels"]
-        alpha, beta = spec.per_label(k, B.n_labels)
-        lo, hi = alpha * totals[:, None], beta * totals[:, None]
+        lo, hi = spec.per_label(len(spec.alpha) if k is None else k, B.n_labels)
     else:
         raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
+    k = len(lo) if k is None else k
+    if np.any(sigma.clusters >= k):
+        raise ValidationError(f"assignment references a cluster index beyond k={k}")
+    totals = sigma.cluster_totals(k)
+    if isinstance(spec, FractionBounds):  # fractions of each cluster's total
+        lo, hi = lo * totals[:, None], hi * totals[:, None]
     mass = sigma.label_cluster_mass(B, k) if lo.ndim == 2 else totals
     if lo.shape != mass.shape:
         raise ValidationError(

@@ -11,9 +11,16 @@ every sink receives between a lower and an upper bound, and a fixed demand
 is the bound pair ``lower == upper``. Every transportation problem here has
 many sources (points) and few sinks (clusters), so the solver is successive
 shortest paths over an exchange graph with one node per sink plus one hub
-node that carries the sink bounds, started from the Voronoi assignment.
-Dijkstra ties go to the lowest node index and each arc's source is the least
-``(cost difference, source index)``, so results are deterministic.
+node that carries the sink bounds. Each arc between two sinks lists its
+sources once, sorted with numpy by ``(cost difference, source index)``, and
+reads the list through a pointer; only sources that move during the solve
+get per-sink masses and heap entries. It starts from the Voronoi
+assignment, or from given sink prices (say a summary solve's) when those
+start closer to balance: each source at its cheapest sink net of the
+prices, each free sink on the bound its price's sign selects. Either start
+keeps every reduced cost nonnegative, so the result is exact. Dijkstra ties
+go to the lowest node index and each arc's source is the least ``(cost
+difference, source index)``, so results are deterministic.
 The LP solver takes the shape of its one caller, the fraction-bound LP: an
 (n, k) cost matrix whose every column sits in one conservation row (a
 generalized-upper-bounding row, Dantzig and Van Slyke 1967), plus a few
@@ -120,7 +127,9 @@ class BoundedTransportSolution:
     """An optimal flow with the node potentials that certify it: every
     reduced cost ``cost - u - v`` is >= 0 and vanishes on the flow, and
     ``v_b - v_hub`` is >= 0 below sink b's upper bound and <= 0 above its
-    lower one, so it prices the bound that sink sits on."""
+    lower one, so it prices the bound that sink sits on. ``augmentations``
+    counts the shortest paths the solve took and ``warm_start`` says whether
+    it started from the given prices."""
 
     flow: np.ndarray
     objective: float
@@ -128,6 +137,14 @@ class BoundedTransportSolution:
     source_potentials: np.ndarray
     sink_potentials: np.ndarray
     hub_potential: float
+    augmentations: int
+    warm_start: bool
+
+    @property
+    def prices(self) -> np.ndarray:
+        """Sink potentials relative to the hub: start prices for a solve of
+        the same sinks on other sources."""
+        return self.sink_potentials - self.hub_potential
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,50 +159,88 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _ksink_transport(cost, supply, lower, upper):
+def _start_excess(total, through, supply_total):
+    """How far a start is from balance: what the sinks hold beyond or short
+    of what they pass on, plus what the hub receives beyond the supply."""
+    return float(np.abs(total - through).sum()) + abs(float(through.sum()) - supply_total)
+
+
+def _ksink_transport(cost, supply, lower, upper, prices=None):
     """Exact transportation for many sources and few sinks, each sink
     receiving between ``lower[b]`` and ``upper[b]`` of the supply.
 
-    Returns (flow, u, v) where (u, v) are optimal node potentials; the last
-    entry of ``v`` is the hub's. Each sink passes what it receives on to one
-    zero-cost hub node, index n, which absorbs the whole supply (Ahuja,
-    Magnanti and Orlin, *Network Flows*, ch. 9); with ``lower == upper`` the
-    hub has no arcs and this is plain transportation. Every source starts at
-    its nearest sink (the Voronoi assignment, optimal once sink bounds are
-    ignored) and every sink passes its Voronoi total clipped to its bounds;
-    successive shortest paths then move excess to nodes short of their
-    balance. Arc a -> b between sinks moves some source x from a to b at
-    reduced cost ``c[x,b] - c[x,a] - v_b + v_a``; a hub arc changes what a
-    sink passes on at reduced cost ``v_tail - v_head``. The key
-    ``c[x,b] - c[x,a]`` does not depend on the potentials, so one lazy heap
-    per ordered sink pair keeps each arc's cheapest source; an entry is stale
-    once x has no mass left at a. Ties break deterministically: heap order
-    ``(key, source)`` picks the source of an arc, and Dijkstra settles the
-    lowest node index among equal distances (the hub last).
+    Returns (flow, u, v, augmentations, warm) where (u, v) are optimal node
+    potentials, the last entry of ``v`` the hub's, and ``warm`` says which
+    start was taken. Each sink passes what it receives on to one zero-cost
+    hub node, index n, which absorbs the whole supply (Ahuja, Magnanti and
+    Orlin, *Network Flows*, ch. 9); with ``lower == upper`` the hub has no
+    arcs and this is plain transportation. Successive shortest paths move
+    excess to nodes short of their balance, one augmentation per path. Arc
+    a -> b between sinks moves some source x from a to b at reduced cost
+    ``c[x,b] - c[x,a] - v_b + v_a``; a hub arc changes what a sink passes on
+    at reduced cost ``v_tail - v_head``. Every start keeps all of these >= 0.
+
+    Two starts. The Voronoi start puts every source at its nearest sink with
+    all potentials zero, and every sink passes its total clipped to its
+    bounds. The warm start takes ``prices``, sink potentials relative to the
+    hub (say from a solve on a summary of the same sources): every source
+    starts at ``argmin_b (c[x,b] - prices_b)``, the sinks start at those
+    potentials, and a sink with ``prices_b > 0`` passes its lower bound, one
+    with ``prices_b < 0`` its upper bound and one at zero its clipped total.
+    A start's excess is ``sum_b |total_b - through_b| + |sum through - W|``;
+    the warm start is taken only when its excess is strictly below the
+    Voronoi start's, so a Voronoi profile keeps its zero-move solve.
+
+    The key ``c[x,b] - c[x,a]`` does not depend on the potentials. Each arc
+    lists the sources that start at its tail, sorted once by ``(key,
+    source)`` with numpy, and reads it through a pointer; a source that
+    arrives at a sink during the solve goes into a small heap per arc out of
+    that sink. An entry is stale once its source holds nothing at the tail,
+    and mass is kept per source only once the source has moved. Ties break
+    deterministically: ``(key, source)`` picks the source of an arc, and
+    Dijkstra settles the lowest node index among equal distances (the hub
+    last).
     """
     m, n = cost.shape
     hub = n
     if not upper.any():  # the supply is within the balance tolerance of zero: ship nothing
-        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n + 1)
+        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n + 1), 0, False
     scale = max(1.0, float(np.max(np.abs(cost), initial=0.0)))
-    eps = 1e-13 * max(1.0, float(supply.sum()))
+    W = float(supply.sum())
+    eps = 1e-13 * max(1.0, W)
     live = np.flatnonzero(supply > 0)
-    home = np.argmin(cost, axis=1)
 
-    crow = cost.tolist()
-    mass = [[0.0] * n for _ in range(m)]
-    for x, a, s in zip(live.tolist(), home[live].tolist(), supply[live].tolist()):
-        mass[x][a] = s
-    total = np.bincount(home[live], supply[live], minlength=n)
+    start = np.argmin(cost, axis=1)
+    total = np.bincount(start[live], supply[live], minlength=n)
     through = np.clip(total, lower, upper)
-    excess = (total - through).tolist() + [float(through.sum()) - float(supply.sum())]
+    v, warm = [0.0] * (n + 1), False
+    if prices is not None:
+        w_start = np.argmin(cost - prices, axis=1)
+        w_total = np.bincount(w_start[live], supply[live], minlength=n)
+        w_through = np.where(prices > 0, lower, np.where(prices < 0, upper, np.clip(w_total, lower, upper)))
+        if _start_excess(w_total, w_through, W) < _start_excess(total, through, W):
+            start, total, through, warm = w_start, w_total, w_through, True
+            v = prices.tolist() + [0.0]
+    excess = (total - through).tolist() + [float(through.sum()) - W]
     through, lo, hi = through.tolist(), lower.tolist(), upper.tolist()
-    heaps = [[[] for _ in range(n)] for _ in range(n)]
+
+    arcs = [[None] * n for _ in range(n)]  # arc a -> b: (keys, sources) in (key, source) order
+    ptr = [[0] * n for _ in range(n)]
+    heads = [[None] * n for _ in range(n)]  # (key, source) at the pointer, or None
+    arrived = [[[] for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        at_a = live[home[live] == a]
-        for b in set(range(n)) - {a}:
-            heaps[a][b] = list(zip((cost[at_a, b] - cost[at_a, a]).tolist(), at_a.tolist()))
-            heapq.heapify(heaps[a][b])
+        at_a = live[start[live] == a]
+        for b in range(n):
+            if b != a and at_a.size:
+                keys = cost[at_a, b] - cost[at_a, a]
+                order = np.argsort(keys, kind="stable")  # at_a ascends: ties go to the lower source
+                keys, sources = arcs[a][b] = keys[order], at_a[order]
+                heads[a][b] = (float(keys[0]), int(sources[0]))
+    moved = {}  # source -> its mass at every sink, once it has moved
+
+    def stale(x, a):
+        row = moved.get(x)
+        return row is not None and row[a] <= 0.0
 
     def top(a, b):
         """The cheapest live entry of arc a -> b, or None; a hub arc's source is None."""
@@ -193,18 +248,25 @@ def _ksink_transport(cost, supply, lower, upper):
             return (0.0, None) if through[a] < hi[a] else None
         if a == hub:
             return (0.0, None) if through[b] > lo[b] else None
-        heap = heaps[a][b]
-        while heap and mass[heap[0][1]][a] <= 0.0:
+        head = heads[a][b]
+        while head is not None and stale(head[1], a):
+            keys, sources = arcs[a][b]
+            p = ptr[a][b] = ptr[a][b] + 1
+            head = heads[a][b] = (float(keys[p]), int(sources[p])) if p < sources.size else None
+        heap = arrived[a][b]
+        while heap and stale(heap[0][1], a):
             heapq.heappop(heap)
-        return heap[0] if heap else None
+        return heap[0] if heap and (head is None or heap[0] < head) else head
 
     def capacity(a, b, x):
         if x is not None:
-            return mass[x][a]
+            row = moved.get(x)
+            return float(supply[x]) if row is None else row[a]
         return hi[a] - through[a] if b == hub else through[b] - lo[b]
 
-    v = [0.0] * (n + 1)
+    augmentations = 0
     while max(excess) > eps:
+        augmentations += 1
         dist = [0.0 if e > eps else math.inf for e in excess]
         pred = [None] * (n + 1)
         open_ = list(range(n + 1))
@@ -239,23 +301,28 @@ def _ksink_transport(cost, supply, lower, upper):
             elif a == hub:
                 through[b] = lo[b] if delta == cap else through[b] - delta
             else:
-                row = mass[x]
+                row = moved.get(x)
+                if row is None:  # x leaves its start for the first time
+                    row = moved[x] = [0.0] * n
+                    row[a] = cap
                 if row[b] == 0.0:  # x arrives at b: it can now leave b for any sink
-                    cx = crow[x]
+                    cx = cost[x].tolist()
                     for c in range(n):
                         if c != b:
-                            heapq.heappush(heaps[b][c], (cx[c] - cx[b], x))
+                            heapq.heappush(arrived[b][c], (cx[c] - cx[b], x))
                 row[b] += delta
                 row[a] -= delta
         excess[source] -= delta
         excess[target] += delta
 
-    flow = np.array(mass).reshape(m, n)
+    flow = np.where(start[:, None] == np.arange(n), supply[:, None], 0.0)
+    if moved:
+        flow[list(moved)] = list(moved.values())
     v = np.array(v)
     u = (cost - v[None, :n]).min(axis=1)
     through = np.array(through)
     _certify(cost, flow, u, v, through < upper, through > lower, scale)
-    return flow, u, v
+    return flow, u, v, augmentations, warm
 
 
 def _certify(cost, flow, u, v, rises, falls, scale):
@@ -277,14 +344,19 @@ def _certify(cost, flow, u, v, rises, falls, scale):
         raise SolverError("a hub arc with residual capacity has a negative reduced cost")
 
 
-def solve_bounded_transportation(p: BoundedTransportationProblem) -> BoundedTransportSolution:
+def solve_bounded_transportation(
+    p: BoundedTransportationProblem, prices: Optional[np.ndarray] = None
+) -> BoundedTransportSolution:
     """Exact transportation with per-sink [lower, upper] bounds on received
     weight; ``lower == upper`` ships a fixed demand to every sink.
 
     One k-sink solve with a hub node behind the sinks. A bound sum within
     tolerance of the supply total is rescaled onto it exactly. Zero-supply
-    sources and zero-bound sinks carry no flow. Raises :class:`Infeasible`
-    when the bound sums exclude the supply total.
+    sources and zero-bound sinks carry no flow. ``prices``, one per sink
+    and measured from the hub (a solution's :attr:`~BoundedTransportSolution.prices`),
+    offer a warm start that the solver takes when it starts closer to
+    balance than the Voronoi start; either way the solve is exact. Raises
+    :class:`Infeasible` when the bound sums exclude the supply total.
     """
     W = float(p.supplies.sum())
     lo = p.sink_lower
@@ -295,14 +367,20 @@ def solve_bounded_transportation(p: BoundedTransportationProblem) -> BoundedTran
             f"sink bounds exclude the supply: sum(l)={lo.sum():.12g}, "
             f"W={W:.12g}, sum(u)={hi.sum():.12g}"
         )
+    if prices is not None:
+        prices = np.asarray(prices, dtype=np.float64)
+        if prices.shape != lo.shape or not np.all(np.isfinite(prices)):
+            raise ValidationError("start prices must be one finite number per sink")
     # A bound sum within tolerance of W pins every sink to that bound: put it on W exactly.
     lower = lo * (W / lo.sum()) if lo.sum() > 0 and W - lo.sum() <= tol else lo
     upper = hi * (W / hi.sum()) if hi.sum() > 0 and hi.sum() - W <= tol else hi
-    flow, u, v = _ksink_transport(p.cost, p.supplies, lower, upper)
+    flow, u, v, augmentations, warm = _ksink_transport(p.cost, p.supplies, lower, upper, prices)
     totals = flow.sum(axis=0)
     if np.any(totals < lo - tol) or np.any(totals > hi + tol):
         raise SolverError("bounded transportation produced out-of-bound sink totals")
-    return BoundedTransportSolution(flow, float(np.sum(flow * p.cost)), totals, u, v[:-1], float(v[-1]))
+    return BoundedTransportSolution(
+        flow, float(np.sum(flow * p.cost)), totals, u, v[:-1], float(v[-1]), augmentations, warm
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .constraints import (
     ConstraintSpec,
+    FixedProfile,
     FractionBounds,
     _cost_matrix,
     check_feasibility,
@@ -135,7 +136,8 @@ def best_tuple(
     cost_target: Optional[float] = None,
     *,
     prune: bool = True,
-) -> tuple[float, tuple, Assignment, int]:
+    return_prices: bool = False,
+):
     """The enumeration kernel: the cheapest k-tuple of ``candidates`` under
     an exact constrained assignment on ``B``.
 
@@ -148,8 +150,9 @@ def best_tuple(
     ``fsum``); no tuple left unvisited can win. Without ``prune`` every
     tuple is solved in rank order. With ``cost_target`` the walk stops at
     the first visited tuple whose cost is at or below it. Returns ``(cost,
-    tuple, assignment, exact solves)``; raises :class:`Infeasible` when no
-    tuple is feasible.
+    tuple, assignment, exact solves)``, and with ``return_prices`` the
+    winner's sink prices from :func:`optimal_feasible_cost` as a fifth item;
+    raises :class:`Infeasible` when no tuple is feasible.
     """
     pool = np.asarray(candidates, dtype=np.int64)
     if prune:
@@ -169,18 +172,19 @@ def best_tuple(
             break
         evaluated += 1
         try:
-            cost, sigma, _ = optimal_feasible_cost(B, centers, spec, z)
+            cost, sigma, _, prices = optimal_feasible_cost(B, centers, spec, z, return_prices=True)
         except Infeasible:
             continue
         if best is None or (cost, rank) < best[:2]:
-            best = (cost, rank, centers, sigma)
+            best = (cost, rank, centers, sigma, prices)
             stop_at = cost + PRUNE_TOL * max(1.0, abs(cost))
             if cost_target is not None and cost <= cost_target:
                 break
     if best is None:
         raise Infeasible("no candidate tuple admits a feasible assignment")
-    cost, _, centers, sigma = best
-    return cost, tuple(int(c) for c in centers), sigma, evaluated
+    cost, _, centers, sigma, prices = best
+    found = cost, tuple(int(c) for c in centers), sigma, evaluated
+    return found + (prices,) if return_prices else found
 
 
 def solve_constrained(
@@ -200,7 +204,8 @@ def solve_constrained(
     heterogeneous bounds force ordered tuples. Scoring is the pruned walk of
     :func:`best_tuple`, so ties break to the earliest tuple in enumeration
     order and ``cost_target`` stops at the first tuple, in Voronoi-bound
-    order, whose summary cost reaches it.
+    order, whose summary cost reaches it. A fixed profile is checked against
+    the full data before any tuple is scored.
     """
     z = inst.z if z is None else z
     if isinstance(spec, FractionBounds) and inst.labels is None:
@@ -210,11 +215,16 @@ def solve_constrained(
 
     start = time.perf_counter()
     candidate_ids, summary, full = coreset.bind(inst, z)
-    cost_summary, winning, _, evaluated = best_tuple(
-        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target
+    if isinstance(spec, FixedProfile):
+        bad = spec.profile.check_consistency(full)
+        if bad:
+            raise ValidationError("; ".join(bad))
+    cost_summary, winning, _, evaluated, prices = best_tuple(
+        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target, return_prices=True
     )
 
-    cost_full, sigma, profile = optimal_feasible_cost(full, np.array(winning), spec, z)
+    # The winner's summary prices warm-start its transport solves on the full data.
+    cost_full, sigma, profile = optimal_feasible_cost(full, np.array(winning), spec, z, prices=prices)
     violations = check_feasibility(sigma, full, spec, k=inst.k)
     if violations:
         raise SolverError("final assignment violates the constraint spec: " + violations[0])

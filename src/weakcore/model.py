@@ -330,10 +330,10 @@ class ClusterProfile:
         if self.is_labeled:
             if B.labels is None:
                 return ["labeled profile against an unlabeled point set"]
-            if self.m < B.n_labels:
-                return [f"profile has {self.m} label columns, instance has {B.n_labels} labels"]
+            if self.m != B.n_labels:
+                return [f"profile has {self.m} label columns, the point set has {B.n_labels} labels"]
             for j in range(self.m):
-                target = B.label_weight(j) if j < B.n_labels else 0.0
+                target = B.label_weight(j)
                 got = float(math.fsum(self.values[:, j].tolist()))
                 if abs(got - target) > REL_TOL * max(1.0, abs(target)):
                     report.append(

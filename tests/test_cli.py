@@ -10,6 +10,7 @@ import weakcore.cli as cli
 from weakcore.cli import (
     EXIT_CEILING,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
@@ -26,6 +27,7 @@ from weakcore.cli import (
     make_random_metric,
 )
 import weakcore.constraints as constraints
+import weakcore.meta as meta
 from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained
 from weakcore.coreset import identity_weak_coreset
 from weakcore.flowlp import SolverError
@@ -616,7 +618,7 @@ def test_numeric_string_exit_code(tmp_path, capsys, kind, name, edit, needle):
 def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     """A solve without a valid certificate exits 5 with one line, not a
     traceback with exit 1, which ``verify`` uses for FAIL."""
-    def uncertified(problem):
+    def uncertified(*args, **kwargs):
         raise SolverError("complementary slackness violated on the flow support")
 
     monkeypatch.setattr(constraints, "solve_bounded_transportation", uncertified)
@@ -644,6 +646,49 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, error, line):
     capsys.readouterr()
     code = run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", tmp_path / "cs.json"])
     assert code == EXIT_CEILING
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
+def test_labeled_profile_with_extra_label_column_exit_code(tmp_path, capsys, monkeypatch):
+    """A (2, 3) profile on a 2-label instance exits 3 with one line before
+    any tuple is scored, even though its third column carries no weight."""
+    inst = tmp_path / "inst.json"
+    assert run(["generate", "--kind", "line", "--n", 5, "--k", 2, "--m", 2, "--out", inst]) == EXIT_OK
+    assert run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", tmp_path / "cs.json"]) == EXIT_OK
+    B = cli.load_instance(str(inst)).weighted_points()
+    label = [B.label_weight(0), B.label_weight(1), 0.0]
+    con = tmp_path / "con.json"
+    con.write_text(json.dumps({"type": "profile", "gamma": [label, [0.0, 0.0, 0.0]]}))
+
+    def stage_2(*args, **kwargs):
+        raise AssertionError("stage 2 ran")
+
+    monkeypatch.setattr(meta, "best_tuple", stage_2)
+    capsys.readouterr()
+    code = run(["solve", "--instance", inst, "--coreset", tmp_path / "cs.json", "--constraint", con,
+                "--out", tmp_path / "res.json"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: profile has 3 label columns, the point set has 2 labels"
+    ]
+
+
+@pytest.mark.parametrize("error, line", [
+    (KeyError("S"), "internal error: KeyError: 'S'"),
+    (RuntimeError("first line\nsecond line"), "internal error: RuntimeError: first line"),
+])
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, error, line):
+    """An exception that no other exit code covers exits 6 with one line,
+    not a traceback with exit 1, which ``verify`` uses for FAIL."""
+    def broken(*args, **kwargs):
+        raise error
+
+    inst = tmp_path / "inst.json"
+    run(["generate", "--kind", "line", "--n", 5, "--k", 2, "--out", inst])
+    monkeypatch.setattr(cli, "build_universal_weak_coreset", broken)
+    capsys.readouterr()
+    code = run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", tmp_path / "cs.json"])
+    assert code == EXIT_INTERNAL == 6
     assert capsys.readouterr().err.strip().splitlines() == [line]
 
 

@@ -368,6 +368,22 @@ def test_check_feasibility_rejects_a_spec_of_another_shape(labeled_line_instance
         check_feasibility(sigma, B, spec, k=2)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Balanced([0.0, 0.0], [5.0, 5.0]), FixedProfile(ClusterProfile([5.0, 0.0]))],
+    ids=["balanced", "profile"],
+)
+def test_check_feasibility_takes_k_from_the_spec(line_instance, spec):
+    """Everything at cluster 0 leaves cluster 1 empty, which is feasible:
+    without ``k`` the spec's length 2 is k, not the highest cluster used."""
+    B = line_instance.weighted_points()
+    sigma = Assignment(B.indices, np.zeros(B.size, dtype=int), B.weights)
+    assert check_feasibility(sigma, B, spec) == []
+    assert check_feasibility(sigma, B, spec, k=2) == []
+    with pytest.raises(ValidationError, match="cluster index beyond k=2"):
+        check_feasibility(Assignment(B.indices, np.full(B.size, 2), B.weights), B, spec)
+
+
 def test_check_feasibility_exact_proportional_split(labeled_line_instance):
     B = labeled_line_instance.weighted_points()
     # Split every point proportionally: cluster fractions equal label shares.
@@ -408,6 +424,55 @@ def test_voronoi_profile_cost_identity(line_instance):
         prof = voronoi_profile(B, centers, 1)
         via_profile, _ = profile_cost(B, centers, prof, 1)
         assert via_profile == pytest.approx(direct, rel=1e-9)
+
+
+def test_warm_start_from_subsample_prices_matches_cold(monkeypatch):
+    """A labeled profile (one transport per label class) and balanced bounds,
+    solved on an eighth of the points with the weights of each label scaled
+    up to its total, give prices that start the full solves. Warm and cold
+    costs agree within 1e-12 relative, both pass the solver's certificate,
+    the label-cluster masses meet the profile, the balanced totals meet the
+    bounds, and the warm start is taken in some of the solves."""
+    starts = []
+    solve = constraints.solve_bounded_transportation
+
+    def spy(problem, prices=None):
+        sol = solve(problem, prices)
+        starts.append(sol.warm_start)
+        return sol
+
+    monkeypatch.setattr(constraints, "solve_bounded_transportation", spy)
+    for seed in range(10):
+        inst = make_planar_blobs(400, 8, 3, m=2, z=1 + seed % 2, seed=seed)
+        B = inst.weighted_points()
+        W = B.total_weight
+        rng = np.random.default_rng(seed)
+        centers = np.sort(rng.choice(inst.facilities, size=3, replace=False))
+        rows = np.sort(rng.choice(B.size, size=B.size // 8, replace=False))
+        weights = B.weights[rows].copy()
+        for j in range(2):
+            weights[B.labels[rows] == j] *= B.label_weight(j) / weights[B.labels[rows] == j].sum()
+        S = WeightedPoints(B.space, B.indices[rows], weights, B.labels[rows])
+
+        shares = rng.exponential(1.0, size=(3, 2))
+        gamma = shares / shares.sum(axis=0) * [B.label_weight(0), B.label_weight(1)]
+        profile = ClusterProfile(gamma)
+        _, _, prices = profile_cost(S, centers, profile, inst.z, return_prices=True)
+        assert prices.shape == (2, 3)
+        cold, _ = profile_cost(B, centers, profile, inst.z)
+        warm, sigma = profile_cost(B, centers, profile, inst.z, prices=prices)
+        assert warm == pytest.approx(cold, rel=1e-12)
+        assert np.allclose(sigma.label_cluster_mass(B, 3), gamma, rtol=0.0, atol=1e-9 * W)
+
+        spec = Balanced(np.full(3, 0.25 * W), np.full(3, 0.4 * W))
+        *_, prices = optimal_feasible_cost(S, centers, spec, inst.z, return_prices=True)
+        assert prices.shape == (1, 3)
+        cold, _, _ = optimal_feasible_cost(B, centers, spec, inst.z)
+        warm, sigma, totals = optimal_feasible_cost(B, centers, spec, inst.z, prices=prices)
+        assert warm == pytest.approx(cold, rel=1e-12)
+        assert check_feasibility(sigma, B, spec) == []
+        assert np.allclose(totals.values, sigma.cluster_totals(3))
+    assert sum(starts) >= 5
 
 
 @given(st.integers(0, 2**31 - 1))

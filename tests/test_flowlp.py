@@ -217,7 +217,7 @@ def test_certificate_checks_hub_arcs():
     one. The solver's potentials pass; moving the hub's potential by one
     prices a hub arc that still has capacity below zero, and fails."""
     lower, upper = np.array([2.0, 2.0]), np.array([3.0, 3.0])
-    flow, u, v = _ksink_transport(LINE_COSTS, np.ones(5), lower, upper)
+    flow, u, v, *_ = _ksink_transport(LINE_COSTS, np.ones(5), lower, upper)
     totals = flow.sum(axis=0)
     assert totals.tolist() == [3.0, 2.0]
     rises, falls = totals < upper, totals > lower
@@ -232,7 +232,7 @@ def test_certificate_refuses_flow_off_its_cheapest_sink():
     refuse a flow: moving point 0 from sink 0, its cheapest under the
     solver's potentials, to sink 1 puts flow on a positive reduced cost."""
     lower, upper = np.array([2.0, 2.0]), np.array([3.0, 3.0])
-    flow, u, v = _ksink_transport(LINE_COSTS, np.ones(5), lower, upper)
+    flow, u, v, *_ = _ksink_transport(LINE_COSTS, np.ones(5), lower, upper)
     assert flow[0].tolist() == [1.0, 0.0]
     assert LINE_COSTS[0, 1] - v[1] > LINE_COSTS[0, 0] - v[0]
     moved = flow.copy()
@@ -337,6 +337,62 @@ def test_bounded_infinite_upper():
     p = BoundedTransportationProblem(LINE_COSTS, np.ones(5), [1.0, 1.0], [np.inf, np.inf])
     sol = solve_bounded_transportation(p)
     assert sol.objective == pytest.approx(3.0)
+
+
+def subsample_prices(p, seed):
+    """Sink prices from a cold solve on about an eighth of the sources, their
+    supplies scaled up to the full total, as a summary of them would give."""
+    rng = np.random.default_rng(seed)
+    m = p.supplies.size
+    rows = np.sort(rng.choice(m, size=max(1, m // 8), replace=False))
+    sup = p.supplies[rows]
+    sup = sup * (p.supplies.sum() / sup.sum()) if sup.sum() > 0 else sup
+    sub = BoundedTransportationProblem(p.cost[rows], sup, p.sink_lower, p.sink_upper)
+    return solve_bounded_transportation(sub).prices
+
+
+def test_warm_start_matches_cold():
+    """Started from a subsample's prices, pinned and bounded solves (a third
+    of the bounded ones with infinite upper bounds) reach the cold solve's
+    objective within 1e-12 relative, both with a certificate and sink totals
+    within their bounds; the warm start is taken on some of them."""
+    warm_taken = 0
+    for seed in range(120):
+        base = random_transportation(seed)
+        bounded = random_bounded_transportation(seed)
+        upper = np.where(np.arange(bounded.sink_upper.size) % 3 == 1, np.inf, bounded.sink_upper)
+        loose = BoundedTransportationProblem(bounded.cost, bounded.supplies, bounded.sink_lower, upper)
+        for p in (base, loose):
+            cold = solve_bounded_transportation(p)
+            warm = solve_bounded_transportation(p, subsample_prices(p, seed))
+            assert not cold.warm_start
+            warm_taken += warm.warm_start
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+            slack = 1e-9 * max(1.0, p.supplies.sum())
+            for sol in (cold, warm):
+                assert_certificate(p, sol)
+                assert np.allclose(sol.flow.sum(axis=1), p.supplies, rtol=1e-9, atol=1e-9)
+                assert np.all(sol.sink_totals >= p.sink_lower - slack)
+                assert np.all(sol.sink_totals <= p.sink_upper + slack)
+    assert warm_taken >= 20
+
+
+def test_warm_start_rule_on_the_line():
+    """Sink 0 sits on its lower bound 4 at price 7, sink 1 at price 0. Those
+    prices put the point at 9 on sink 0 (a tie, to the lower index), sink 0
+    passes its lower bound and sink 1 its clipped total: the warm start is
+    the optimum and needs no augmentation, while the Voronoi start needs
+    one. Prices of another length are refused."""
+    p = BoundedTransportationProblem(LINE_COSTS, np.ones(5), [4.0, 1.0], [5.0, 5.0])
+    cold = solve_bounded_transportation(p)
+    assert (cold.augmentations, cold.warm_start) == (1, False)
+    assert cold.prices.tolist() == [7.0, 0.0]
+    warm = solve_bounded_transportation(p, cold.prices)
+    assert (warm.augmentations, warm.warm_start) == (0, True)
+    assert warm.objective == pytest.approx(10.0, abs=1e-9)
+    assert_certificate(p, warm)
+    with pytest.raises(ValidationError, match="one finite number per sink"):
+        solve_bounded_transportation(p, np.zeros(3))
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -4,8 +4,9 @@ import pytest
 from conftest import random_small_instance
 from oracles import exhaustive_voronoi_opt
 from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained, optimal_feasible_cost
-from weakcore.coreset import build_universal_weak_coreset, identity_weak_coreset
+from weakcore.coreset import SummaryParams, build_universal_weak_coreset, identity_weak_coreset
 from weakcore.flowlp import Infeasible, SolverLimit
+import weakcore.constraints as constraints
 import weakcore.meta as meta
 from weakcore.meta import (
     best_tuple,
@@ -249,6 +250,47 @@ def test_degenerate_compression_matches_brute_force(seed):
     _, opt, _ = brute_force_opt(inst, Unconstrained())
     assert res.cost_on_full == pytest.approx(opt, abs=1e-7)
     assert res.cost_on_summary == pytest.approx(opt, abs=1e-7)
+
+
+@pytest.mark.parametrize("kind", ["balanced", "profile", "labeled-profile"])
+def test_resolve_starts_from_the_winners_summary_prices(monkeypatch, kind):
+    """Stage 3 offers the full re-solve the sink prices of the winning
+    tuple's summary solve from the enumeration walk, one row per label
+    class: no summary solve runs twice, and the warm re-solve costs what a
+    cold one does."""
+    m = 2 if kind == "labeled-profile" else 1
+    inst = make_planar_blobs(600, 5, 2, m=m, seed=3)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, seed=3, summary_params=SummaryParams(sample_count=10, seed=3)
+    )
+    B = inst.weighted_points()
+    W = B.total_weight
+    if kind == "balanced":
+        spec = Balanced(np.full(2, 0.35 * W), np.full(2, 0.65 * W))
+    elif kind == "profile":
+        spec = FixedProfile(ClusterProfile([0.4 * W, 0.6 * W]))
+    else:
+        label = np.array([B.label_weight(0), B.label_weight(1)])
+        spec = FixedProfile(ClusterProfile(np.outer([0.3, 0.7], label)))
+    calls = []
+    solve = constraints.solve_bounded_transportation
+
+    def spy(problem, prices=None):
+        sol = solve(problem, prices)
+        calls.append((prices, sol))
+        return sol
+
+    monkeypatch.setattr(constraints, "solve_bounded_transportation", spy)
+    res = solve_constrained(cs, inst, spec)
+    walk, resolve = calls[:-m], calls[-m:]
+    assert len(walk) == res.tuples_evaluated * m
+    assert all(prices is None for prices, _ in walk)
+    offered = np.stack([prices for prices, _ in resolve])
+    groups = [np.stack([sol.prices for _, sol in walk[i : i + m]]) for i in range(0, len(walk), m)]
+    assert any(np.array_equal(offered, g) for g in groups)
+    monkeypatch.undo()
+    cold, _, _ = optimal_feasible_cost(B, np.array(res.centers), spec, inst.z)
+    assert res.cost_on_full == pytest.approx(cold, rel=1e-12)
 
 
 def test_meta_result_internally_consistent():

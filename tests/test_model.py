@@ -142,6 +142,9 @@ def test_profile_consistency_labeled(labeled_line_instance):
     assert good.check_consistency(B) == []
     bad = ClusterProfile([[3.0, 2.0], [2.0, 0.0]])
     assert bad.check_consistency(B) != []
+    # An extra label column is refused even when it carries no weight.
+    extra = ClusterProfile([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0]])
+    assert extra.check_consistency(B) == ["profile has 3 label columns, the point set has 2 labels"]
 
 
 def test_assignment_conservation(line_instance):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import weakcore.constraints as constraints
 from conftest import random_small_instance
 from oracles import exhaustive_voronoi_opt
 from weakcore.cli import make_planar_blobs
@@ -81,6 +82,43 @@ def test_property_b_identity_ratios_exactly_one(line_instance):
     assert rep.passes == 30
     assert rep.worst_ratio == 1.0
     assert all(r.ratio == 1.0 for r in rep.records)
+
+
+def test_property_b_trials_start_full_solves_from_summary_prices(monkeypatch):
+    """Each trial solves the summary first and offers its prices to the full
+    solve. A Voronoi-profile trial keeps the Voronoi start, which moves no
+    point, so its full solve has no augmentation. Most random-profile trials
+    take the warm start and need fewer augmentations than cold solves of the
+    same problems; one that keeps the Voronoi start is the cold solve."""
+    inst = make_planar_blobs(600, 5, 2, seed=5)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, seed=5, summary_params=SummaryParams(sample_count=10, seed=5)
+    )
+    full = []
+    solve = constraints.solve_bounded_transportation
+
+    def spy(problem, prices=None):
+        sol = solve(problem, prices)
+        if problem.cost.shape[0] == inst.n:
+            assert prices is not None
+            full.append((sol, solve(problem)))
+        return sol
+
+    monkeypatch.setattr(constraints, "solve_bounded_transportation", spy)
+    rep = verify_property_B(inst, cs, trials=10, eps=0.25, seed=5)
+    assert [r.profile_kind for r in rep.records] == ["voronoi", "random"] * 5 and len(full) == 10
+    for warm, cold in full[0::2]:
+        assert (warm.augmentations, warm.warm_start, cold.augmentations) == (0, False, 0)
+    for warm, cold in full[1::2]:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    random_trials = full[1::2]
+    assert sum(warm.warm_start for warm, _ in random_trials) >= 3
+    for warm, cold in random_trials:
+        if warm.warm_start:
+            assert warm.augmentations < cold.augmentations
+        else:  # the start rule kept the Voronoi start: the cold solve, bit for bit
+            assert warm.augmentations == cold.augmentations and np.array_equal(warm.flow, cold.flow)
+    assert sum(w.augmentations for w, _ in random_trials) < sum(c.augmentations for _, c in random_trials) / 2
 
 
 def test_property_b_degenerate_profile_supported(line_instance):
