@@ -1,6 +1,14 @@
 """Command-line surface: JSON file formats, synthetic instance generators,
 and the generate / coreset / solve / oracle / verify commands.
 
+Instance files are columnar: ``"points"`` holds a ``"weight"`` list, a
+``"label"`` list on labeled instances, and either ``"coords"`` (Euclidean:
+one flat row-major list of n * ``dim`` numbers) or ``"index"`` (explicit: ids
+into the row-major ``"distance_matrix"``). Facilities are rows, each a
+``{"point": i}`` reference or a location of its own. Row-shaped files (one
+dict per point) still load, through the same checks. Coreset and result
+files are row-shaped.
+
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
 2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded
 (a solver limit or out of memory), 5 solver error (a solve ended without a
@@ -286,16 +294,16 @@ def load_json(path: str) -> dict:
 
 
 def instance_to_payload(inst: ClusteringInstance) -> dict:
-    points = []
-    for pos, idx in enumerate(inst.points.tolist()):
-        entry: dict = {"weight": float(inst.weights[pos])}
-        if inst.space.is_euclidean:
-            entry["coords"] = inst.space.coords[idx].tolist()
-        else:
-            entry["index"] = idx
-        if inst.labels is not None:
-            entry["label"] = int(inst.labels[pos])
-        points.append(entry)
+    """The columnar instance file: each point field is one list, Euclidean
+    coordinates flat and row-major with ``dim`` numbers per point; facilities
+    stay rows, each a point reference or its own location, in their order."""
+    points: dict = {"weight": inst.weights.tolist()}
+    if inst.labels is not None:
+        points["label"] = inst.labels.tolist()
+    if inst.space.is_euclidean:
+        points["coords"] = inst.space.coords[inst.points].ravel().tolist()
+    else:
+        points["index"] = inst.points.tolist()
     facilities = []
     point_pos = _positions(inst.points, inst.facilities).tolist()
     for idx, pos in zip(inst.facilities.tolist(), point_pos):
@@ -319,46 +327,90 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
     return payload
 
 
-def _referenced_point(facility: dict, point_ids: list) -> int:
-    ref = _integer(facility["point"], "facility point")
-    if not 0 <= ref < len(point_ids):
-        raise ValidationError(f"facility references unknown point {ref}")
-    return point_ids[ref]
+def _point_columns(rows: list, ids: str) -> dict:
+    """Row-shaped points, one dict per point, as columns. A point without a
+    weight weighs 1, and a field that only some points carry is left out,
+    except a label: labels are all or nothing."""
+    cols = {"weight": [p.get("weight", 1.0) for p in rows]}
+    for key in (ids, "label"):
+        values = [p[key] for p in rows if key in p]
+        if len(values) == len(rows):
+            cols[key] = values
+        elif values and key == "label":
+            raise ValidationError(
+                f"{len(values)} of {len(rows)} points have a label: label every point or none"
+            )
+    return cols
+
+
+def _flat_rows(rows: list, dim: int, name: str) -> list:
+    """Coordinate rows of width ``dim``, flattened row-major."""
+    odd = set(map(len, rows)) - {dim}
+    if odd:
+        raise ValidationError(f"{name} coords of width {min(odd)} disagree with dim {dim}")
+    return list(itertools.chain.from_iterable(rows))
 
 
 @_malformed("instance")
 def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> ClusteringInstance:
+    """An instance from a columnar payload, or from a row-shaped one (a list
+    with one dict per point), whose rows become the same columns first."""
     kind = payload.get("metric")
     raw_points = payload.get("points", [])
     raw_fac = payload.get("facilities", [])
     if not raw_points or not raw_fac:
         raise ValidationError("instance file needs nonempty points and facilities")
-    weights = [p.get("weight", 1.0) for p in raw_points]
-    _numbers(weights, "weight")
-    labels = None
-    if any("label" in p for p in raw_points):
-        labels = _integers([p.get("label", 0) for p in raw_points], "label")
+    if kind not in ("euclidean", "explicit"):
+        raise ValidationError(f"unknown metric kind {kind!r}")
+    euclidean = kind == "euclidean"
+    ids, need = ("coords", "coords") if euclidean else ("index", "an index")
+    rows = isinstance(raw_points, list)
+    cols = _point_columns(raw_points, ids) if rows else raw_points
+    if ids not in cols:
+        raise ValidationError(f"{kind} points need {need}")
+    unknown = cols.keys() - {"weight", "label", ids}
+    if unknown:
+        raise ValidationError(f"unknown point columns: {', '.join(sorted(unknown))}")
 
-    if kind == "euclidean":
-        coords = []
-        point_ids = []
-        for p in raw_points:
-            if "coords" not in p:
-                raise ValidationError("euclidean points need coords")
-            point_ids.append(len(coords))
-            coords.append(p["coords"])
-        fac_ids = []
-        for f in raw_fac:
-            if "point" in f:
-                fac_ids.append(_referenced_point(f, point_ids))
-            elif "coords" in f:
-                fac_ids.append(len(coords))
-                coords.append(f["coords"])
-            else:
-                raise ValidationError("euclidean facilities need coords or a point reference")
-        _numbers(itertools.chain.from_iterable(coords), "coordinate")
-        space = MetricSpace.euclidean(np.array(coords, dtype=np.float64))
-    elif kind == "explicit":
+    dim = 1
+    if euclidean:
+        # A row file may leave dim to its points' coords.
+        dim = _integer(len(cols[ids][0]) if rows and "dim" not in payload else payload.get("dim"), "dim")
+        if dim < 1:
+            raise ValidationError(f"dim must be positive, got {dim}")
+        if rows:
+            cols[ids] = _flat_rows(cols[ids], dim, "point")
+    n, rest = divmod(len(cols[ids]), dim)
+    if rest:
+        raise ValidationError(f"coords holds {len(cols[ids])} numbers, not a multiple of dim {dim}")
+    sizes = {key: len(cols[key]) for key in ("weight", "label") if key in cols}
+    if set(sizes.values()) - {n}:
+        listed = ", ".join(f"{key} {size}" for key, size in sizes.items())
+        raise ValidationError(f"point columns differ in length: {ids} holds {n} points, {listed}")
+    weights = cols.get("weight", [1.0] * n)
+    _numbers(weights, "weight")
+    labels = cols.get("label")
+
+    point_ids = range(n) if euclidean else _integers(cols[ids], "point index")
+    fac_ids, own = [], []
+    for f in raw_fac:
+        if "point" in f:
+            ref = _integer(f["point"], "facility point")
+            if not 0 <= ref < n:
+                raise ValidationError(f"facility references unknown point {ref}")
+            fac_ids.append(point_ids[ref])
+        elif ids not in f:
+            raise ValidationError(f"{kind} facilities need {need} or a point reference")
+        elif euclidean:
+            fac_ids.append(n + len(own))
+            own.append(f[ids])
+        else:
+            fac_ids.append(_integer(f[ids], "facility index"))
+    if euclidean:
+        coords = cols[ids] + _flat_rows(own, dim, "facility")
+        _numbers(coords, "coordinate")
+        space = MetricSpace.euclidean(np.array(coords, dtype=np.float64).reshape(-1, dim))
+    else:
         matrix_flat = payload.get("distance_matrix")
         if matrix_flat is None:
             raise ValidationError("explicit instances need a distance_matrix")
@@ -369,30 +421,15 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
             _number_array(matrix_flat, "distance").reshape(size, size),
             triangle_check=triangle_check,
         )
-        point_ids = []
-        for p in raw_points:
-            if "index" not in p:
-                raise ValidationError("explicit points need an index")
-            point_ids.append(_integer(p["index"], "point index"))
-        fac_ids = []
-        for f in raw_fac:
-            if "point" in f:
-                fac_ids.append(_referenced_point(f, point_ids))
-            elif "index" in f:
-                fac_ids.append(_integer(f["index"], "facility index"))
-            else:
-                raise ValidationError("explicit facilities need an index or point reference")
-    else:
-        raise ValidationError(f"unknown metric kind {kind!r}")
 
     inst = ClusteringInstance(
         space=space,
-        points=np.array(point_ids, dtype=np.int64),
+        points=np.arange(n, dtype=np.int64) if euclidean else np.array(point_ids, dtype=np.int64),
         weights=np.array(weights, dtype=np.float64),
         facilities=np.array(fac_ids, dtype=np.int64),
         k=_integer(payload.get("k", 1), "k"),
         z=_integer(payload.get("z", 1), "z"),
-        labels=np.array(labels, dtype=np.int64) if labels is not None else None,
+        labels=None if labels is None else np.array(_integers(labels, "label"), dtype=np.int64),
     )
     return _require_valid(inst)
 
@@ -573,8 +610,10 @@ def make_random_metric(
     mat = np.triu(raw, 1)
     mat = mat + mat.T
     np.fill_diagonal(mat, 0.0)
-    for mid in range(size):  # Floyd-Warshall closure
-        mat = np.minimum(mat, mat[:, mid][:, None] + mat[mid, :][None, :])
+    through = np.empty_like(mat)
+    for mid in range(size):  # Floyd-Warshall closure, in place: row and column mid stay fixed
+        np.add(mat[:, mid, None], mat[mid], out=through)
+        np.minimum(mat, through, out=mat)
     labels = np.array([i % m for i in range(n)], dtype=np.int64) if m > 1 else None
     return ClusteringInstance(
         space=MetricSpace.explicit(mat, triangle_check="off"),

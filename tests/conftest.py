@@ -9,6 +9,22 @@ sys.path.insert(0, str(Path(__file__).parent))
 from weakcore.cli import make_line_instance, make_planar_blobs, make_random_metric
 
 
+def row_layout(payload: dict) -> dict:
+    """A columnar instance payload in the row layout: one dict per point, with
+    its weight, its label when the instance is labeled, and its coords (a
+    list of ``dim`` numbers) or its index."""
+    cols = payload["points"]
+    if "coords" in cols:
+        dim = payload["dim"]
+        flat = cols["coords"]
+        ids = {"coords": [flat[i : i + dim] for i in range(0, len(flat), dim)]}
+    else:
+        ids = {"index": cols["index"]}
+    fields = {**ids, **{key: cols[key] for key in ("weight", "label") if key in cols}}
+    rows = [dict(zip(fields, values)) for values in zip(*fields.values())]
+    return {**payload, "points": rows}
+
+
 @pytest.fixture
 def line_instance():
     """The canonical five-point line: positions 0,1,2,9,10, facilities at each."""

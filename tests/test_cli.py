@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import row_layout
 import weakcore.cli as cli
 from weakcore.cli import (
     EXIT_CEILING,
@@ -102,7 +103,8 @@ def test_generate_line_canonical(tmp_path):
     out = tmp_path / "inst.json"
     assert run(["generate", "--kind", "line", "--n", 5, "--k", 2, "--out", out]) == EXIT_OK
     payload = load_json(str(out))
-    xs = [p["coords"][0] for p in payload["points"]]
+    assert payload["dim"] == 1 and payload["points"]["coords"] == [0.0, 1.0, 2.0, 9.0, 10.0]
+    xs = [p["coords"][0] for p in row_layout(payload)["points"]]
     assert xs == [0.0, 1.0, 2.0, 9.0, 10.0]
 
 
@@ -512,10 +514,17 @@ def _set(path, value):
     return edit
 
 
+def _row_set(path, value):
+    """``_set`` on the row layout of an instance payload."""
+    return lambda payload: _set(path, value)(row_layout(payload))
+
+
 MALFORMED_INPUT = {
     "points-plain-ints": ("instance", _set(["points"], [1, 2, 3, 4, 5])),
-    "coordinate-a-string": ("instance", _set(["points", 0, "coords", 0], "a")),
-    "weight-a-string": ("instance", _set(["points", 0, "weight"], "heavy")),
+    "coordinate-a-string": ("instance", _row_set(["points", 0, "coords", 0], "a")),
+    "weight-a-string": ("instance", _row_set(["points", 0, "weight"], "heavy")),
+    "coordinate-a-string-columnar": ("instance", _set(["points", "coords", 0], "a")),
+    "weight-a-string-columnar": ("instance", _set(["points", "weight", 0], "heavy")),
     "k-a-string": ("instance", _set(["k"], "two")),
     "balanced-l-a-string": ("constraint", _set(["l"], "ab")),
     "constraint-a-list": ("constraint", lambda payload: [payload]),
@@ -546,11 +555,28 @@ def _replace(payload):
 NON_INTEGER = {
     "k-fractional": ("line", "inst", _set(["k"], 2.5), "k must be an integer"),
     "k-a-bool": ("line", "inst", _set(["k"], True), "k must be an integer"),
-    "label-fractional": ("line", "inst", _set(["points", 0, "label"], 0.7), "label must be"),
-    "weight-a-bool": ("line", "inst", _set(["points", 0, "weight"], True), "weight must be a number"),
-    "coordinate-a-bool": ("line", "inst", _set(["points", 0, "coords", 0], False), "coordinate must"),
+    "label-fractional": ("line", "inst", _row_set(["points", 0, "label"], 0.7), "label must be"),
+    "weight-a-bool": ("line", "inst", _row_set(["points", 0, "weight"], True), "weight must be a number"),
+    "coordinate-a-bool": ("line", "inst", _row_set(["points", 0, "coords", 0], False), "coordinate must"),
     "facility-point-fractional": ("line", "inst", _set(["facilities", 0, "point"], 1.5), "facility point"),
-    "point-index-fractional": ("random-metric", "inst", _set(["points", 0, "index"], 0.5), "point index"),
+    "point-index-fractional": ("random-metric", "inst", _row_set(["points", 0, "index"], 0.5), "point index"),
+    "label-a-string": ("line", "inst", _row_set(["points", 0, "label"], "1"), "label must be"),
+    "label-a-bool": ("line", "inst", _row_set(["points", 0, "label"], True), "label must be"),
+    "point-index-a-string": ("random-metric", "inst", _row_set(["points", 0, "index"], "0"), "point index"),
+    "point-index-a-bool": ("random-metric", "inst", _row_set(["points", 0, "index"], False), "point index"),
+    **{
+        f"{name}-columnar": (kind, "inst", _set(["points", column, 0], value), needle)
+        for name, kind, column, value, needle in [
+            ("label-fractional", "line", "label", 0.7, "label must be"),
+            ("label-a-string", "line", "label", "1", "label must be"),
+            ("label-a-bool", "line", "label", True, "label must be"),
+            ("weight-a-bool", "line", "weight", True, "weight must be a number"),
+            ("coordinate-a-bool", "line", "coords", False, "coordinate must"),
+            ("point-index-fractional", "random-metric", "index", 0.5, "point index"),
+            ("point-index-a-string", "random-metric", "index", "0", "point index"),
+            ("point-index-a-bool", "random-metric", "index", False, "point index"),
+        ]
+    },
     "facility-index-a-bool": ("random-metric", "inst", _set(["facilities", 0, "index"], True), "facility index"),
     "coreset-z-fractional": ("line", "cs", _set(["z"], 1.5), "z must be an integer"),
     "coreset-seed-fractional": ("line", "cs", _set(["seed"], 3.5), "seed must be an integer"),
@@ -580,8 +606,10 @@ def test_non_integer_field_exit_code(tmp_path, capsys, kind, name, edit, needle)
 
 
 NUMERIC_STRING = {
-    "weight": ("line", "inst", _set(["points", 0, "weight"], "2.5"), "weight must be a number"),
-    "coordinate": ("line", "inst", _set(["points", 0, "coords", 0], "0.5"), "coordinate must be"),
+    "weight": ("line", "inst", _row_set(["points", 0, "weight"], "2.5"), "weight must be a number"),
+    "coordinate": ("line", "inst", _row_set(["points", 0, "coords", 0], "0.5"), "coordinate must be"),
+    "weight-columnar": ("line", "inst", _set(["points", "weight", 0], "2.5"), "weight must be a number"),
+    "coordinate-columnar": ("line", "inst", _set(["points", "coords", 0], "0.5"), "coordinate must be"),
     "facility-coordinate": ("planar-blobs", "inst", _set(["facilities", 0, "coords", 1], "1"),
                             "coordinate must be"),
     "distance": ("random-metric", "inst", _set(["distance_matrix", 1], "1.0"), "distance must be"),

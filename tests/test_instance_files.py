@@ -1,0 +1,285 @@
+"""Instance files: the columnar layout, the row layout it replaced, and the
+checks both layouts go through."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+from functools import reduce
+from operator import getitem
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import row_layout
+from weakcore.cli import (
+    EXIT_VALIDATION,
+    dump_json,
+    instance_to_payload,
+    load_instance,
+    main,
+    make_line_instance,
+    make_planar_blobs,
+    make_random_metric,
+)
+from weakcore.model import ClusteringInstance, MetricSpace
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+def _mixed_facilities():
+    """A labeled Euclidean instance whose facilities mix point references and
+    locations of their own, in no particular order, and whose points are
+    neither the first space ids nor sorted."""
+    rng = np.random.default_rng(3)
+    coords = rng.normal(size=(11, 2))
+    return ClusteringInstance(
+        space=MetricSpace.euclidean(coords),
+        points=np.array([10, 3, 4, 6, 0, 7, 8, 1]),
+        weights=rng.uniform(0.5, 3.0, size=8),
+        facilities=np.array([9, 4, 2, 0, 5, 6]),
+        k=2,
+        z=2,
+        labels=np.array([0, 1, 1, 0, 2, 2, 0, 1]),
+    )
+
+
+INSTANCES = {
+    "line": make_line_instance,
+    "blobs-labeled": lambda: make_planar_blobs(30, 5, 3, m=3, seed=4),
+    "blobs-unlabeled": lambda: make_planar_blobs(30, 5, 2, z=2, seed=5),
+    "random-metric": lambda: make_random_metric(12, 4, 2, m=2, seed=6),
+    "mixed-facilities": _mixed_facilities,
+}
+
+
+def _write_both(tmp_path, inst):
+    """The instance as a columnar file and as its row-layout twin."""
+    payload = instance_to_payload(inst)
+    columns, rows = tmp_path / "columns.json", tmp_path / "rows.json"
+    dump_json(payload, str(columns))
+    rows.write_text(json.dumps(row_layout(payload)))
+    return columns, rows
+
+
+def _arrays(inst):
+    arrays = {
+        "points": inst.points,
+        "weights": inst.weights,
+        "labels": inst.labels,
+        "facilities": inst.facilities,
+    }
+    if inst.space.is_euclidean:
+        arrays["coords"] = inst.space.coords
+    else:
+        arrays["matrix"] = inst.space.matrix
+    return arrays
+
+
+@pytest.mark.parametrize("make", INSTANCES.values(), ids=INSTANCES.keys())
+def test_row_and_columnar_files_load_alike(tmp_path, make):
+    inst = make()
+    columns, rows = _write_both(tmp_path, inst)
+    a, b = load_instance(str(columns)), load_instance(str(rows))
+    for name, value in _arrays(a).items():
+        other = _arrays(b)[name]
+        assert (value is None) == (other is None), name
+        assert value is None or np.array_equal(value, other), name
+    assert (a.k, a.z) == (b.k, b.z) == (inst.k, inst.z)
+    # Both loads hold the instance itself: its weights, labels and locations.
+    assert np.array_equal(a.weights, inst.weights)
+    assert (a.labels is None) == (inst.labels is None)
+    assert inst.labels is None or np.array_equal(a.labels, inst.labels)
+    if inst.space.is_euclidean:
+        for ids in ("points", "facilities"):
+            assert np.array_equal(a.space.coords[getattr(a, ids)], inst.space.coords[getattr(inst, ids)])
+    else:
+        assert np.array_equal(a.points, inst.points) and np.array_equal(a.facilities, inst.facilities)
+        assert np.array_equal(a.space.matrix, inst.space.matrix)
+    assert dump_json(instance_to_payload(b), None) == columns.read_text()
+
+
+def test_row_file_may_leave_dim_to_its_coords(tmp_path):
+    inst = make_planar_blobs(20, 4, 2, m=2, seed=9)
+    columns, rows = _write_both(tmp_path, inst)
+    payload = json.loads(rows.read_text())
+    del payload["dim"]
+    rows.write_text(json.dumps(payload))
+    assert dump_json(instance_to_payload(load_instance(str(rows))), None) == columns.read_text()
+
+
+@pytest.mark.parametrize("name", ["blobs-labeled", "random-metric", "mixed-facilities"])
+def test_row_and_columnar_files_give_the_same_out_files(tmp_path, name):
+    columns, rows = _write_both(tmp_path, INSTANCES[name]())
+    con = tmp_path / "con.json"
+    con.write_text(json.dumps({"type": "unconstrained"}))
+    out = {}
+    for inst in (columns, rows):
+        cs, res = tmp_path / f"cs-{inst.stem}.json", tmp_path / f"res-{inst.stem}.json"
+        assert run(["coreset", "--instance", inst, "--epsilon", 0.5, "--seed", 3, "--out", cs]) == 0
+        assert run(["solve", "--instance", inst, "--coreset", cs, "--constraint", con, "--out", res]) == 0
+        out[inst.stem] = (cs.read_bytes(), res.read_bytes())
+    assert out["columns"] == out["rows"]
+
+
+_DROP = object()
+
+
+def _edit(path, value):
+    """An edit that puts ``value`` at the key ``path``, or deletes the key
+    when ``value`` is ``_DROP``."""
+    def edit(payload):
+        node = reduce(getitem, path[:-1], payload)
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+        return payload
+    return edit
+
+
+# (layout, edit, message) on a 40-point labeled planar-blobs file in 2-d.
+SHAPE_ERRORS = {
+    **{
+        f"{layout}-dim-{name}": (layout, _edit(["dim"], value), needle)
+        for layout in ("columns", "rows")
+        for name, value, needle in [
+            ("a-string", "two", "dim must be an integer, got 'two'"),
+            ("fractional", 2.5, "dim must be an integer, got 2.5"),
+            ("a-bool", True, "dim must be an integer, got True"),
+            ("zero", 0, "dim must be positive, got 0"),
+            ("negative", -2, "dim must be positive, got -2"),
+        ]
+    },
+    "columns-dim-missing": ("columns", _edit(["dim"], _DROP), "dim must be an integer, got None"),
+    "columns-dim-wider-than-coords": ("columns", _edit(["dim"], 3), "coords holds 80 numbers, not a multiple of dim 3"),
+    "rows-dim-wider-than-coords": ("rows", _edit(["dim"], 3), "point coords of width 2 disagree with dim 3"),
+    "columns-coords-truncated": ("columns", _edit(["points", "coords"], lambda c: c[:-1]),
+                                 "coords holds 79 numbers, not a multiple of dim 2"),
+    "columns-coords-short-by-a-point": ("columns", _edit(["points", "coords"], lambda c: c[:-2]),
+                                        "point columns differ in length: coords holds 39 points, weight 40, label 40"),
+    "columns-weight-short": ("columns", _edit(["points", "weight"], lambda w: w[:-1]),
+                             "point columns differ in length: coords holds 40 points, weight 39, label 40"),
+    "columns-label-long": ("columns", _edit(["points", "label"], lambda l: l + [0]),
+                           "point columns differ in length: coords holds 40 points, weight 40, label 41"),
+    "columns-unknown-column": ("columns", _edit(["points", "labels"], [0] * 40), "unknown point columns: labels"),
+    "rows-point-without-coords": ("rows", _edit(["points", 3, "coords"], _DROP), "euclidean points need coords"),
+    "rows-coords-of-two-widths": ("rows", _edit(["points", 3, "coords"], [1.0]),
+                                  "point coords of width 1 disagree with dim 2"),
+    **{
+        f"{layout}-facility-coords-wider-than-dim": (
+            layout, _edit(["facilities", 0, "coords"], lambda c: c + [0.0]),
+            "facility coords of width 3 disagree with dim 2",
+        )
+        for layout in ("columns", "rows")
+    },
+}
+
+
+def _assert_coreset_rejects(tmp_path, capsys, payload, needle):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(["coreset", "--instance", inst, "--epsilon", 0.5, "--out", tmp_path / "cs.json"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0], err
+    assert not (tmp_path / "cs.json").exists()
+
+
+@pytest.mark.parametrize("layout, edit, needle", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS.keys())
+def test_dim_and_column_shape_exit_code(tmp_path, capsys, layout, edit, needle):
+    """``dim`` used to go unread: ``"dim": 3`` over 2-d coords or ``"dim":
+    "two"`` built a coreset with exit 0. Columnar coords are read through it."""
+    payload = instance_to_payload(make_planar_blobs(40, 5, 2, m=2, seed=1))
+    assert payload["facilities"][0] == {"coords": payload["facilities"][0]["coords"]}
+    _assert_coreset_rejects(tmp_path, capsys, edit(row_layout(payload) if layout == "rows" else payload),
+                            needle)
+
+
+@pytest.mark.parametrize("m, edit, needle", [
+    (1, _edit(["points", 5, "label"], 1), "1 of 40 points have a label"),
+    (2, _edit(["points", 5, "label"], _DROP), "39 of 40 points have a label"),
+], ids=["one-label-on-an-unlabeled-file", "one-label-missing"])
+def test_partial_labels_exit_code(tmp_path, capsys, m, edit, needle):
+    """Labels are all or nothing: one ``"label": 1`` on an unlabeled 40-point
+    file used to give the other points label 0 and a 2-label instance."""
+    payload = row_layout(instance_to_payload(make_planar_blobs(40, 5, 2, m=m, seed=1)))
+    _assert_coreset_rejects(tmp_path, capsys, edit(payload), needle + ": label every point or none")
+
+
+FUZZ_BASES = {
+    f"{name}-{layout}": to_layout(instance_to_payload(make()))
+    for name, make in [
+        ("line-labeled", lambda: make_line_instance(n=6, m=2)),
+        ("blobs", lambda: make_planar_blobs(10, 4, 2, seed=2)),
+        ("metric-labeled", lambda: make_random_metric(6, 3, 2, m=2, seed=2)),
+    ]
+    for layout, to_layout in [("columns", lambda p: p), ("rows", row_layout)]
+}
+
+
+def _nodes(tree, path=()):
+    """The path and value of every node below ``tree``, in a fixed order."""
+    if isinstance(tree, dict):
+        items = sorted(tree.items())
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+MUTATIONS = {
+    "drop": lambda value: True,
+    "retype": lambda value: True,
+    "truncate": lambda value: isinstance(value, list) and len(value) > 0,
+    "number-to-other": lambda value: type(value) in (int, float),
+}
+
+
+@st.composite
+def mutated_instance(draw):
+    """A valid instance file, in either layout, with one key dropped, one
+    value of another type, one list truncated, or one number replaced by a
+    string, a bool or null."""
+    payload = copy.deepcopy(draw(st.sampled_from(list(FUZZ_BASES.values()))))
+    how = draw(st.sampled_from(sorted(MUTATIONS)))
+    path, value = draw(st.sampled_from([n for n in _nodes(payload) if MUTATIONS[how](n[1])]))
+    parent = reduce(getitem, path[:-1], payload)
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "truncate":
+        parent[path[-1]] = value[: draw(st.integers(0, len(value) - 1))]
+    elif how == "number-to-other":
+        parent[path[-1]] = draw(st.sampled_from(["2.5", "x", True, False, None]))
+    else:
+        others = [[], {}, "x", 1.5, -1, 0, [1.0, 2.0], {"coords": [0.0]}, None]
+        parent[path[-1]] = draw(st.sampled_from([o for o in others if type(o) is not type(value)]))
+    return payload
+
+
+@given(mutated_instance())
+@settings(max_examples=300, deadline=None)
+def test_mutated_instance_files_exit_cleanly(payload):
+    """``coreset`` on a damaged instance file ends in a verdict or an input
+    error with at most one stderr line: never an internal error (6) or a
+    traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "inst.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["coreset", "--instance", path, "--epsilon", "0.5", "--sample-count", "3",
+                         "--out", os.path.join(d, "cs.json")])
+    assert code in {0, 2, 3, 4, 5}, err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
