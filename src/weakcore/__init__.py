@@ -55,7 +55,6 @@ from .coreset import (
 from .meta import SolveResult, enumerate_center_tuples, solve_constrained
 from .oracle import (
     VerificationReport,
-    best_centers_for_assignment,
     brute_force_opt,
     verify_property_A,
     verify_property_B,
@@ -86,7 +85,6 @@ __all__ = [
     "WeakCoreset",
     "WeightedPoints",
     "assignment_cost",
-    "best_centers_for_assignment",
     "brute_force_opt",
     "build_candidates_euclidean_means",
     "build_candidates_metric",

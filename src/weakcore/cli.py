@@ -13,6 +13,8 @@ Exit codes: 0 success (or verification pass), 1 verification FAIL,
 2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded
 (a solver limit or out of memory), 5 solver error (a solve ended without a
 valid optimality certificate), 6 internal error (any other exception).
+Each error, and each warning (say, an explicit metric that breaks the
+triangle inequality), is one stderr line.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -903,11 +906,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -3,9 +3,11 @@
 The four families (unconstrained, fixed profile, balanced weight bounds,
 per-label fraction bounds) all reduce to exact solves in
 :mod:`weakcore.flowlp`: bounded transportation, with lower == upper for a
-fixed profile, or a dense LP with one conservation row per point. Costs are
-always reported as the exact sum over the returned assignment, so the
-assignment and its cost never disagree.
+fixed profile, or a dense LP with one conservation row per point. Each
+solve reads one D^z table of its points to the k centers, which a caller
+that already holds it passes in, and reports its cost as the exact sum over
+the returned assignment read from that table, so the assignment and its
+cost never disagree.
 """
 
 from __future__ import annotations
@@ -148,13 +150,30 @@ def _cost_matrix(B: WeightedPoints, centers, z: int) -> np.ndarray:
     return d if z == 1 else d**z
 
 
-def _assignment_from_flow(B: WeightedPoints, flow: np.ndarray) -> Assignment:
-    rows, cols = np.nonzero(flow > 0)
-    masses = flow[rows, cols]
-    # Renormalize per point so conservation is exact, absorbing solver noise.
+def _table(B: WeightedPoints, centers, z: int, table) -> np.ndarray:
+    """B's D^z table to ``centers``: ``table`` when the caller holds it,
+    else built from the space."""
+    if table is None:
+        return _cost_matrix(B, centers, z)
+    if np.shape(table) != (B.size, _index_array(centers).size):
+        raise ValidationError(f"cost table has shape {np.shape(table)}, need ({B.size}, {np.size(centers)})")
+    return table
+
+
+def _assign(d: np.ndarray, B: WeightedPoints, rows, cols, masses) -> tuple[float, Assignment]:
+    """The assignment of ``masses`` on (row of B, cluster) pairs, with each
+    point's masses rescaled to its weight so conservation is exact (this
+    absorbs solver noise), and its cost: an fsum over the pairs read from
+    the D^z table ``d``."""
     sums = np.bincount(rows, weights=masses, minlength=B.size)
     masses = masses * (B.weights[rows] / sums[rows])
-    return Assignment(B.indices[rows], cols, masses)
+    cost = math.fsum((masses * d[rows, cols]).tolist())
+    return cost, Assignment(B.indices[rows], cols, masses)
+
+
+def _support(flow: np.ndarray):
+    rows, cols = np.nonzero(flow > 0)
+    return rows, cols, flow[rows, cols]
 
 
 def assignment_cost(B: WeightedPoints, sigma: Assignment, centers, z: int) -> float:
@@ -175,65 +194,70 @@ def assignment_cost(B: WeightedPoints, sigma: Assignment, centers, z: int) -> fl
 
 def voronoi_assignment(B: WeightedPoints, centers, z: int) -> tuple[float, Assignment]:
     """Every point fully to its nearest center (ties to the lowest cluster index)."""
-    d = _cost_matrix(B, centers, z)
+    return _voronoi(_cost_matrix(B, centers, z), B)
+
+
+def _voronoi(d: np.ndarray, B: WeightedPoints) -> tuple[float, Assignment]:
     nearest = np.argmin(d, axis=1)
     cost = float(math.fsum((B.weights * d[np.arange(B.size), nearest]).tolist()))
     return cost, Assignment(B.indices, nearest, B.weights)
 
 
-def voronoi_profile(B: WeightedPoints, centers, z: int) -> ClusterProfile:
-    """Per-cluster weight totals induced by nearest-center assignment."""
-    centers = _index_array(centers)
-    _, sigma = voronoi_assignment(B, centers, z)
-    return ClusterProfile(sigma.cluster_totals(centers.size))
+def voronoi_profile(B: WeightedPoints, centers, z: int, *, table=None) -> ClusterProfile:
+    """Per-cluster weight totals induced by nearest-center assignment;
+    ``table`` is as in :func:`optimal_feasible_cost`."""
+    d = _table(B, centers, z, table)
+    return ClusterProfile(np.bincount(np.argmin(d, axis=1), weights=B.weights, minlength=d.shape[1]))
 
 
 def profile_cost(
-    B: WeightedPoints, centers, profile: ClusterProfile, z: int, *, prices=None, return_prices: bool = False
+    B: WeightedPoints,
+    centers,
+    profile: ClusterProfile,
+    z: int,
+    *,
+    prices=None,
+    return_prices: bool = False,
+    table=None,
 ):
     """Minimum assignment cost consistent with a profile: one transportation
     solve per label class with every sink pinned to its target, the whole
     set being one class when the profile is unlabeled.
 
     Returns (cost, assignment), and the sink prices as a third item with
-    ``return_prices``; ``prices`` warm-starts the solves (see
-    :func:`optimal_feasible_cost`)."""
-    cost, sigma, _, out = _solve(B, centers, FixedProfile(profile), z, prices)
+    ``return_prices``; ``prices`` and ``table`` are as in
+    :func:`optimal_feasible_cost`."""
+    cost, sigma, _, out = _solve(_table(B, centers, z, table), B, FixedProfile(profile), prices)
     return (cost, sigma, out) if return_prices else (cost, sigma)
 
 
-def _transport(B, centers, z, classes, lower, upper, prices):
+def _transport(d, B, classes, lower, upper, prices):
     """One bounded transport per label class j of ``classes`` (all of ``B``
-    when None), between the columns ``lower[:, j]`` and ``upper[:, j]``,
-    started from ``prices[j]``: (cost, assignment, sink totals per class,
-    prices per class)."""
+    when None) on its rows of the D^z table ``d``, between the columns
+    ``lower[:, j]`` and ``upper[:, j]``, started from ``prices[j]``: (cost,
+    assignment, sink totals per class, prices per class)."""
     shape = lower.shape[::-1]
     if prices is not None and np.shape(prices) != shape:
         raise ValidationError(f"start prices have shape {np.shape(prices)}, need {shape}")
     parts, totals, out = [], [], []
     for j in range(shape[0]):
-        mask = None if classes is None else classes == j
-        sub = B if mask is None else WeightedPoints(B.space, B.indices[mask], B.weights[mask])
-        d = _cost_matrix(sub, centers, z)
+        rows = None if classes is None else np.flatnonzero(classes == j)
         sol = solve_bounded_transportation(
-            BoundedTransportationProblem(d, sub.weights, lower[:, j], upper[:, j]),
+            BoundedTransportationProblem(
+                d if rows is None else d[rows],
+                B.weights if rows is None else B.weights[rows],
+                lower[:, j],
+                upper[:, j],
+            ),
             None if prices is None else prices[j],
         )
-        parts.append(_assignment_from_flow(sub, sol.flow))
+        r, c, masses = _support(sol.flow)
+        parts.append((r if rows is None else rows[r], c, masses))
         totals.append(sol.sink_totals)
         out.append(sol.prices)
-    sigma = Assignment(
-        np.concatenate([p.points for p in parts]),
-        np.concatenate([p.clusters for p in parts]),
-        np.concatenate([p.masses for p in parts]),
-    )
-    return assignment_cost(B, sigma, centers, z), sigma, np.stack(totals, axis=1), np.stack(out)
-
-
-def _realized_profile(sigma: Assignment, B: WeightedPoints, k: int, labeled: bool) -> ClusterProfile:
-    if labeled:
-        return ClusterProfile(sigma.label_cluster_mass(B, k))
-    return ClusterProfile(sigma.cluster_totals(k))
+    support = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+    cost, sigma = _assign(d, B, *support)
+    return cost, sigma, np.stack(totals, axis=1), np.stack(out)
 
 
 def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
@@ -264,7 +288,14 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
 
 
 def optimal_feasible_cost(
-    B: WeightedPoints, centers, spec: ConstraintSpec, z: int, *, prices=None, return_prices: bool = False
+    B: WeightedPoints,
+    centers,
+    spec: ConstraintSpec,
+    z: int,
+    *,
+    prices=None,
+    return_prices: bool = False,
+    table=None,
 ):
     """Minimum cost over all assignments satisfying ``spec`` for fixed centers.
 
@@ -273,21 +304,24 @@ def optimal_feasible_cost(
     as an (m, k) array, one row per label class (one row for ``Balanced``),
     or None for the families solved without transport. Passing such prices,
     say from the same centers on a summary of ``B``, warm-starts the
-    transport solves; the result is exact either way. Raises
+    transport solves; the result is exact either way. ``table``, B's
+    (|B|, k) ``D^z`` table to ``centers`` when the caller already holds it,
+    spares building it again; the cost is read from it. Raises
     :class:`weakcore.flowlp.Infeasible` when the constraint set is empty.
     """
-    cost, sigma, profile, out = _solve(B, centers, spec, z, prices)
+    cost, sigma, profile, out = _solve(_table(B, centers, z, table), B, spec, prices)
     return (cost, sigma, profile, out) if return_prices else (cost, sigma, profile)
 
 
-def _solve(B: WeightedPoints, centers, spec: ConstraintSpec, z: int, prices=None):
+def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None):
     """The one exact solve behind :func:`optimal_feasible_cost` and
-    :func:`profile_cost`: (cost, assignment, realized profile, prices)."""
-    centers = _index_array(centers)
-    k = centers.size
+    :func:`profile_cost`, on B's D^z table ``d`` to k centers: (cost,
+    assignment, realized profile, prices). The cost is an fsum over the
+    assignment's (point, cluster) pairs read from ``d``."""
+    k = d.shape[1]
     if isinstance(spec, Unconstrained):
-        cost, sigma = voronoi_assignment(B, centers, z)
-        return cost, sigma, _realized_profile(sigma, B, k, labeled=False), None
+        cost, sigma = _voronoi(d, B)
+        return cost, sigma, ClusterProfile(sigma.cluster_totals(k)), None
     if isinstance(spec, FixedProfile):
         profile = spec.profile
         if profile.k != k:
@@ -297,28 +331,19 @@ def _solve(B: WeightedPoints, centers, spec: ConstraintSpec, z: int, prices=None
             raise ValidationError("; ".join(bad))
         classes = B.labels if profile.is_labeled else None
         gamma = profile.values.reshape(k, profile.m)
-        cost, sigma, _, out = _transport(B, centers, z, classes, gamma, gamma, prices)
+        cost, sigma, _, out = _transport(d, B, classes, gamma, gamma, prices)
         return cost, sigma, profile, out
     if isinstance(spec, Balanced):
         if spec.lower.size != k:
             raise ValidationError(f"balanced bounds length {spec.lower.size} != k={k}")
-        cost, sigma, totals, out = _transport(
-            B, centers, z, None, spec.lower[:, None], spec.upper[:, None], prices
-        )
+        cost, sigma, totals, out = _transport(d, B, None, spec.lower[:, None], spec.upper[:, None], prices)
         return cost, sigma, ClusterProfile(totals[:, 0]), out
     if isinstance(spec, FractionBounds):
         if B.labels is None:
             raise ValidationError("fraction bounds require a labeled point set")
         alpha, beta = spec.per_label(k, B.n_labels)
-        d = _cost_matrix(B, centers, z)
-        flow = _fraction_lp(B, d, alpha, beta)
-        sigma = _assignment_from_flow(B, flow)
-        return (
-            assignment_cost(B, sigma, centers, z),
-            sigma,
-            _realized_profile(sigma, B, k, labeled=True),
-            None,
-        )
+        cost, sigma = _assign(d, B, *_support(_fraction_lp(B, d, alpha, beta)))
+        return cost, sigma, ClusterProfile(sigma.label_cluster_mass(B, k)), None
     raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
 
 

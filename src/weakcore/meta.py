@@ -17,6 +17,7 @@ from .constraints import (
     ConstraintSpec,
     FixedProfile,
     FractionBounds,
+    Unconstrained,
     _cost_matrix,
     check_feasibility,
     is_symmetric,
@@ -98,18 +99,19 @@ def _position_blocks(
 
 
 def voronoi_bounds(
-    B: WeightedPoints, pool: np.ndarray, k: int, z: int, ordered: bool, allow_repeats: bool
+    B: WeightedPoints, pool: np.ndarray, k: int, z: int, ordered: bool, allow_repeats: bool, *, table=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every k-tuple of positions into ``pool``, in rank order, and its
     Voronoi cost on ``B``: ``sum_x v_x * min_{c in tuple} D(x, c)^z``.
 
     No constraint lowers a tuple's cost below this, so it bounds every
     family's exact cost from below. The bounds are one dot product per
-    tuple over a |B| x |pool| ``D^z`` table, taken in blocks of about
-    ``_BOUND_CELLS`` cells. Raises :class:`SolverLimit` before allocating
-    when there are more than ``MAX_BOUND_TUPLES`` tuples."""
+    tuple over the |B| x |pool| ``D^z`` table (``table`` when the caller
+    holds it), taken in blocks of about ``_BOUND_CELLS`` cells. Raises
+    :class:`SolverLimit` before allocating when there are more than
+    ``MAX_BOUND_TUPLES`` tuples."""
     total = check_tuple_ceiling(pool.size, k, ordered, allow_repeats, MAX_BOUND_TUPLES)
-    dz = _cost_matrix(B, pool, z)
+    dz = _cost_matrix(B, pool, z) if table is None else table
     positions = np.empty((total, k), dtype=np.min_scalar_type(max(pool.size - 1, 0)))
     bounds = np.empty(total)
     start = 0
@@ -143,8 +145,10 @@ def best_tuple(
 
     The winner is the lowest (cost, rank), where rank is the tuple's place
     in :func:`enumerate_center_tuples` order, so ties break to the earliest
-    tuple. With ``prune`` the tuples are visited in ascending (Voronoi
-    bound, rank) order (:func:`voronoi_bounds`), and the walk stops at the
+    tuple. Every tuple's exact solve reads its columns of one |B| x
+    |candidates| ``D^z`` table, built once. With ``prune`` the tuples are
+    visited in ascending (Voronoi bound, rank) order
+    (:func:`voronoi_bounds`, over the same table), and the walk stops at the
     first tuple whose bound exceeds the best exact cost by more than
     ``PRUNE_TOL`` relative (the bound is a numpy dot product, the cost an
     ``fsum``); no tuple left unvisited can win. Without ``prune`` every
@@ -155,24 +159,30 @@ def best_tuple(
     raises :class:`Infeasible` when no tuple is feasible.
     """
     pool = np.asarray(candidates, dtype=np.int64)
+    if prune:  # refuse before the table is built
+        check_tuple_ceiling(pool.size, k, ordered, allow_repeats, MAX_BOUND_TUPLES)
+    dz = _cost_matrix(B, pool, z)
     if prune:
-        positions, bounds = voronoi_bounds(B, pool, k, z, ordered, allow_repeats)
+        positions, bounds = voronoi_bounds(B, pool, k, z, ordered, allow_repeats, table=dz)
         order = np.argsort(bounds, kind="stable")
-        visits = ((int(r), pool[positions[r]], bounds[r]) for r in order)
+        visits = ((int(r), positions[r], bounds[r]) for r in order)
     else:
         blocks = _position_blocks(pool.size, k, ordered, allow_repeats)
         rows = itertools.chain.from_iterable(blocks)
-        visits = ((r, pool[pos], -math.inf) for r, pos in enumerate(rows))
+        visits = ((r, pos, -math.inf) for r, pos in enumerate(rows))
 
     best = None
     stop_at = math.inf
     evaluated = 0
-    for rank, centers, bound in visits:
+    for rank, pos, bound in visits:
         if bound > stop_at:
             break
         evaluated += 1
+        centers = pool[pos]
         try:
-            cost, sigma, _, prices = optimal_feasible_cost(B, centers, spec, z, return_prices=True)
+            cost, sigma, _, prices = optimal_feasible_cost(
+                B, centers, spec, z, return_prices=True, table=dz[:, pos]
+            )
         except Infeasible:
             continue
         if best is None or (cost, rank) < best[:2]:
@@ -205,7 +215,8 @@ def solve_constrained(
     :func:`best_tuple`, so ties break to the earliest tuple in enumeration
     order and ``cost_target`` stops at the first tuple, in Voronoi-bound
     order, whose summary cost reaches it. A fixed profile is checked against
-    the full data before any tuple is scored.
+    the full data before any tuple is scored. The winner's full-data
+    assignment is checked for weight conservation and for the spec.
     """
     z = inst.z if z is None else z
     if isinstance(spec, FractionBounds) and inst.labels is None:
@@ -225,6 +236,11 @@ def solve_constrained(
 
     # The winner's summary prices warm-start its transport solves on the full data.
     cost_full, sigma, profile = optimal_feasible_cost(full, np.array(winning), spec, z, prices=prices)
+    # Solves rescale each point's masses to its weight, so conservation is checked
+    # once, here, on the answer; a Voronoi assignment carries the weights as they are.
+    lost = [] if isinstance(spec, Unconstrained) else sigma.check_conservation(full)
+    if lost:
+        raise SolverError("final assignment violates weight conservation: " + lost[0])
     violations = check_feasibility(sigma, full, spec, k=inst.k)
     if violations:
         raise SolverError("final assignment violates the constraint spec: " + violations[0])

@@ -114,17 +114,6 @@ class MetricSpace:
             return self.coords.shape[0]
         return self.matrix.shape[0]
 
-    def _check_index(self, idx: int) -> None:
-        if not 0 <= idx < self.size:
-            raise IndexError(f"index {idx} out of range for space of size {self.size}")
-
-    def distance(self, a: int, b: int) -> float:
-        self._check_index(a)
-        self._check_index(b)
-        if self.coords is not None:
-            return float(np.linalg.norm(self.coords[a] - self.coords[b]))
-        return float(self.matrix[a, b])
-
     def pairwise(self, rows, cols) -> np.ndarray:
         """All distances between two index arrays, shape (len(rows), len(cols))."""
         rows = _index_array(rows)

@@ -12,6 +12,7 @@ from numpy.random import SeedSequence, default_rng
 from .constraints import (
     ConstraintSpec,
     Unconstrained,
+    _cost_matrix,
     is_symmetric,
     profile_cost,
     voronoi_profile,
@@ -20,7 +21,7 @@ from .constraints import (
 from .constraints import optimal_feasible_cost  # noqa: F401
 from .coreset import WeakCoreset
 from .meta import best_tuple, check_tuple_ceiling
-from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError, WeightedPoints
+from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError
 
 DEFAULT_SOLVE_CEILING = 1_000_000
 
@@ -51,31 +52,6 @@ def brute_force_opt(
         allow_repeats, prune=False,
     )
     return tup, float(cost), sigma
-
-
-def best_centers_for_assignment(
-    B: WeightedPoints, sigma: Assignment, candidates, z: int
-) -> tuple[tuple, float]:
-    """Cheapest center tuple for a FIXED assignment.
-
-    The objective separates over clusters, so each cluster independently
-    takes the candidate minimizing its weighted power distance (repeats
-    allowed, as in the universality condition)."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    k = int(sigma.clusters.max()) + 1 if len(sigma) else 1
-    chosen = []
-    total = 0.0
-    d = B.space.pairwise(sigma.points, candidates) ** z
-    for i in range(k):
-        mask = sigma.clusters == i
-        if not mask.any():
-            chosen.append(int(candidates[0]))
-            continue
-        per_candidate = sigma.masses[mask] @ d[mask]
-        j = int(np.argmin(per_candidate))
-        chosen.append(int(candidates[j]))
-        total += float(per_candidate[j])
-    return tuple(chosen), total
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +102,12 @@ def verify_property_B(
 
     Even trials use the Voronoi profile of the drawn centers; odd trials a
     random consistent profile (normalized exponential split of the total
-    weight). Each trial solves the summary first and starts the full solve
-    from its sink prices. When the summary is the full data itself (the
-    identity coreset), one solve prices both sides. ``eps`` is the reporting
-    window half-width: a trial passes when its ratio lies in [1 - eps, 1 + eps].
+    weight). Each trial builds one full-data ``D^z`` table, which serves the
+    Voronoi profile and the full solve, and one summary table. It solves the
+    summary first and starts the full solve from its sink prices. When the
+    summary is the full data itself (the identity coreset), one table and
+    one solve price both sides. ``eps`` is the reporting window half-width:
+    a trial passes when its ratio lies in [1 - eps, 1 + eps].
     """
     z = inst.z if z is None else z
     candidate_ids, summary, full = coreset.bind(inst, z)
@@ -146,16 +124,19 @@ def verify_property_B(
     for t in range(trials):
         rng = default_rng(SeedSequence(int(seed), spawn_key=(t,)))
         chosen = np.sort(rng.choice(candidate_ids, size=k, replace=False))
+        d_full = _cost_matrix(full, chosen, z)
         if t % 2 == 0:
-            gamma = voronoi_profile(full, chosen, z)
+            gamma = voronoi_profile(full, chosen, z, table=d_full)
         else:
             draws = rng.exponential(1.0, size=k)
             gamma = ClusterProfile(W * draws / draws.sum())
-        cost_summary, _, prices = profile_cost(summary, chosen, gamma, z, return_prices=True)
+        cost_summary, _, prices = profile_cost(
+            summary, chosen, gamma, z, return_prices=True, table=d_full if same_points else None
+        )
         if summary_is_full:
             cost_full = cost_summary
         else:
-            cost_full, _ = profile_cost(full, chosen, gamma, z, prices=prices)
+            cost_full, _ = profile_cost(full, chosen, gamma, z, prices=prices, table=d_full)
         ratio = _ratio(cost_full, cost_summary)
         ok = (1.0 - eps) <= ratio <= (1.0 + eps)
         passes += ok

@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from weakcore.cli import make_line_instance, make_planar_blobs, make_random_metric
+from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained
+from weakcore.model import ClusterProfile, MetricSpace
 
 
 def row_layout(payload: dict) -> dict:
@@ -61,3 +63,36 @@ def random_small_instance(seed, n_max=10, f_max=6, k_max=2, m=1, z=1, euclidean=
             inst.space, inst.points, inst.weights, inst.facilities, k, z, np.sort(labels)
         )
     return inst
+
+
+def one_spec_per_family(B, k, rng):
+    """A feasible spec of each family for k centers on B: unconstrained,
+    balanced, a fixed profile (and a labeled one), and fraction bounds
+    when B is labeled."""
+    W = B.total_weight
+    shares = rng.exponential(1.0, size=k)
+    shares /= shares.sum()
+    specs = [
+        Unconstrained(),
+        Balanced(np.full(k, 0.5 * W / k), np.full(k, 1.5 * W / k)),
+        FixedProfile(ClusterProfile(W * shares)),
+    ]
+    if B.labels is not None:
+        label_weights = [B.label_weight(j) for j in range(B.n_labels)]
+        specs.append(FixedProfile(ClusterProfile(np.outer(shares, label_weights))))
+        specs.append(FractionBounds(np.full(k, 0.1), np.full(k, 0.9)))
+    return specs
+
+
+def count_tables(monkeypatch):
+    """The (rows, columns) of every distance table built from a space from
+    now on, in call order: every D^z table comes from MetricSpace.pairwise."""
+    calls = []
+    pairwise = MetricSpace.pairwise
+
+    def spy(self, rows, cols):
+        calls.append((np.size(rows), np.size(cols)))
+        return pairwise(self, rows, cols)
+
+    monkeypatch.setattr(MetricSpace, "pairwise", spy)
+    return calls

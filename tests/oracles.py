@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to compute and freeze expected values.
 
 These deliberately avoid the package's solvers: the LP oracle enumerates
-basic solutions with plain linear algebra, and the assignment oracles
-enumerate integral splits directly.
+basic solutions with plain linear algebra, the assignment oracles
+enumerate integral splits directly, and the distance oracle reads one pair
+at a time.
 """
 
 from __future__ import annotations
@@ -110,3 +111,37 @@ def exhaustive_voronoi_opt(dist_pow, weights, k):
             best = cost
             best_tuple = combo
     return best_tuple, best
+
+
+def distance(space, a: int, b: int) -> float:
+    """One distance of a :class:`~weakcore.model.MetricSpace`, from its
+    coordinates or its matrix; an index outside the space raises IndexError."""
+    for idx in (a, b):
+        if not 0 <= idx < space.size:
+            raise IndexError(f"index {idx} out of range for space of size {space.size}")
+    if space.coords is not None:
+        return float(np.linalg.norm(space.coords[a] - space.coords[b]))
+    return float(space.matrix[a, b])
+
+
+def best_centers_for_assignment(B, sigma, candidates, z):
+    """Cheapest center tuple for a FIXED assignment.
+
+    The objective separates over clusters, so each cluster independently
+    takes the candidate minimizing its weighted power distance (repeats
+    allowed, as in the universality condition)."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    k = int(sigma.clusters.max()) + 1 if len(sigma) else 1
+    chosen = []
+    total = 0.0
+    d = B.space.pairwise(sigma.points, candidates) ** z
+    for i in range(k):
+        mask = sigma.clusters == i
+        if not mask.any():
+            chosen.append(int(candidates[0]))
+            continue
+        per_candidate = sigma.masses[mask] @ d[mask]
+        j = int(np.argmin(per_candidate))
+        chosen.append(int(candidates[j]))
+        total += float(per_candidate[j])
+    return tuple(chosen), total

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_small_instance
-from oracles import nearest_facility_map
+from oracles import best_centers_for_assignment, nearest_facility_map
 from weakcore.candidates import (
     CandidateParams,
     _nearest_facilities,
@@ -15,7 +15,7 @@ from weakcore.candidates import (
 from weakcore.cli import make_planar_blobs, make_random_metric
 from weakcore.constraints import Balanced
 from weakcore.model import ClusteringInstance, MetricSpace, ValidationError
-from weakcore.oracle import best_centers_for_assignment, brute_force_opt
+from weakcore.oracle import brute_force_opt
 
 
 def test_default_eta_formula():

@@ -643,6 +643,27 @@ def test_numeric_string_exit_code(tmp_path, capsys, kind, name, edit, needle):
     assert len(err) == 1 and err[0].startswith("error: malformed") and needle in err[0], err
 
 
+def test_triangle_warning_is_one_stderr_line(tmp_path, capsys):
+    """An explicit metric that breaks the triangle inequality is a warning,
+    not an error: ``coreset`` exits 0 with one ``warning:`` line on stderr
+    (the warnings module's default is two lines, a file:line header and the
+    source line), and a library caller still gets the UserWarning."""
+    payload = instance_to_payload(make_random_metric(6, 3, 2, seed=1))
+    matrix = payload["distance_matrix"]
+    assert len(matrix) == 81
+    matrix[1] = matrix[9] = 100.0  # d(0, 1) and d(1, 0)
+    with open(tmp_path / "inst.json", "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    code = run(["coreset", "--instance", tmp_path / "inst.json", "--epsilon", 0.5, "--out", tmp_path / "cs.json"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_OK
+    assert len(err) == 1 and err[0].startswith("warning: explicit metric: "), err
+    assert err[0].endswith(" of 1000 sampled triples violate the triangle inequality"), err
+    with pytest.warns(UserWarning, match="triangle inequality"):
+        instance_from_payload(payload)
+
+
 def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     """A solve without a valid certificate exits 5 with one line, not a
     traceback with exit 1, which ``verify`` uses for FAIL."""

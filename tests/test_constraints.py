@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import weakcore.constraints as constraints
 import weakcore.flowlp as flowlp
-from conftest import random_small_instance
+from conftest import count_tables, one_spec_per_family, random_small_instance
 from oracles import lp_vertex_enumeration
-from weakcore.cli import make_planar_blobs
+from weakcore.candidates import CandidateParams
+from weakcore.cli import make_planar_blobs, make_random_metric
+from weakcore.coreset import SummaryParams, build_universal_weak_coreset
 from weakcore.constraints import (
     Balanced,
     FixedProfile,
@@ -586,3 +588,61 @@ def test_optimal_feasible_matches_vertex_oracle_tiny(seed):
         else:
             expect = brute_force_sigma_oracle(B, centers, spec, inst.z)
         assert got == pytest.approx(expect, abs=1e-6)
+
+
+def _assert_table_costs(B, pool, rng, k, z):
+    """For k random positions into ``pool`` and one spec per family: the
+    cost read from the D^z table is assignment_cost of the returned
+    assignment, bit for bit, and a column slice of the |B| x |pool| table
+    passed in gives the same cost and assignment."""
+    wide = constraints._cost_matrix(B, pool, z)
+    pos = rng.choice(pool.size, size=k, replace=False)
+    centers = pool[pos]
+    for spec in one_spec_per_family(B, k, rng):
+        cost, sigma, _ = optimal_feasible_cost(B, centers, spec, z)
+        assert cost == assignment_cost(B, sigma, centers, z), type(spec).__name__
+        again, sigma2, _ = optimal_feasible_cost(B, centers, spec, z, table=wide[:, pos])
+        assert again == cost and np.array_equal(sigma2.points, sigma.points), type(spec).__name__
+        assert np.array_equal(sigma2.clusters, sigma.clusters) and np.array_equal(sigma2.masses, sigma.masses)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "explicit"])
+@pytest.mark.parametrize("z", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_table_cost_is_assignment_cost_bit_for_bit(kind, z, m):
+    make = make_planar_blobs if kind == "euclidean" else make_random_metric
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        k = 2 + seed % 2
+        inst = make(30 + 10 * seed, 6, k, z=z, m=m, seed=seed)
+        B = WeightedPoints(inst.space, inst.points, rng.uniform(0.2, 3.0, inst.n), inst.labels)
+        _assert_table_costs(B, np.sort(inst.facilities), rng, k, z)
+
+
+def test_table_cost_is_assignment_cost_on_a_euclidean_coreset():
+    """The same on a k-means coreset whose candidates J are synthetic means
+    (``J_coords``), on its summary and on the full data."""
+    inst = make_planar_blobs(60, 5, 2, z=2, m=2, seed=7)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, mode="euclidean_kmeans", seed=7,
+        candidate_params=CandidateParams(seed=7, max_euclidean_candidates=12),
+        summary_params=SummaryParams(sample_count=5, seed=7),
+    )
+    assert cs.J_coords is not None
+    candidate_ids, summary, full = cs.bind(inst, 2)
+    rng = np.random.default_rng(7)
+    for B in (summary, full):
+        for _ in range(3):
+            _assert_table_costs(B, candidate_ids, rng, 2, 2)
+
+
+def test_labeled_profile_solve_builds_one_table(monkeypatch):
+    """A labeled profile is one transport per label class, each on its rows
+    of one table: one table is built, not one per class."""
+    inst = make_planar_blobs(90, 5, 3, m=3, seed=4)
+    B = inst.weighted_points()
+    label_weights = [B.label_weight(j) for j in range(3)]
+    profile = ClusterProfile(np.outer([0.2, 0.3, 0.5], label_weights))
+    tables = count_tables(monkeypatch)
+    profile_cost(B, inst.facilities[:3], profile, 1)
+    assert tables == [(B.size, 3)]

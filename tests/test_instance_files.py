@@ -1,5 +1,6 @@
 """Instance files: the columnar layout, the row layout it replaced, and the
-checks both layouts go through."""
+checks both layouts go through; and damaged instance, coreset and
+constraint files, which must end in a one-line error."""
 
 import contextlib
 import copy
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import row_layout
+from weakcore.candidates import CandidateParams
 from weakcore.cli import (
     EXIT_VALIDATION,
+    coreset_to_payload,
     dump_json,
     instance_to_payload,
     load_instance,
@@ -26,6 +29,7 @@ from weakcore.cli import (
     make_planar_blobs,
     make_random_metric,
 )
+from weakcore.coreset import SummaryParams, build_universal_weak_coreset
 from weakcore.model import ClusteringInstance, MetricSpace
 
 
@@ -246,14 +250,13 @@ MUTATIONS = {
 }
 
 
-@st.composite
-def mutated_instance(draw):
-    """A valid instance file, in either layout, with one key dropped, one
-    value of another type, one list truncated, or one number replaced by a
-    string, a bool or null."""
-    payload = copy.deepcopy(draw(st.sampled_from(list(FUZZ_BASES.values()))))
-    how = draw(st.sampled_from(sorted(MUTATIONS)))
-    path, value = draw(st.sampled_from([n for n in _nodes(payload) if MUTATIONS[how](n[1])]))
+def _mutated(draw, payload):
+    """A copy of ``payload`` with one key dropped, one value of another type,
+    one list truncated, or one number replaced by a string, a bool or null."""
+    payload = copy.deepcopy(payload)
+    nodes = list(_nodes(payload))
+    how = draw(st.sampled_from([h for h in sorted(MUTATIONS) if any(MUTATIONS[h](v) for _, v in nodes)]))
+    path, value = draw(st.sampled_from([n for n in nodes if MUTATIONS[how](n[1])]))
     parent = reduce(getitem, path[:-1], payload)
     if how == "drop":
         del parent[path[-1]]
@@ -265,6 +268,12 @@ def mutated_instance(draw):
         others = [[], {}, "x", 1.5, -1, 0, [1.0, 2.0], {"coords": [0.0]}, None]
         parent[path[-1]] = draw(st.sampled_from([o for o in others if type(o) is not type(value)]))
     return payload
+
+
+@st.composite
+def mutated_instance(draw):
+    """A valid instance file, in either layout, with one mutation of :func:`_mutated`."""
+    return _mutated(draw, draw(st.sampled_from(list(FUZZ_BASES.values()))))
 
 
 @given(mutated_instance())
@@ -283,3 +292,63 @@ def test_mutated_instance_files_exit_cleanly(payload):
                          "--out", os.path.join(d, "cs.json")])
     assert code in {0, 2, 3, 4, 5}, err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+FUZZ_INSTANCE = make_planar_blobs(12, 4, 2, z=2, m=2, seed=3)
+FUZZ_CORESETS = [
+    coreset_to_payload(build_universal_weak_coreset(
+        FUZZ_INSTANCE, 0.5, 0.05, mode=mode, seed=1,
+        candidate_params=CandidateParams(seed=1, max_euclidean_candidates=6),
+        summary_params=SummaryParams(sample_count=3, seed=1),
+    ))
+    for mode in ("metric", "euclidean_kmeans")
+]
+FUZZ_CONSTRAINTS = [
+    {"type": "unconstrained"},
+    {"type": "balanced", "l": [3, 3], "u": [9, None]},
+    {"type": "profile", "gamma": [5, 7]},
+    {"type": "profile", "gamma": [[2, 3], [4, 3]]},
+    {"type": "fractions", "alpha": [[0.2, 0.2], [0.2, 0.2]], "beta": [[0.8, 0.8], [0.8, 0.8]]},
+    {"type": "ldiversity", "l": 2, "direction": "at_most"},
+]
+
+
+@st.composite
+def mutated_coreset_or_constraint(draw):
+    """A valid coreset file and a valid constraint file for ``FUZZ_INSTANCE``,
+    one of them with one mutation of :func:`_mutated`: (which, coreset,
+    constraint)."""
+    which = draw(st.sampled_from(["coreset", "constraint"]))
+    cs = draw(st.sampled_from(FUZZ_CORESETS))
+    con = draw(st.sampled_from(FUZZ_CONSTRAINTS))
+    if which == "coreset":
+        cs = _mutated(draw, cs)
+    else:
+        con = _mutated(draw, con)
+    return which, cs, con
+
+
+@given(mutated_coreset_or_constraint())
+@settings(max_examples=300, deadline=None)
+def test_mutated_coreset_and_constraint_files_exit_cleanly(case):
+    """``solve`` on a damaged coreset or constraint file, and ``verify
+    --which both`` on a damaged coreset file, end in a verdict (1 is
+    verify's FAIL) or an input error with at most one stderr line: never an
+    internal error (6) or a traceback."""
+    which, cs, con = case
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name + ".json") for name in ("inst", "cs", "con")}
+        for name, payload in (("inst", instance_to_payload(FUZZ_INSTANCE)), ("cs", cs), ("con", con)):
+            with open(paths[name], "w") as fh:
+                json.dump(payload, fh)
+        runs = [["solve", "--instance", paths["inst"], "--coreset", paths["cs"], "--constraint", paths["con"],
+                 "--out", os.path.join(d, "res.json")]]
+        if which == "coreset":
+            runs.append(["verify", "--instance", paths["inst"], "--coreset", paths["cs"], "--which", "both",
+                         "--trials", "3", "--out", os.path.join(d, "ver.json")])
+        for args in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(args)
+            assert code in {0, 1, 2, 3, 4, 5}, (args[0], err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, (args[0], err.getvalue())

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_small_instance
+import dataclasses
+
+from conftest import count_tables, one_spec_per_family, random_small_instance
 from oracles import exhaustive_voronoi_opt
 from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained, optimal_feasible_cost
 from weakcore.coreset import SummaryParams, build_universal_weak_coreset, identity_weak_coreset
-from weakcore.flowlp import Infeasible, SolverLimit
+from weakcore.flowlp import Infeasible, SolverError, SolverLimit
 import weakcore.constraints as constraints
 import weakcore.meta as meta
 from weakcore.meta import (
@@ -16,6 +18,7 @@ from weakcore.meta import (
     voronoi_bounds,
 )
 from weakcore.model import (
+    Assignment,
     ClusteringInstance,
     ClusterProfile,
     MetricSpace,
@@ -343,3 +346,69 @@ def test_property_b_implies_summary_bound():
     ratio = res.cost_on_full / res.cost_on_summary
     if 1 - eps <= ratio <= 1 + eps:
         assert res.cost_on_full <= (1 + eps) / (1 - eps) * res.cost_on_summary + 1e-9
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_best_tuple_builds_one_table(monkeypatch, prune):
+    """The walk builds one |B| x |candidates| D^z table, for the bounds and
+    for every tuple's exact solve, and none per tuple."""
+    inst = make_planar_blobs(80, 7, 3, m=2, seed=2)
+    B = inst.weighted_points()
+    pool = np.sort(inst.facilities)
+    tables = count_tables(monkeypatch)
+    for spec in one_spec_per_family(B, 3, np.random.default_rng(2)):
+        tables.clear()
+        *_, evaluated = best_tuple(B, pool, 3, spec, 1, False, prune=prune)
+        assert tables == [(B.size, pool.size)], type(spec).__name__
+        assert evaluated == 35 or prune
+
+
+def test_stage_3_builds_one_full_table_and_checks_conservation_once(monkeypatch):
+    """solve_constrained builds one summary table for the walk and one
+    full-data table for the re-solve, and checks weight conservation once,
+    on the full-data answer of a transport or LP family."""
+    inst = make_planar_blobs(200, 6, 2, m=2, seed=8)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, seed=8, summary_params=SummaryParams(sample_count=5, seed=8)
+    )
+    candidate_ids, summary, full = cs.bind(inst, inst.z)
+    assert summary.size < full.size
+    tables = count_tables(monkeypatch)
+    checks = []
+    check = Assignment.check_conservation
+
+    def spy(self, B, *args):
+        checks.append(B.size)
+        return check(self, B, *args)
+
+    monkeypatch.setattr(Assignment, "check_conservation", spy)
+    for spec in one_spec_per_family(full, 2, np.random.default_rng(8)):
+        tables.clear()
+        checks.clear()
+        solve_constrained(cs, inst, spec)
+        assert tables == [(summary.size, candidate_ids.size), (full.size, 2)], type(spec).__name__
+        assert checks == ([] if isinstance(spec, Unconstrained) else [full.size]), type(spec).__name__
+
+
+def test_stage_3_catches_a_flow_that_drops_a_point(monkeypatch):
+    """Solves read their costs from the table and rescale each point's
+    masses to its weight; a full-data flow that leaves a point with no mass
+    at all is caught by stage 3's conservation check."""
+    inst = make_planar_blobs(200, 6, 2, seed=8)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, seed=8, summary_params=SummaryParams(sample_count=5, seed=8)
+    )
+    solve = constraints.solve_bounded_transportation
+
+    def drop_a_point(problem, prices=None):
+        sol = solve(problem, prices)
+        if problem.cost.shape[0] < inst.n:
+            return sol
+        flow = sol.flow.copy()
+        flow[7] = 0.0
+        return dataclasses.replace(sol, flow=flow)
+
+    monkeypatch.setattr(constraints, "solve_bounded_transportation", drop_a_point)
+    W = inst.total_weight
+    with pytest.raises(SolverError, match="weight conservation: point 7: assigned mass 0 "):
+        solve_constrained(cs, inst, Balanced(np.full(2, 0.3 * W), np.full(2, 0.7 * W)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import weakcore.constraints as constraints
-from conftest import random_small_instance
+from conftest import count_tables, random_small_instance
 from oracles import exhaustive_voronoi_opt
 from weakcore.cli import make_planar_blobs
 from weakcore.constraints import Balanced, FixedProfile, Unconstrained, voronoi_profile
@@ -214,3 +214,21 @@ def test_property_a_statistical_suite():
         rep = verify_property_A(inst, cs)
         hits += rep.worst_ratio <= 3 + eps
     assert hits / trials >= 0.95
+
+
+def test_property_b_builds_one_full_and_one_summary_table_per_trial(monkeypatch):
+    """Each trial builds one full-data table, which serves its Voronoi
+    profile and its full solve, and one summary table; on the identity
+    coreset one table serves both sides."""
+    inst = make_planar_blobs(300, 5, 2, seed=5)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, seed=5, summary_params=SummaryParams(sample_count=5, seed=5)
+    )
+    _, summary, _ = cs.bind(inst, inst.z)
+    assert summary.size < inst.n
+    tables = count_tables(monkeypatch)
+    verify_property_B(inst, cs, trials=6, eps=0.25, seed=5)
+    assert tables == [(inst.n, 2), (summary.size, 2)] * 6
+    tables.clear()
+    verify_property_B(inst, identity_weak_coreset(inst), trials=4, eps=0.25, seed=5)
+    assert tables == [(inst.n, 2)] * 4
