@@ -742,6 +742,7 @@ def cmd_solve(args) -> int:
     print(f"{'cost on summary':>18}: {res.cost_on_summary:.9g}")
     print(f"{'cost on full':>18}: {res.cost_on_full:.9g}")
     print(f"{'tuples evaluated':>18}: {res.tuples_evaluated}")
+    print(f"{'tuples skipped':>18}: {res.stats['tuples_skipped_by_price']}")
     print(f"{'wall time':>18}: {res.wall_time:.3f}s")
     return EXIT_OK
 

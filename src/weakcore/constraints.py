@@ -138,8 +138,8 @@ def is_symmetric(spec: ConstraintSpec) -> bool:
         return True
     if isinstance(spec, Balanced):
         return bool(np.all(spec.lower == spec.lower[0]) and np.all(spec.upper == spec.upper[0]))
-    if isinstance(spec, FractionBounds):
-        a, b = np.atleast_2d(spec.alpha), np.atleast_2d(spec.beta)
+    if isinstance(spec, FractionBounds):  # one row per cluster, a (k,) pair included
+        a, b = (x.reshape(len(x), -1) for x in (spec.alpha, spec.beta))
         return bool(np.all(a == a[0]) and np.all(b == b[0]))
     return False
 
@@ -277,14 +277,40 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
         b_ub=np.zeros(2 * k * m),
     )
     sol = solve_lp(lp)
-    # Certificate: the Lagrangian bound of the fraction-row multipliers y <= 0
-    # (each point at its cheapest cluster under the priced costs) meets c.x.
-    y = sol.ub_duals
-    priced = d - (y @ lp.a_ub).reshape(n, k)
-    bound = float(B.weights @ priced.min(axis=1) + lp.b_ub @ y)
+    # The fraction rows' multipliers y <= 0 shift the cost of a label-j point
+    # in cluster i by -P[j, i], P[j, i] = C_i + (y_hi - y_lo)[i, j] with
+    # C_i = sum_j (y_lo * alpha - y_hi * beta)[i, j]; the rows' rhs is 0.
+    # Certificate: that Lagrangian bound (:func:`_lagrangian`) meets c.x.
+    y_lo, y_hi = np.moveaxis(sol.ub_duals.reshape(k, m, 2), 2, 0)
+    shift = ((y_lo * alpha - y_hi * beta).sum(axis=1)[:, None] + y_hi - y_lo).T
+    bound = float(B.weights @ (d - shift[B.labels]).min(axis=1))
     if sol.objective - bound > 1e-9 * max(1.0, abs(sol.objective)):
         raise SolverError(f"fraction LP duality gap {sol.objective - bound:.3e} at cost {sol.objective:.12g}")
-    return sol.x
+    return sol.x, shift
+
+
+def _lagrangian(B: WeightedPoints, spec: ConstraintSpec, prices: np.ndarray):
+    """The Lagrangian lower bound that a solve's (m, k) ``prices``, one row
+    per label class (:func:`_solve`'s fourth item), put on the exact cost
+    under ``spec`` of any k centers on B, as (per-point prices (|B|, k),
+    offset c): for centers with D^z table d the bound is ``sum_x v_x min_i
+    (d[x, i] - rows[x, i]) + c`` (weak duality; Geoffrion 1974).
+
+    Fraction prices are the LP's shift and c = 0. Transport prices bound
+    the sink totals T: any real P splits into P+ on ``T >= lower`` and P-
+    on ``T <= min(upper, W)``, so c = sum P+ * lower - P- * min(upper, W)
+    holds for every P, and a fixed profile is lower == upper.
+    """
+    k = prices.shape[1]
+    rows = prices[B.labels] if len(prices) > 1 else np.broadcast_to(prices, (B.size, k))
+    if isinstance(spec, FractionBounds):
+        return rows, 0.0
+    if isinstance(spec, Balanced):
+        lower, upper = spec.lower[None], spec.upper[None]
+    else:
+        lower = upper = spec.profile.values.reshape(k, -1).T
+    upper = np.minimum(upper, B.total_weight)
+    return rows, float(np.sum(np.maximum(prices, 0.0) * lower + np.minimum(prices, 0.0) * upper))
 
 
 def optimal_feasible_cost(
@@ -300,11 +326,14 @@ def optimal_feasible_cost(
     """Minimum cost over all assignments satisfying ``spec`` for fixed centers.
 
     Returns (cost, minimizing assignment, realized profile), and with
-    ``return_prices`` a fourth item: the sink prices of the transport solves
-    as an (m, k) array, one row per label class (one row for ``Balanced``),
-    or None for the families solved without transport. Passing such prices,
-    say from the same centers on a summary of ``B``, warm-starts the
-    transport solves; the result is exact either way. ``table``, B's
+    ``return_prices`` a fourth item: the solve's multipliers as an (m, k)
+    array, one row per label class (one row for ``Balanced``), or None when
+    unconstrained. For the transport families they are the sink prices;
+    for fraction bounds, the LP's Lagrangian shift. Either way they bound
+    the cost of any other centers under ``spec`` on ``B``
+    (:func:`_lagrangian`). Passing transport prices, say from the same
+    centers on a summary of ``B``, warm-starts the transport solves
+    (the LP takes none); the result is exact either way. ``table``, B's
     (|B|, k) ``D^z`` table to ``centers`` when the caller already holds it,
     spares building it again; the cost is read from it. Raises
     :class:`weakcore.flowlp.Infeasible` when the constraint set is empty.
@@ -342,8 +371,9 @@ def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None):
         if B.labels is None:
             raise ValidationError("fraction bounds require a labeled point set")
         alpha, beta = spec.per_label(k, B.n_labels)
-        cost, sigma = _assign(d, B, *_support(_fraction_lp(B, d, alpha, beta)))
-        return cost, sigma, ClusterProfile(sigma.label_cluster_mass(B, k)), None
+        flow, shift = _fraction_lp(B, d, alpha, beta)
+        cost, sigma = _assign(d, B, *_support(flow))
+        return cost, sigma, ClusterProfile(sigma.label_cluster_mass(B, k)), shift
     raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
 
 

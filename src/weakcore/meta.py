@@ -1,14 +1,18 @@
 """Enumeration meta-solver: score the k-tuples of candidate centers against
 the summary, keep the cheapest, then re-solve the winner on the full data.
-The enumeration kernel, :func:`best_tuple`, is shared with the oracle; it
-skips every tuple whose Voronoi lower bound cannot beat the best cost."""
+The enumeration kernel, :func:`best_tuple`, is shared with the oracle. It
+visits tuples in ascending Voronoi lower bound and stops at the first whose
+bound cannot beat the best cost; before solving a tuple it prices it with
+the best tuple's multipliers (a Lagrangian bound, of which the Voronoi bound
+is the case with every multiplier at zero) and skips it when that bound
+cannot beat the best cost either."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -19,6 +23,7 @@ from .constraints import (
     FractionBounds,
     Unconstrained,
     _cost_matrix,
+    _lagrangian,
     check_feasibility,
     is_symmetric,
     optimal_feasible_cost,
@@ -34,6 +39,8 @@ MAX_BOUND_TUPLES = 10_000_000
 _BOUND_CELLS = 1 << 16
 # Relative slack on the stop rule: a bound may round a few ulps above the cost it bounds.
 PRUNE_TOL = 1e-9
+# A priced bound for a symmetric spec tries every order of the k slots while k! is at most this.
+MAX_SLOT_ORDERS = 24
 
 
 def count_center_tuples(j_size: int, k: int, ordered: bool, allow_repeats: bool) -> int:
@@ -72,6 +79,7 @@ class SolveResult:
     tuples_evaluated: int
     wall_time: float
     center_coords: Optional[np.ndarray] = None
+    stats: dict = field(default_factory=dict)
 
 
 def check_tuple_ceiling(
@@ -127,6 +135,15 @@ def voronoi_bounds(
     return positions, bounds
 
 
+def _slot_orders(k: int, spec: ConstraintSpec) -> np.ndarray:
+    """The slot orders a priced bound tries, as (orders, k) rows: every
+    permutation when ``spec`` is symmetric (a tuple's cost then does not
+    depend on its order) and k! <= ``MAX_SLOT_ORDERS``, else the identity."""
+    if is_symmetric(spec) and math.factorial(k) <= MAX_SLOT_ORDERS:
+        return np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    return np.arange(k)[None]
+
+
 def best_tuple(
     B: WeightedPoints,
     candidates,
@@ -139,6 +156,7 @@ def best_tuple(
     *,
     prune: bool = True,
     return_prices: bool = False,
+    stats: Optional[dict] = None,
 ):
     """The enumeration kernel: the cheapest k-tuple of ``candidates`` under
     an exact constrained assignment on ``B``.
@@ -151,14 +169,24 @@ def best_tuple(
     (:func:`voronoi_bounds`, over the same table), and the walk stops at the
     first tuple whose bound exceeds the best exact cost by more than
     ``PRUNE_TOL`` relative (the bound is a numpy dot product, the cost an
-    ``fsum``); no tuple left unvisited can win. Without ``prune`` every
-    tuple is solved in rank order. With ``cost_target`` the walk stops at
-    the first visited tuple whose cost is at or below it. Returns ``(cost,
-    tuple, assignment, exact solves)``, and with ``return_prices`` the
-    winner's sink prices from :func:`optimal_feasible_cost` as a fifth item;
-    raises :class:`Infeasible` when no tuple is feasible.
+    ``fsum``); no tuple left unvisited can win. Before solving a tuple, the
+    pruned walk also bounds it with the best tuple's multipliers
+    (:func:`weakcore.constraints._lagrangian`), taking the largest bound
+    over :func:`_slot_orders`, and skips it when that bound exceeds the
+    same threshold: it costs more than the best, so it cannot win. Without
+    ``prune`` every tuple is solved in rank order. With ``cost_target`` the
+    walk stops at the first solved tuple whose cost is at or below it.
+
+    Returns ``(cost, tuple, assignment, exact solves)``, and with
+    ``return_prices`` the winner's multipliers from
+    :func:`optimal_feasible_cost` as a fifth item; raises
+    :class:`Infeasible` when no tuple is feasible. A ``stats`` dict gets
+    the walk's counters: ``tuples_total`` (all tuples), ``tuples_solved``
+    (exact solves), ``tuples_infeasible`` (solves that found no feasible
+    assignment) and ``tuples_skipped_by_price``.
     """
     pool = np.asarray(candidates, dtype=np.int64)
+    total = count_center_tuples(pool.size, k, ordered, allow_repeats)
     if prune:  # refuse before the table is built
         check_tuple_ceiling(pool.size, k, ordered, allow_repeats, MAX_BOUND_TUPLES)
     dz = _cost_matrix(B, pool, z)
@@ -166,6 +194,7 @@ def best_tuple(
         positions, bounds = voronoi_bounds(B, pool, k, z, ordered, allow_repeats, table=dz)
         order = np.argsort(bounds, kind="stable")
         visits = ((int(r), positions[r], bounds[r]) for r in order)
+        columns, orders = np.ascontiguousarray(dz.T), _slot_orders(k, spec)
     else:
         blocks = _position_blocks(pool.size, k, ordered, allow_repeats)
         rows = itertools.chain.from_iterable(blocks)
@@ -173,10 +202,16 @@ def best_tuple(
 
     best = None
     stop_at = math.inf
-    evaluated = 0
+    slot_prices = offset = None  # the best tuple's prices per slot order, (orders, k, |B|)
+    evaluated = infeasible = skipped = 0
     for rank, pos, bound in visits:
         if bound > stop_at:
             break
+        if slot_prices is not None:
+            priced = (columns[pos] - slot_prices).min(axis=1) @ B.weights
+            if float(priced.max()) + offset > stop_at:
+                skipped += 1
+                continue
         evaluated += 1
         centers = pool[pos]
         try:
@@ -184,12 +219,23 @@ def best_tuple(
                 B, centers, spec, z, return_prices=True, table=dz[:, pos]
             )
         except Infeasible:
+            infeasible += 1
             continue
         if best is None or (cost, rank) < best[:2]:
             best = (cost, rank, centers, sigma, prices)
             stop_at = cost + PRUNE_TOL * max(1.0, abs(cost))
             if cost_target is not None and cost <= cost_target:
                 break
+            if prune and prices is not None:
+                rows, offset = _lagrangian(B, spec, prices)
+                slot_prices = rows.T[orders]
+    if stats is not None:
+        stats.update(
+            tuples_total=total,
+            tuples_solved=evaluated,
+            tuples_infeasible=infeasible,
+            tuples_skipped_by_price=skipped,
+        )
     if best is None:
         raise Infeasible("no candidate tuple admits a feasible assignment")
     cost, _, centers, sigma, prices = best
@@ -217,6 +263,8 @@ def solve_constrained(
     order, whose summary cost reaches it. A fixed profile is checked against
     the full data before any tuple is scored. The winner's full-data
     assignment is checked for weight conservation and for the spec.
+    ``stats`` holds the walk's counters (see :func:`best_tuple`);
+    ``tuples_evaluated`` is its ``tuples_solved``.
     """
     z = inst.z if z is None else z
     if isinstance(spec, FractionBounds) and inst.labels is None:
@@ -230,8 +278,10 @@ def solve_constrained(
         bad = spec.profile.check_consistency(full)
         if bad:
             raise ValidationError("; ".join(bad))
+    stats = {}
     cost_summary, winning, _, evaluated, prices = best_tuple(
-        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target, return_prices=True
+        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target,
+        return_prices=True, stats=stats,
     )
 
     # The winner's summary prices warm-start its transport solves on the full data.
@@ -255,5 +305,6 @@ def solve_constrained(
         tuples_evaluated=evaluated,
         wall_time=time.perf_counter() - start,
         center_coords=coords,
+        stats=stats,
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -169,7 +170,9 @@ class WeightedPoints:
     """A weighted subset of a metric space, optionally labeled.
 
     This is the ``B`` argument of every cost functional: either the full
-    instance (X, w) or a coreset summary (S, v).
+    instance (X, w) or a coreset summary (S, v). The weight totals are
+    computed once per point set; its arrays are not written after
+    construction.
     """
 
     space: MetricSpace
@@ -191,20 +194,24 @@ class WeightedPoints:
     def size(self) -> int:
         return int(self.indices.size)
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
         return float(math.fsum(self.weights.tolist()))
 
-    @property
+    @cached_property
     def n_labels(self) -> int:
         if self.labels is None:
             return 1
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
+    @cached_property
+    def _label_weights(self) -> tuple[float, ...]:
+        return tuple(math.fsum(self.weights[self.labels == j].tolist()) for j in range(self.n_labels))
+
     def label_weight(self, label: int) -> float:
         if self.labels is None:
             raise ValidationError("point set carries no labels")
-        return float(math.fsum(self.weights[self.labels == label].tolist()))
+        return self._label_weights[label] if 0 <= label < self.n_labels else 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -154,10 +154,17 @@ def test_solve_balanced_pipeline(tmp_path):
     assert payload["cost_on_full"] == pytest.approx(3.0)
 
 
-def test_solve_heterogeneous_pipeline(tmp_path):
+def test_solve_heterogeneous_pipeline(tmp_path, capsys):
     code, res = full_pipeline(tmp_path, {"type": "balanced", "l": [4, 1], "u": [5, 5]})
     assert code == EXIT_OK
-    assert load_json(str(res))["cost_on_full"] == pytest.approx(10.0)
+    payload = load_json(str(res))
+    assert payload["cost_on_full"] == pytest.approx(10.0)
+    # stdout reports the solved and the price-skipped tuples; the file keeps its keys.
+    out = capsys.readouterr().out.splitlines()
+    lines = dict(map(str.strip, line.split(": ", 1)) for line in out if ": " in line)
+    assert int(lines["tuples evaluated"]) == payload["tuples_evaluated"]
+    assert int(lines["tuples skipped"]) > 0
+    assert "stats" not in payload
 
 
 def test_solve_infeasible_exit_code(tmp_path):

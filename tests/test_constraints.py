@@ -415,6 +415,9 @@ def test_is_symmetric():
     assert is_symmetric(Balanced(np.array([1.0, 1.0]), np.array([3.0, 3.0])))
     assert not is_symmetric(Balanced(np.array([1.0, 2.0]), np.array([3.0, 3.0])))
     assert is_symmetric(FractionBounds(np.zeros(2), np.ones(2)))
+    # A (k,) pair gives cluster i its own bounds for every label.
+    assert not is_symmetric(FractionBounds(np.array([0.1, 0.3]), np.ones(2)))
+    assert not is_symmetric(FractionBounds(np.zeros((2, 2)), np.array([[1.0, 1.0], [0.8, 1.0]])))
     assert not is_symmetric(FixedProfile(ClusterProfile([2.0, 3.0])))
 
 

@@ -73,7 +73,12 @@ def test_solve_balanced_heterogeneous_ordered(line_instance):
     spec = Balanced(np.array([4.0, 1.0]), np.array([5.0, 5.0]))
     res = solve_constrained(cs, line_instance, spec)
     assert res.cost_on_full == pytest.approx(10.0)
-    assert res.tuples_evaluated == 12  # ordered mode: 20 tuples, 8 pruned
+    # Ordered mode: 20 tuples; the Voronoi stop leaves 12, and the incumbents'
+    # prices skip 9 of those, so 3 are solved.
+    assert res.tuples_evaluated == 3
+    assert res.stats == {
+        "tuples_total": 20, "tuples_solved": 3, "tuples_infeasible": 0, "tuples_skipped_by_price": 9
+    }
     totals = res.assignment_on_full.cluster_totals(2)
     assert totals[0] >= 4.0 - 1e-9
 
@@ -154,7 +159,10 @@ def test_cost_target_below_every_cost_is_exhaustive(line_instance):
 
 
 def _random_specs(rng, B, k, m):
-    """One spec per family, from random bounds that are sometimes infeasible."""
+    """One spec per family, from random bounds that are sometimes infeasible,
+    plus two symmetric specs that the priced bound may match slot orders
+    for: balanced bounds with no upper bound and, when labeled, fraction
+    bounds shared by every cluster."""
     W = B.total_weight
     shares = rng.dirichlet(np.ones(k))
     if m > 1:
@@ -171,14 +179,22 @@ def _random_specs(rng, B, k, m):
     ]
     if m > 1:
         specs.append(FractionBounds(alpha, np.minimum(1.0, alpha + rng.uniform(0.2, 0.7))))
+    specs.append(Balanced(np.full(k, rng.uniform(0.05, 0.3) * W), np.full(k, np.inf)))
+    if m > 1:
+        a = rng.uniform(0.0, 0.45)
+        specs.append(FractionBounds(np.full((k, m), a), np.full((k, m), min(1.0, a + rng.uniform(0.1, 0.6)))))
     return specs
 
 
 def _best_or_infeasible(*args, **kwargs):
+    stats = {}
     try:
-        cost, tup, _, solves = best_tuple(*args, **kwargs)
+        cost, tup, _, solves = best_tuple(*args, stats=stats, **kwargs)
     except Infeasible:
         return "infeasible", None
+    assert solves == stats["tuples_solved"]
+    assert stats["tuples_solved"] + stats["tuples_skipped_by_price"] <= stats["tuples_total"]
+    assert stats["tuples_infeasible"] <= stats["tuples_solved"]
     return (tup, cost), solves
 
 
@@ -199,6 +215,52 @@ def test_pruned_walk_matches_exhaustive(seed):
             if exhaustive != "infeasible":
                 assert all_solves == count_center_tuples(facilities.size, inst.k, ordered, False)
                 assert pruned_solves <= all_solves
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_priced_bound_never_exceeds_the_exact_cost(monkeypatch, seed):
+    """Weak duality, checked on its own: the bound that one feasible tuple's
+    multipliers put on any tuple, as the largest over the slot orders the
+    walk tries, is at most that tuple's exact cost, and it meets the cost of
+    the tuple the multipliers came from. Fraction LP multipliers are <= 0."""
+    m = 1 + seed % 2
+    inst = random_small_instance(seed, n_max=8, f_max=5, k_max=3, m=m)
+    rng = np.random.default_rng(2000 + seed)
+    B = WeightedPoints(inst.space, inst.points, rng.uniform(0.3, 3.0, inst.n), inst.labels)
+    duals = []
+    solve_lp = constraints.solve_lp
+
+    def spy(lp):
+        sol = solve_lp(lp)
+        duals.append(sol.ub_duals)
+        return sol
+
+    monkeypatch.setattr(constraints, "solve_lp", spy)
+    tuples = np.array(list(enumerate_center_tuples(np.sort(inst.facilities), inst.k, ordered=True)))
+    d = B.space.pairwise(B.indices, tuples.ravel()).reshape(B.size, *tuples.shape) ** inst.z
+    for spec in one_spec_per_family(B, inst.k, rng) + _random_specs(rng, B, inst.k, m):
+        costs, prices = np.full(len(tuples), np.inf), [None] * len(tuples)
+        for r, t in enumerate(tuples):
+            try:
+                costs[r], _, _, prices[r] = optimal_feasible_cost(B, t, spec, inst.z, return_prices=True)
+            except Infeasible:
+                pass
+        feasible = np.flatnonzero(costs < np.inf)
+        if isinstance(spec, Unconstrained):  # the Voronoi bound is exact: nothing to price
+            assert all(p is None for p in prices)
+            continue
+        slack = 1e-9 * np.maximum(1.0, np.abs(costs))
+        for r in feasible:
+            rows, offset = constraints._lagrangian(B, spec, prices[r])
+            bounds = np.max(
+                [B.weights @ (d - rows[:, None, order]).min(axis=2) for order in meta._slot_orders(inst.k, spec)],
+                axis=0,
+            ) + offset
+            assert np.all(bounds <= costs + slack), type(spec).__name__
+            own = B.weights @ (d[:, r] - rows).min(axis=1) + offset
+            assert own >= costs[r] - slack[r], type(spec).__name__
+    assert (len(duals) > 0) == (m > 1)
+    assert all(np.all(y <= 0.0) for y in duals)
 
 
 def test_mirror_tie_breaks_to_earlier_rank_despite_bound_rounding():

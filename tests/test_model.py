@@ -148,6 +148,27 @@ def test_profile_consistency_labeled(labeled_line_instance):
     assert extra.check_consistency(B) == ["profile has 3 label columns, the point set has 2 labels"]
 
 
+def test_weight_totals_are_summed_once_per_point_set(monkeypatch, labeled_line_instance):
+    """The total and per-label weights are fsums over the weights, taken
+    once per point set however often a profile is checked against it."""
+    import weakcore.model as model
+
+    B = labeled_line_instance.weighted_points()
+    sums = []
+    fsum = model.math.fsum
+    monkeypatch.setattr(model.math, "fsum", lambda xs: sums.append(1) or fsum(xs))
+    for profile in (ClusterProfile([3.0, 2.0]), ClusterProfile([[1.0, 2.0], [2.0, 0.0]])):
+        for _ in range(3):
+            assert profile.check_consistency(B) == []
+    totals = B.total_weight, B.label_weight(0), B.label_weight(1), B.label_weight(2)
+    monkeypatch.undo()
+    by_label = [fsum(B.weights[B.labels == j].tolist()) for j in range(2)]
+    assert totals == (fsum(B.weights.tolist()), *by_label, 0.0)
+    # Three sums for the point set (total, label 0, label 1), and one per
+    # profile column per check.
+    assert len(sums) == 3 + 3 * (1 + 2)
+
+
 def test_assignment_conservation(line_instance):
     B = line_instance.weighted_points()
     sigma = Assignment(B.indices, np.zeros(5, dtype=int), B.weights)
