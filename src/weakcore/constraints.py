@@ -36,6 +36,10 @@ from .model import (
 
 FEAS_TOL = 1e-7
 
+# What a ``stats`` dict gets from each transport solve: the solve, its
+# augmenting paths, its shortest-path searches, and whether it took the warm start.
+TRANSPORT_COUNTERS = ("transport_solves", "transport_augmentations", "transport_searches", "warm_starts")
+
 # Not a second code path; kept because perfbench's tracer hooks constraints.solve_transportation.
 solve_transportation = solve_bounded_transportation
 
@@ -219,23 +223,25 @@ def profile_cost(
     prices=None,
     return_prices: bool = False,
     table=None,
+    stats: Optional[dict] = None,
 ):
     """Minimum assignment cost consistent with a profile: one transportation
     solve per label class with every sink pinned to its target, the whole
     set being one class when the profile is unlabeled.
 
     Returns (cost, assignment), and the sink prices as a third item with
-    ``return_prices``; ``prices`` and ``table`` are as in
+    ``return_prices``; ``prices``, ``table`` and ``stats`` are as in
     :func:`optimal_feasible_cost`."""
-    cost, sigma, _, out = _solve(_table(B, centers, z, table), B, FixedProfile(profile), prices)
+    cost, sigma, _, out = _solve(_table(B, centers, z, table), B, FixedProfile(profile), prices, stats)
     return (cost, sigma, out) if return_prices else (cost, sigma)
 
 
-def _transport(d, B, classes, lower, upper, prices):
+def _transport(d, B, classes, lower, upper, prices, stats):
     """One bounded transport per label class j of ``classes`` (all of ``B``
     when None) on its rows of the D^z table ``d``, between the columns
     ``lower[:, j]`` and ``upper[:, j]``, started from ``prices[j]``: (cost,
-    assignment, sink totals per class, prices per class)."""
+    assignment, sink totals per class, prices per class). Each solve adds
+    its :data:`TRANSPORT_COUNTERS` to ``stats`` unless it is None."""
     shape = lower.shape[::-1]
     if prices is not None and np.shape(prices) != shape:
         raise ValidationError(f"start prices have shape {np.shape(prices)}, need {shape}")
@@ -251,8 +257,10 @@ def _transport(d, B, classes, lower, upper, prices):
             ),
             None if prices is None else prices[j],
         )
-        r, c, masses = _support(sol.flow)
-        parts.append((r if rows is None else rows[r], c, masses))
+        parts.append((sol.rows if rows is None else rows[sol.rows], sol.cols, sol.masses))
+        if stats is not None:
+            for key, count in zip(TRANSPORT_COUNTERS, (1, sol.augmentations, sol.searches, sol.warm_start)):
+                stats[key] = stats.get(key, 0) + int(count)
         totals.append(sol.sink_totals)
         out.append(sol.prices)
     support = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
@@ -322,6 +330,7 @@ def optimal_feasible_cost(
     prices=None,
     return_prices: bool = False,
     table=None,
+    stats: Optional[dict] = None,
 ):
     """Minimum cost over all assignments satisfying ``spec`` for fixed centers.
 
@@ -335,14 +344,16 @@ def optimal_feasible_cost(
     centers on a summary of ``B``, warm-starts the transport solves
     (the LP takes none); the result is exact either way. ``table``, B's
     (|B|, k) ``D^z`` table to ``centers`` when the caller already holds it,
-    spares building it again; the cost is read from it. Raises
-    :class:`weakcore.flowlp.Infeasible` when the constraint set is empty.
+    spares building it again; the cost is read from it. A ``stats`` dict
+    gets each transport solve's :data:`TRANSPORT_COUNTERS` added to it.
+    Raises :class:`weakcore.flowlp.Infeasible` when the constraint set is
+    empty.
     """
-    cost, sigma, profile, out = _solve(_table(B, centers, z, table), B, spec, prices)
+    cost, sigma, profile, out = _solve(_table(B, centers, z, table), B, spec, prices, stats)
     return (cost, sigma, profile, out) if return_prices else (cost, sigma, profile)
 
 
-def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None):
+def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None, stats=None):
     """The one exact solve behind :func:`optimal_feasible_cost` and
     :func:`profile_cost`, on B's D^z table ``d`` to k centers: (cost,
     assignment, realized profile, prices). The cost is an fsum over the
@@ -360,12 +371,13 @@ def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None):
             raise ValidationError("; ".join(bad))
         classes = B.labels if profile.is_labeled else None
         gamma = profile.values.reshape(k, profile.m)
-        cost, sigma, _, out = _transport(d, B, classes, gamma, gamma, prices)
+        cost, sigma, _, out = _transport(d, B, classes, gamma, gamma, prices, stats)
         return cost, sigma, profile, out
     if isinstance(spec, Balanced):
         if spec.lower.size != k:
             raise ValidationError(f"balanced bounds length {spec.lower.size} != k={k}")
-        cost, sigma, totals, out = _transport(d, B, None, spec.lower[:, None], spec.upper[:, None], prices)
+        lower, upper = spec.lower[:, None], spec.upper[:, None]
+        cost, sigma, totals, out = _transport(d, B, None, lower, upper, prices, stats)
         return cost, sigma, ClusterProfile(totals[:, 0]), out
     if isinstance(spec, FractionBounds):
         if B.labels is None:

@@ -12,9 +12,12 @@ is the bound pair ``lower == upper``. Every transportation problem here has
 many sources (points) and few sinks (clusters), so the solver is successive
 shortest paths over an exchange graph with one node per sink plus one hub
 node that carries the sink bounds. Each arc between two sinks lists its
-sources once, sorted with numpy by ``(cost difference, source index)``, and
-reads the list through a pointer; only sources that move during the solve
-get per-sink masses and heap entries. It starts from the Voronoi
+sources, sorted with numpy by ``(cost difference, source index)`` the
+first time a search reads it, and reads the list through a pointer; only
+sources that move during the solve get per-sink masses and heap entries.
+When a search can only ever find one arc again, that arc's sources move
+one per augmentation with no further search (a run), and the flow comes
+back as its support rather than a dense matrix. It starts from the Voronoi
 assignment, or from given sink prices (say a summary solve's) when those
 start closer to balance: each source at its cheapest sink net of the
 prices, each free sink on the bound its price's sign selects. Either start
@@ -68,24 +71,45 @@ class BoundedTransportationProblem:
     sink_upper: np.ndarray
 
     def __post_init__(self):
-        cost = _float_array(self.cost, "cost matrix", ndim=2)
-        sup = _float_array(self.supplies, "supplies", ndim=1)
+        cost = np.asarray(self.cost, dtype=np.float64)
+        sup = np.asarray(self.supplies, dtype=np.float64)
         lo = np.asarray(self.sink_lower, dtype=np.float64)
         hi = np.asarray(self.sink_upper, dtype=np.float64)
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValidationError("sink bounds contain NaN")
-        if lo.ndim != 1 or hi.ndim != 1:
-            raise ValidationError("sink bounds must be vectors")
-        if cost.shape != (sup.size, lo.size) or hi.size != lo.size:
-            raise ValidationError("bound/cost dimensions are inconsistent")
-        if np.any(sup < 0):
-            raise ValidationError("supplies must be nonnegative")
-        if np.any(lo < 0) or np.any(hi < lo):
-            raise ValidationError("need 0 <= lower <= upper for every sink")
+        # One reduction per test when the problem is well formed (a NaN fails
+        # every comparison); otherwise the checks run one by one for their message.
+        if not (
+            cost.ndim == 2
+            and sup.ndim == lo.ndim == hi.ndim == 1
+            and cost.shape == (sup.size, lo.size)
+            and hi.size == lo.size
+            and -math.inf < cost.min(initial=0.0)
+            and cost.max(initial=0.0) < math.inf
+            and 0.0 <= sup.min(initial=0.0)
+            and sup.max(initial=0.0) < math.inf
+            and 0.0 <= lo.min(initial=0.0)
+            and (hi >= lo).all()
+        ):
+            _refuse(cost, sup, lo, hi)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "supplies", sup)
         object.__setattr__(self, "sink_lower", lo)
         object.__setattr__(self, "sink_upper", hi)
+
+
+def _refuse(cost, sup, lo, hi):
+    """Raise the first of a transportation problem's checks that fails."""
+    _float_array(cost, "cost matrix", ndim=2)
+    _float_array(sup, "supplies", ndim=1)
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise ValidationError("sink bounds contain NaN")
+    if lo.ndim != 1 or hi.ndim != 1:
+        raise ValidationError("sink bounds must be vectors")
+    if cost.shape != (sup.size, lo.size) or hi.size != lo.size:
+        raise ValidationError("bound/cost dimensions are inconsistent")
+    if np.any(sup < 0):
+        raise ValidationError("supplies must be nonnegative")
+    if np.any(lo < 0) or np.any(hi < lo):
+        raise ValidationError("need 0 <= lower <= upper for every sink")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,21 +148,34 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class BoundedTransportSolution:
-    """An optimal flow with the node potentials that certify it: every
-    reduced cost ``cost - u - v`` is >= 0 and vanishes on the flow, and
-    ``v_b - v_hub`` is >= 0 below sink b's upper bound and <= 0 above its
-    lower one, so it prices the bound that sink sits on. ``augmentations``
-    counts the shortest paths the solve took and ``warm_start`` says whether
+    """An optimal flow, as its support: ``masses[i] > 0`` goes from source
+    ``rows[i]`` to sink ``cols[i]``, in row-major order. The node potentials
+    certify it: every reduced cost ``cost - u - v`` is >= 0 and vanishes on
+    the support, and ``v_b - v_hub`` is >= 0 below sink b's upper bound and
+    <= 0 above its lower one, so it prices the bound that sink sits on.
+    ``augmentations`` counts the augmenting paths the solve took,
+    ``searches`` the shortest-path searches that found them (a run of
+    sources along one arc needs one search), and ``warm_start`` says whether
     it started from the given prices."""
 
-    flow: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    masses: np.ndarray
     objective: float
     sink_totals: np.ndarray
     source_potentials: np.ndarray
     sink_potentials: np.ndarray
     hub_potential: float
     augmentations: int
+    searches: int
     warm_start: bool
+
+    @property
+    def flow(self) -> np.ndarray:
+        """The dense (sources, sinks) flow, built on each read."""
+        flow = np.zeros((self.source_potentials.size, self.sink_potentials.size))
+        flow[self.rows, self.cols] = self.masses
+        return flow
 
     @property
     def prices(self) -> np.ndarray:
@@ -169,16 +206,18 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
     """Exact transportation for many sources and few sinks, each sink
     receiving between ``lower[b]`` and ``upper[b]`` of the supply.
 
-    Returns (flow, u, v, augmentations, warm) where (u, v) are optimal node
-    potentials, the last entry of ``v`` the hub's, and ``warm`` says which
-    start was taken. Each sink passes what it receives on to one zero-cost
-    hub node, index n, which absorbs the whole supply (Ahuja, Magnanti and
-    Orlin, *Network Flows*, ch. 9); with ``lower == upper`` the hub has no
-    arcs and this is plain transportation. Successive shortest paths move
-    excess to nodes short of their balance, one augmentation per path. Arc
-    a -> b between sinks moves some source x from a to b at reduced cost
-    ``c[x,b] - c[x,a] - v_b + v_a``; a hub arc changes what a sink passes on
-    at reduced cost ``v_tail - v_head``. Every start keeps all of these >= 0.
+    Returns ((rows, cols, masses), u, v, augmentations, searches, warm):
+    the flow's support in row-major order, optimal node potentials (u, v),
+    the last entry of ``v`` the hub's, the augmenting paths and the
+    Dijkstra searches taken, and which start was used. Each sink passes what
+    it receives on to one zero-cost hub node, index n, which absorbs the
+    whole supply (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 9); with
+    ``lower == upper`` the hub has no arcs and this is plain transportation.
+    Successive shortest paths move excess to nodes short of their balance,
+    one augmentation per path. Arc a -> b between sinks moves some source x
+    from a to b at reduced cost ``c[x,b] - c[x,a] - v_b + v_a``; a hub arc
+    changes what a sink passes on at reduced cost ``v_tail - v_head``. Every
+    start keeps all of these >= 0.
 
     Two starts. The Voronoi start puts every source at its nearest sink with
     all potentials zero, and every sink passes its total clipped to its
@@ -191,21 +230,36 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
     the warm start is taken only when its excess is strictly below the
     Voronoi start's, so a Voronoi profile keeps its zero-move solve.
 
-    The key ``c[x,b] - c[x,a]`` does not depend on the potentials. Each arc
-    lists the sources that start at its tail, sorted once by ``(key,
-    source)`` with numpy, and reads it through a pointer; a source that
-    arrives at a sink during the solve goes into a small heap per arc out of
-    that sink. An entry is stale once its source holds nothing at the tail,
-    and mass is kept per source only once the source has moved. Ties break
-    deterministically: ``(key, source)`` picks the source of an arc, and
-    Dijkstra settles the lowest node index among equal distances (the hub
-    last).
+    Arcs are built on first use. The key ``c[x,b] - c[x,a]`` does not depend
+    on the potentials, so the first time a search reads arc a -> b it sorts
+    the sources that start at a by ``(key, source)`` with numpy, and from
+    then on reads the list through a pointer; a start already in balance
+    sorts nothing. A source that arrives at a sink during the solve goes
+    into a small heap per arc out of that sink. An entry is stale once its
+    source holds nothing at the tail, and mass is kept per source only once
+    the source has moved.
+
+    Runs. Say a search settles every excess node and finds one live arc in
+    all, a -> b between sinks, which reaches its target b. While sources
+    move from a to b, no arc out of an excess node gains an entry, so the
+    next search would find a -> b's next source by the same arithmetic. So
+    a -> b's sources move one per augmentation, in ``(key, source)`` order
+    and with the potential update the search would make, until a's excess
+    or b's shortfall is used up; only then does a search run again. A k=2
+    fixed-profile solve takes at most one search, as the hub has no arcs
+    when lower equals upper. The flow and potentials are those of one
+    search per augmentation, bit for bit.
+
+    Ties break deterministically: ``(key, source)`` picks the source of an
+    arc, and Dijkstra settles the lowest node index among equal distances
+    (the hub last).
     """
     m, n = cost.shape
     hub = n
     if not upper.any():  # the supply is within the balance tolerance of zero: ship nothing
-        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n + 1), 0, False
-    scale = max(1.0, float(np.max(np.abs(cost), initial=0.0)))
+        none = np.zeros(0, dtype=np.intp)
+        return (none, none, np.zeros(0)), cost.min(axis=1, initial=0.0), np.zeros(n + 1), 0, 0, False
+    scale = max(1.0, float(cost.max(initial=0.0)), -float(cost.min(initial=0.0)))  # the largest |cost|
     W = float(supply.sum())
     eps = 1e-13 * max(1.0, W)
     live = np.flatnonzero(supply > 0)
@@ -224,19 +278,19 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
     excess = (total - through).tolist() + [float(through.sum()) - W]
     through, lo, hi = through.tolist(), lower.tolist(), upper.tolist()
 
-    arcs = [[None] * n for _ in range(n)]  # arc a -> b: (keys, sources) in (key, source) order
+    arcs = [[None] * n for _ in range(n)]  # arc a -> b: (keys, sources) in (key, source) order, once read
     ptr = [[0] * n for _ in range(n)]
     heads = [[None] * n for _ in range(n)]  # (key, source) at the pointer, or None
     arrived = [[[] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        at_a = live[start[live] == a]
-        for b in range(n):
-            if b != a and at_a.size:
-                keys = cost[at_a, b] - cost[at_a, a]
-                order = np.argsort(keys, kind="stable")  # at_a ascends: ties go to the lower source
-                keys, sources = arcs[a][b] = keys[order], at_a[order]
-                heads[a][b] = (float(keys[0]), int(sources[0]))
     moved = {}  # source -> its mass at every sink, once it has moved
+
+    def read(a, b):
+        """Sort arc a -> b, the live sources that start at a, by (key, source); its head."""
+        at_a = live[start[live] == a]
+        keys = cost[at_a, b] - cost[at_a, a]
+        order = np.argsort(keys, kind="stable")  # at_a ascends: ties go to the lower source
+        keys, sources = arcs[a][b] = keys[order], at_a[order]
+        return (float(keys[0]), int(sources[0])) if sources.size else None
 
     def stale(x, a):
         row = moved.get(x)
@@ -248,6 +302,8 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
             return (0.0, None) if through[a] < hi[a] else None
         if a == hub:
             return (0.0, None) if through[b] > lo[b] else None
+        if arcs[a][b] is None:
+            heads[a][b] = read(a, b)
         head = heads[a][b]
         while head is not None and stale(head[1], a):
             keys, sources = arcs[a][b]
@@ -264,12 +320,28 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
             return float(supply[x]) if row is None else row[a]
         return hi[a] - through[a] if b == hub else through[b] - lo[b]
 
-    augmentations = 0
+    def shift(a, b, x, cap, delta):
+        """Move ``delta`` of source x, which holds ``cap`` at a, to b."""
+        row = moved.get(x)
+        if row is None:  # x leaves its start for the first time
+            row = moved[x] = [0.0] * n
+            row[a] = cap
+        if row[b] == 0.0:  # x arrives at b: it can now leave b for any sink
+            cx = cost[x].tolist()
+            for c in range(n):
+                if c != b:
+                    heapq.heappush(arrived[b][c], (cx[c] - cx[b], x))
+        row[b] += delta
+        row[a] -= delta
+
+    augmentations = searches = 0
     while max(excess) > eps:
         augmentations += 1
+        searches += 1
         dist = [0.0 if e > eps else math.inf for e in excess]
         pred = [None] * (n + 1)
         open_ = list(range(n + 1))
+        offers = 0
         while True:
             a = min(open_, key=dist.__getitem__, default=None)
             if a is None or dist[a] == math.inf:
@@ -280,6 +352,7 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
             for b in open_:
                 entry = top(a, b)
                 if entry is not None:
+                    offers += 1
                     d = dist[a] + entry[0] - v[b] + v[a]
                     if d < dist[b]:
                         dist[b] = d
@@ -301,46 +374,70 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
             elif a == hub:
                 through[b] = lo[b] if delta == cap else through[b] - delta
             else:
-                row = moved.get(x)
-                if row is None:  # x leaves its start for the first time
-                    row = moved[x] = [0.0] * n
-                    row[a] = cap
-                if row[b] == 0.0:  # x arrives at b: it can now leave b for any sink
-                    cx = cost[x].tolist()
-                    for c in range(n):
-                        if c != b:
-                            heapq.heappush(arrived[b][c], (cx[c] - cx[b], x))
-                row[b] += delta
-                row[a] -= delta
+                shift(a, b, x, cap, delta)
         excess[source] -= delta
         excess[target] += delta
 
-    flow = np.where(start[:, None] == np.arange(n), supply[:, None], 0.0)
-    if moved:
-        flow[list(moved)] = list(moved.values())
+        # A run: the search offered one arc, a -> b between sinks, after it
+        # settled every excess node (while a keeps its excess, the excess set
+        # is the one the search started from), so the next search would take
+        # a -> b's next source with the same arithmetic: take it without one.
+        a, b, x = path[0]
+        if offers > 1 or x is None or n - len(open_) != sum(e > eps for e in excess):
+            continue
+        base = [0.0 if e > eps else math.inf for e in excess]  # b's entry: min(inf, d) is d
+        while excess[a] > eps and excess[b] < -eps:
+            entry = top(a, b)
+            if entry is None:
+                break  # the next search raises
+            d = 0.0 + entry[0] - v[b] + v[a]  # dist[a] is 0
+            v = [vj + min(dj, d) for vj, dj in zip(v, base)]
+            augmentations += 1
+            x = entry[1]
+            cap = capacity(a, b, x)
+            delta = min(excess[a], -excess[b], cap)
+            shift(a, b, x, cap, delta)
+            excess[a] -= delta
+            excess[b] += delta
+
+    rows, cols, masses = live, start[live], supply[live]
+    if moved:  # the sources that never moved, then every moved source's positive masses
+        sources = np.fromiter(moved, dtype=np.intp, count=len(moved))
+        held = np.array(list(moved.values()))
+        r, c = np.nonzero(held > 0)
+        still = np.ones(m, dtype=bool)
+        still[sources] = False
+        still = still[live]
+        rows = np.concatenate((rows[still], sources[r]))
+        cols = np.concatenate((cols[still], c))
+        masses = np.concatenate((masses[still], held[r, c]))
+        order = np.argsort(rows * n + cols)
+        rows, cols, masses = rows[order], cols[order], masses[order]
     v = np.array(v)
-    u = (cost - v[None, :n]).min(axis=1)
+    u = cost[:, 0] - v[0]  # the row minimum of cost - v a column at a time; min(axis=1) is slow at small n
+    for b in range(1, n):
+        np.minimum(u, cost[:, b] - v[b], out=u)
     through = np.array(through)
-    _certify(cost, flow, u, v, through < upper, through > lower, scale)
-    return flow, u, v, augmentations, warm
+    _certify(cost, rows, cols, u, v, through < upper, through > lower, scale)
+    return (rows, cols, masses), u, v, augmentations, searches, warm
 
 
-def _certify(cost, flow, u, v, rises, falls, scale):
-    """Check complementary slackness; ``rises``/``falls`` mark the sinks whose
-    hub arc can still carry more/less, which bounds ``v_b - v_hub`` below/above.
+def _certify(cost, rows, cols, u, v, rises, falls, scale):
+    """Check complementary slackness on the flow support ``(rows, cols)``;
+    ``rises``/``falls`` mark the sinks whose hub arc can still carry
+    more/less, which bounds ``v_b - v_hub`` below/above.
 
     ``u`` is the row minimum of ``cost - v``, so every reduced cost is >= 0 by
     construction, and a zero reduced cost on the flow support says that each
     source ships only to sinks of least ``cost - v``. That is the same test
     as taking ``u`` from the support and checking the reduced costs for sign.
     """
-    red = cost - u[:, None] - v[None, :-1]
+    red = cost[rows, cols] - u[rows] - v[cols]
     cert_tol = 1e-9 * max(1.0, scale)
-    support = flow > 0
-    if support.any() and np.max(np.abs(np.where(support, red, 0.0))) > cert_tol:
+    if red.size and np.abs(red).max() > cert_tol:
         raise SolverError("complementary slackness violated on the flow support")
     gap = v[:-1] - v[-1]
-    if np.any(gap[rises] < -cert_tol) or np.any(gap[falls] > cert_tol):
+    if (gap[rises] < -cert_tol).any() or (gap[falls] > cert_tol).any():
         raise SolverError("a hub arc with residual capacity has a negative reduced cost")
 
 
@@ -361,25 +458,34 @@ def solve_bounded_transportation(
     W = float(p.supplies.sum())
     lo = p.sink_lower
     hi = np.minimum(p.sink_upper, W)  # a sink can never receive more than everything
+    lo_sum, hi_sum = float(lo.sum()), float(hi.sum())
     tol = 1e-9 * max(1.0, W)
-    if lo.sum() > W + tol or W > hi.sum() + tol:
+    if lo_sum > W + tol or W > hi_sum + tol:
         raise Infeasible(
-            f"sink bounds exclude the supply: sum(l)={lo.sum():.12g}, "
-            f"W={W:.12g}, sum(u)={hi.sum():.12g}"
+            f"sink bounds exclude the supply: sum(l)={lo_sum:.12g}, "
+            f"W={W:.12g}, sum(u)={hi_sum:.12g}"
         )
     if prices is not None:
         prices = np.asarray(prices, dtype=np.float64)
-        if prices.shape != lo.shape or not np.all(np.isfinite(prices)):
+        if prices.shape != lo.shape or not np.isfinite(prices).all():
             raise ValidationError("start prices must be one finite number per sink")
     # A bound sum within tolerance of W pins every sink to that bound: put it on W exactly.
-    lower = lo * (W / lo.sum()) if lo.sum() > 0 and W - lo.sum() <= tol else lo
-    upper = hi * (W / hi.sum()) if hi.sum() > 0 and hi.sum() - W <= tol else hi
-    flow, u, v, augmentations, warm = _ksink_transport(p.cost, p.supplies, lower, upper, prices)
-    totals = flow.sum(axis=0)
-    if np.any(totals < lo - tol) or np.any(totals > hi + tol):
+    lower = lo * (W / lo_sum) if lo_sum > 0 and W - lo_sum <= tol else lo
+    upper = hi * (W / hi_sum) if hi_sum > 0 and hi_sum - W <= tol else hi
+    (rows, cols, masses), u, v, augmentations, searches, warm = _ksink_transport(
+        p.cost, p.supplies, lower, upper, prices
+    )
+    if lo.size != 1:  # numpy sums a dense flow's rows in order, as bincount does
+        totals = np.bincount(cols, masses, minlength=lo.size)
+    else:  # and a single column pairwise, zeros included
+        column = np.zeros(p.supplies.size)
+        column[rows] = masses
+        totals = column.sum(keepdims=True)
+    if (totals < lo - tol).any() or (totals > hi + tol).any():
         raise SolverError("bounded transportation produced out-of-bound sink totals")
     return BoundedTransportSolution(
-        flow, float(np.sum(flow * p.cost)), totals, u, v[:-1], float(v[-1]), augmentations, warm
+        rows, cols, masses, float(masses @ p.cost[rows, cols]), totals, u, v[:-1], float(v[-1]),
+        augmentations, searches, warm,
     )
 
 

@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .constraints import (
+    TRANSPORT_COUNTERS,
     ConstraintSpec,
     FixedProfile,
     FractionBounds,
@@ -183,7 +184,8 @@ def best_tuple(
     :class:`Infeasible` when no tuple is feasible. A ``stats`` dict gets
     the walk's counters: ``tuples_total`` (all tuples), ``tuples_solved``
     (exact solves), ``tuples_infeasible`` (solves that found no feasible
-    assignment) and ``tuples_skipped_by_price``.
+    assignment) and ``tuples_skipped_by_price``, and each transport solve's
+    :data:`~weakcore.constraints.TRANSPORT_COUNTERS` added to it.
     """
     pool = np.asarray(candidates, dtype=np.int64)
     total = count_center_tuples(pool.size, k, ordered, allow_repeats)
@@ -216,7 +218,7 @@ def best_tuple(
         centers = pool[pos]
         try:
             cost, sigma, _, prices = optimal_feasible_cost(
-                B, centers, spec, z, return_prices=True, table=dz[:, pos]
+                B, centers, spec, z, return_prices=True, table=dz[:, pos], stats=stats
             )
         except Infeasible:
             infeasible += 1
@@ -263,7 +265,8 @@ def solve_constrained(
     order, whose summary cost reaches it. A fixed profile is checked against
     the full data before any tuple is scored. The winner's full-data
     assignment is checked for weight conservation and for the spec.
-    ``stats`` holds the walk's counters (see :func:`best_tuple`);
+    ``stats`` holds the walk's counters (see :func:`best_tuple`) and the
+    transport counters of every solve, the full-data one included;
     ``tuples_evaluated`` is its ``tuples_solved``.
     """
     z = inst.z if z is None else z
@@ -278,14 +281,16 @@ def solve_constrained(
         bad = spec.profile.check_consistency(full)
         if bad:
             raise ValidationError("; ".join(bad))
-    stats = {}
+    stats = dict.fromkeys(TRANSPORT_COUNTERS, 0)
     cost_summary, winning, _, evaluated, prices = best_tuple(
         summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target,
         return_prices=True, stats=stats,
     )
 
     # The winner's summary prices warm-start its transport solves on the full data.
-    cost_full, sigma, profile = optimal_feasible_cost(full, np.array(winning), spec, z, prices=prices)
+    cost_full, sigma, profile = optimal_feasible_cost(
+        full, np.array(winning), spec, z, prices=prices, stats=stats
+    )
     # Solves rescale each point's masses to its weight, so conservation is checked
     # once, here, on the answer; a Voronoi assignment carries the weights as they are.
     lost = [] if isinstance(spec, Unconstrained) else sigma.check_conservation(full)

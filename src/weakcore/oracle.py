@@ -13,6 +13,7 @@ from .constraints import (
     ConstraintSpec,
     Unconstrained,
     _cost_matrix,
+    _voronoi,
     is_symmetric,
     profile_cost,
     voronoi_profile,
@@ -24,6 +25,8 @@ from .meta import best_tuple, check_tuple_ceiling
 from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError
 
 DEFAULT_SOLVE_CEILING = 1_000_000
+# verify_property_B builds its tables over at most this many cells (16 MB) at a time.
+MAX_TABLE_CELLS = 1 << 21
 
 
 def brute_force_opt(
@@ -74,6 +77,7 @@ class VerificationReport:
     window: tuple[float, float]
     passed: bool
     records: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     @property
     def pass_fraction(self) -> float:
@@ -86,6 +90,22 @@ def _ratio(cost_full: float, cost_summary: float) -> float:
     if cost_summary == 0.0:
         return math.inf
     return cost_full / cost_summary
+
+
+def _trial_batches(draws: list, rows: int, cells: int):
+    """Runs of consecutive trials whose distinct centers, as the columns of
+    one table of ``rows`` rows, fit in ``cells`` cells (one trial at least):
+    (trial indices, sorted center ids) pairs."""
+    batch, ids = [], set()
+    for t, chosen in enumerate(draws):
+        more = ids.union(chosen.tolist())
+        if batch and len(more) * rows > cells:
+            yield batch, np.array(sorted(ids), dtype=np.int64)
+            batch, more = [], set(chosen.tolist())
+        batch.append(t)
+        ids = more
+    if batch:
+        yield batch, np.array(sorted(ids), dtype=np.int64)
 
 
 def verify_property_B(
@@ -102,13 +122,28 @@ def verify_property_B(
 
     Even trials use the Voronoi profile of the drawn centers; odd trials a
     random consistent profile (normalized exponential split of the total
-    weight). Each trial builds one full-data ``D^z`` table, which serves the
-    Voronoi profile and the full solve, and one summary table. It solves the
-    summary first and starts the full solve from its sink prices. When the
-    summary is the full data itself (the identity coreset), one table and
-    one solve price both sides. ``eps`` is the reporting window half-width:
-    a trial passes when its ratio lies in [1 - eps, 1 + eps].
+    weight). Each trial draws from its own stream, and every trial's
+    centers are drawn first. Then one full-data ``D^z`` table and one
+    summary table over the distinct centers drawn serve every trial, each
+    trial reading its own columns; one table serves both sides when the
+    summary holds the full data's points. (Trials are taken in runs whose
+    tables fit ``MAX_TABLE_CELLS`` cells; at desk scale that is one run.)
+    Each trial solves the summary; a random-profile trial starts the full
+    solve from the summary's sink prices. A Voronoi-profile trial needs no
+    full solve: the Voronoi assignment is optimal over all assignments and
+    meets its own profile, so its cost is the profile's full-data cost.
+    When the summary is the full data itself (the identity coreset), one
+    solve prices both sides. ``eps`` is the reporting window half-width: a
+    trial passes when its ratio lies in [1 - eps, 1 + eps], and the report
+    passes when at least ``threshold`` of the trials do. ``stats`` counts
+    ``full_solves``, ``summary_solves``, ``voronoi_trials`` and ``tables``
+    built. Raises :class:`ValidationError` unless eps is finite and >= 0
+    and threshold lies in [0, 1].
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValidationError(f"epsilon must be a finite number >= 0, got {eps}")
+    if not 0 <= threshold <= 1:
+        raise ValidationError(f"threshold must lie in [0, 1], got {threshold}")
     z = inst.z if z is None else z
     candidate_ids, summary, full = coreset.bind(inst, z)
     W = full.total_weight
@@ -118,40 +153,54 @@ def verify_property_B(
     same_points = np.array_equal(summary.indices, full.indices)
     summary_is_full = same_points and np.array_equal(summary.weights, full.weights)
 
+    draws, shares = [], []  # each trial's centers, then (odd trials) its profile's shares
+    for t in range(trials):
+        rng = default_rng(SeedSequence(int(seed), spawn_key=(t,)))
+        draws.append(np.sort(rng.choice(candidate_ids, size=k, replace=False)))
+        shares.append(rng.exponential(1.0, size=k) if t % 2 else None)
+    stats = dict(full_solves=0, summary_solves=0, voronoi_trials=0, tables=0)
     records = []
     passes = 0
     worst = 1.0
-    for t in range(trials):
-        rng = default_rng(SeedSequence(int(seed), spawn_key=(t,)))
-        chosen = np.sort(rng.choice(candidate_ids, size=k, replace=False))
-        d_full = _cost_matrix(full, chosen, z)
-        if t % 2 == 0:
-            gamma = voronoi_profile(full, chosen, z, table=d_full)
-        else:
-            draws = rng.exponential(1.0, size=k)
-            gamma = ClusterProfile(W * draws / draws.sum())
-        cost_summary, _, prices = profile_cost(
-            summary, chosen, gamma, z, return_prices=True, table=d_full if same_points else None
-        )
-        if summary_is_full:
-            cost_full = cost_summary
-        else:
-            cost_full, _ = profile_cost(full, chosen, gamma, z, prices=prices, table=d_full)
-        ratio = _ratio(cost_full, cost_summary)
-        ok = (1.0 - eps) <= ratio <= (1.0 + eps)
-        passes += ok
-        if not math.isfinite(ratio) or abs(ratio - 1.0) > abs(worst - 1.0):
-            worst = ratio
-        records.append(
-            TrialRecord(
-                centers=tuple(int(c) for c in chosen),
-                profile=[float(x) for x in np.asarray(gamma.values).ravel()],
-                profile_kind="voronoi" if t % 2 == 0 else "random",
-                cost_full=float(cost_full),
-                cost_summary=float(cost_summary),
-                ratio=float(ratio),
+    for batch, ids in _trial_batches(draws, full.size, MAX_TABLE_CELLS):
+        d_full = _cost_matrix(full, ids, z)
+        d_summary = d_full if same_points else _cost_matrix(summary, ids, z)
+        stats["tables"] += 1 if same_points else 2
+        for t in batch:
+            chosen, voronoi = draws[t], t % 2 == 0
+            pos = np.searchsorted(ids, chosen)
+            full_t, summary_t = d_full[:, pos], d_summary[:, pos]
+            if voronoi:
+                gamma = voronoi_profile(full, chosen, z, table=full_t)
+            else:
+                gamma = ClusterProfile(W * shares[t] / shares[t].sum())
+            cost_summary, _, prices = profile_cost(
+                summary, chosen, gamma, z, return_prices=True, table=summary_t
             )
-        )
+            stats["summary_solves"] += 1
+            if voronoi:
+                cost_full = _voronoi(full_t, full)[0]
+                stats["voronoi_trials"] += 1
+            elif summary_is_full:
+                cost_full = cost_summary
+            else:
+                cost_full, _ = profile_cost(full, chosen, gamma, z, prices=prices, table=full_t)
+                stats["full_solves"] += 1
+            ratio = _ratio(cost_full, cost_summary)
+            ok = (1.0 - eps) <= ratio <= (1.0 + eps)
+            passes += ok
+            if not math.isfinite(ratio) or abs(ratio - 1.0) > abs(worst - 1.0):
+                worst = ratio
+            records.append(
+                TrialRecord(
+                    centers=tuple(int(c) for c in chosen),
+                    profile=[float(x) for x in np.asarray(gamma.values).ravel()],
+                    profile_kind="voronoi" if voronoi else "random",
+                    cost_full=float(cost_full),
+                    cost_summary=float(cost_summary),
+                    ratio=float(ratio),
+                )
+            )
     return VerificationReport(
         property_name="B",
         trials=trials,
@@ -161,6 +210,7 @@ def verify_property_B(
         window=(1.0 - eps, 1.0 + eps),
         passed=(passes / trials >= threshold) if trials else True,
         records=records,
+        stats=stats,
     )
 
 

@@ -3,15 +3,20 @@
 These deliberately avoid the package's solvers: the LP oracle enumerates
 basic solutions with plain linear algebra, the assignment oracles
 enumerate integral splits directly, and the distance oracle reads one pair
-at a time.
+at a time. The one exception is the transport reference, the package's
+earlier k-sink solver, kept so that the current one can be checked
+against it bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 import numpy as np
+
+from weakcore.flowlp import SolverError
 
 
 def lp_vertex_enumeration(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, tol=1e-9):
@@ -145,3 +150,135 @@ def best_centers_for_assignment(B, sigma, candidates, z):
         chosen.append(int(candidates[j]))
         total += float(per_candidate[j])
     return tuple(chosen), total
+
+
+def _start_excess_reference(total, through, supply_total):
+    """As ``weakcore.flowlp._start_excess``."""
+    return float(np.abs(total - through).sum()) + abs(float(through.sum()) - supply_total)
+
+
+def ksink_transport_one_source(cost, supply, lower, upper, prices=None):
+    """The k-sink successive-shortest-path solver as it was before arcs were
+    built on first use and runs of sources skipped their searches: every arc
+    sorted up front, one Dijkstra search per source moved, a dense flow.
+    Returns (flow, u, v, augmentations, warm) with no certificate; the
+    package's solver must return the same five bit for bit."""
+    m, n = cost.shape
+    hub = n
+    if not upper.any():  # the supply is within the balance tolerance of zero: ship nothing
+        return np.zeros((m, n)), cost.min(axis=1, initial=0.0), np.zeros(n + 1), 0, False
+    W = float(supply.sum())
+    eps = 1e-13 * max(1.0, W)
+    live = np.flatnonzero(supply > 0)
+
+    start = np.argmin(cost, axis=1)
+    total = np.bincount(start[live], supply[live], minlength=n)
+    through = np.clip(total, lower, upper)
+    v, warm = [0.0] * (n + 1), False
+    if prices is not None:
+        w_start = np.argmin(cost - prices, axis=1)
+        w_total = np.bincount(w_start[live], supply[live], minlength=n)
+        w_through = np.where(prices > 0, lower, np.where(prices < 0, upper, np.clip(w_total, lower, upper)))
+        if _start_excess_reference(w_total, w_through, W) < _start_excess_reference(total, through, W):
+            start, total, through, warm = w_start, w_total, w_through, True
+            v = prices.tolist() + [0.0]
+    excess = (total - through).tolist() + [float(through.sum()) - W]
+    through, lo, hi = through.tolist(), lower.tolist(), upper.tolist()
+
+    arcs = [[None] * n for _ in range(n)]  # arc a -> b: (keys, sources) in (key, source) order
+    ptr = [[0] * n for _ in range(n)]
+    heads = [[None] * n for _ in range(n)]  # (key, source) at the pointer, or None
+    arrived = [[[] for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        at_a = live[start[live] == a]
+        for b in range(n):
+            if b != a and at_a.size:
+                keys = cost[at_a, b] - cost[at_a, a]
+                order = np.argsort(keys, kind="stable")  # at_a ascends: ties go to the lower source
+                keys, sources = arcs[a][b] = keys[order], at_a[order]
+                heads[a][b] = (float(keys[0]), int(sources[0]))
+    moved = {}  # source -> its mass at every sink, once it has moved
+
+    def stale(x, a):
+        row = moved.get(x)
+        return row is not None and row[a] <= 0.0
+
+    def top(a, b):
+        """The cheapest live entry of arc a -> b, or None; a hub arc's source is None."""
+        if b == hub:
+            return (0.0, None) if through[a] < hi[a] else None
+        if a == hub:
+            return (0.0, None) if through[b] > lo[b] else None
+        head = heads[a][b]
+        while head is not None and stale(head[1], a):
+            keys, sources = arcs[a][b]
+            p = ptr[a][b] = ptr[a][b] + 1
+            head = heads[a][b] = (float(keys[p]), int(sources[p])) if p < sources.size else None
+        heap = arrived[a][b]
+        while heap and stale(heap[0][1], a):
+            heapq.heappop(heap)
+        return heap[0] if heap and (head is None or heap[0] < head) else head
+
+    def capacity(a, b, x):
+        if x is not None:
+            row = moved.get(x)
+            return float(supply[x]) if row is None else row[a]
+        return hi[a] - through[a] if b == hub else through[b] - lo[b]
+
+    augmentations = 0
+    while max(excess) > eps:
+        augmentations += 1
+        dist = [0.0 if e > eps else math.inf for e in excess]
+        pred = [None] * (n + 1)
+        open_ = list(range(n + 1))
+        while True:
+            a = min(open_, key=dist.__getitem__, default=None)
+            if a is None or dist[a] == math.inf:
+                raise SolverError("the exchange graph reaches no sink under its demand")
+            open_.remove(a)
+            if excess[a] < -eps:
+                break
+            for b in open_:
+                entry = top(a, b)
+                if entry is not None:
+                    d = dist[a] + entry[0] - v[b] + v[a]
+                    if d < dist[b]:
+                        dist[b] = d
+                        pred[b] = (a, entry[1])
+        target = node = a
+        v = [vj + min(dj, dist[target]) for vj, dj in zip(v, dist)]
+
+        path = []
+        while pred[node] is not None:
+            a, x = pred[node]
+            path.append((a, node, x))
+            node = a
+        source = node
+        caps = [capacity(*arc) for arc in path]
+        delta = min(excess[source], -excess[target], *caps)
+        for (a, b, x), cap in zip(path, caps):
+            if b == hub:  # a saturated hub arc lands on its bound exactly
+                through[a] = hi[a] if delta == cap else through[a] + delta
+            elif a == hub:
+                through[b] = lo[b] if delta == cap else through[b] - delta
+            else:
+                row = moved.get(x)
+                if row is None:  # x leaves its start for the first time
+                    row = moved[x] = [0.0] * n
+                    row[a] = cap
+                if row[b] == 0.0:  # x arrives at b: it can now leave b for any sink
+                    cx = cost[x].tolist()
+                    for c in range(n):
+                        if c != b:
+                            heapq.heappush(arrived[b][c], (cx[c] - cx[b], x))
+                row[b] += delta
+                row[a] -= delta
+        excess[source] -= delta
+        excess[target] += delta
+
+    flow = np.where(start[:, None] == np.arange(n), supply[:, None], 0.0)
+    if moved:
+        flow[list(moved)] = list(moved.values())
+    v = np.array(v)
+    u = (cost - v[None, :n]).min(axis=1)
+    return flow, u, v, augmentations, warm

@@ -397,6 +397,25 @@ def _assert_rejected(tmp_path, capsys, inst, cs, needle):
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0], err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+     ("--threshold", "1.5"), ("--threshold", "-1")],
+)
+def test_verify_window_out_of_range_exit_code(tmp_path, capsys, flag, value):
+    """A negative or non-finite epsilon, or a threshold outside [0, 1], is an
+    input error (3) with one line and no output file, not a PASS or FAIL
+    verdict on a window or a pass fraction that means nothing."""
+    inst, cs = _coreset_files(tmp_path)
+    capsys.readouterr()
+    code = run(["verify", "--instance", inst, "--coreset", cs, "--trials", 4, flag, value,
+                "--out", tmp_path / "out.json"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag[2:] in err[0], err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_verify_z_mismatch_exit_code(tmp_path, capsys):
     """``verify --z 2`` on a coreset built for z=1 exits 3 with one line."""
     inst, cs = _coreset_files(tmp_path)

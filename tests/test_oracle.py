@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import weakcore.constraints as constraints
+import weakcore.oracle as oracle
 from conftest import count_tables, random_small_instance
 from oracles import exhaustive_voronoi_opt
-from weakcore.cli import make_planar_blobs
-from weakcore.constraints import Balanced, FixedProfile, Unconstrained, voronoi_profile
+from weakcore.cli import make_planar_blobs, make_random_metric
+from weakcore.constraints import Balanced, FixedProfile, Unconstrained, profile_cost, voronoi_profile
 from weakcore.coreset import SummaryParams, build_universal_weak_coreset, identity_weak_coreset
 from weakcore.flowlp import SolverLimit
 from weakcore.meta import solve_constrained
-from weakcore.model import ClusteringInstance, ValidationError
+from weakcore.model import ClusteringInstance, ClusterProfile, ValidationError
 from weakcore.oracle import brute_force_opt, verify_property_A, verify_property_B
 
 
@@ -85,11 +86,11 @@ def test_property_b_identity_ratios_exactly_one(line_instance):
 
 
 def test_property_b_trials_start_full_solves_from_summary_prices(monkeypatch):
-    """Each trial solves the summary first and offers its prices to the full
-    solve. A Voronoi-profile trial keeps the Voronoi start, which moves no
-    point, so its full solve has no augmentation. Most random-profile trials
-    take the warm start and need fewer augmentations than cold solves of the
-    same problems; one that keeps the Voronoi start is the cold solve."""
+    """Each trial solves the summary first. A Voronoi-profile trial needs no
+    full solve; a random-profile trial offers the summary's prices to its
+    full solve. Most of those take the warm start and need fewer
+    augmentations than cold solves of the same problems; one that keeps the
+    Voronoi start is the cold solve."""
     inst = make_planar_blobs(600, 5, 2, seed=5)
     cs = build_universal_weak_coreset(
         inst, 0.5, 0.05, seed=5, summary_params=SummaryParams(sample_count=10, seed=5)
@@ -106,19 +107,42 @@ def test_property_b_trials_start_full_solves_from_summary_prices(monkeypatch):
 
     monkeypatch.setattr(constraints, "solve_bounded_transportation", spy)
     rep = verify_property_B(inst, cs, trials=10, eps=0.25, seed=5)
-    assert [r.profile_kind for r in rep.records] == ["voronoi", "random"] * 5 and len(full) == 10
-    for warm, cold in full[0::2]:
-        assert (warm.augmentations, warm.warm_start, cold.augmentations) == (0, False, 0)
-    for warm, cold in full[1::2]:
+    assert [r.profile_kind for r in rep.records] == ["voronoi", "random"] * 5 and len(full) == 5
+    assert rep.stats == {"full_solves": 5, "summary_solves": 10, "voronoi_trials": 5, "tables": 2}
+    for warm, cold in full:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
-    random_trials = full[1::2]
-    assert sum(warm.warm_start for warm, _ in random_trials) >= 3
-    for warm, cold in random_trials:
+    assert sum(warm.warm_start for warm, _ in full) >= 3
+    for warm, cold in full:
         if warm.warm_start:
             assert warm.augmentations < cold.augmentations
         else:  # the start rule kept the Voronoi start: the cold solve, bit for bit
             assert warm.augmentations == cold.augmentations and np.array_equal(warm.flow, cold.flow)
-    assert sum(w.augmentations for w, _ in random_trials) < sum(c.augmentations for _, c in random_trials) / 2
+    assert sum(w.augmentations for w, _ in full) < sum(c.augmentations for _, c in full) / 2
+
+
+@pytest.mark.parametrize("z", [1, 2])
+def test_property_b_voronoi_trial_cost_equals_its_solve(z):
+    """A Voronoi-profile trial prices the full data with the Voronoi cost
+    instead of a solve: the Voronoi assignment is optimal and meets its own
+    profile, so the profile solve it replaces returns the same cost, bit for
+    bit, and moves no point."""
+    checked = 0
+    for seed in range(6):
+        make = make_planar_blobs if seed % 2 else make_random_metric
+        inst = make(120 + 40 * seed, 6, 2 + seed % 3, z=z, seed=seed)
+        cs = build_universal_weak_coreset(
+            inst, 0.5, 0.05, seed=seed, summary_params=SummaryParams(sample_count=5, seed=seed)
+        )
+        rep = verify_property_B(inst, cs, trials=8, eps=0.25, seed=seed)
+        full = inst.weighted_points()
+        for r in rep.records[0::2]:
+            stats = {}
+            gamma = ClusterProfile(np.array(r.profile))
+            cost, _ = profile_cost(full, np.array(r.centers), gamma, z, stats=stats)
+            assert r.profile_kind == "voronoi" and cost == r.cost_full
+            assert stats["transport_augmentations"] == 0
+            checked += 1
+    assert checked == 24
 
 
 def test_property_b_degenerate_profile_supported(line_instance):
@@ -216,10 +240,11 @@ def test_property_a_statistical_suite():
     assert hits / trials >= 0.95
 
 
-def test_property_b_builds_one_full_and_one_summary_table_per_trial(monkeypatch):
-    """Each trial builds one full-data table, which serves its Voronoi
-    profile and its full solve, and one summary table; on the identity
-    coreset one table serves both sides."""
+def test_property_b_builds_one_full_and_one_summary_table_per_call(monkeypatch):
+    """One full-data table and one summary table over the distinct centers
+    drawn serve every trial of a call; on the identity coreset one table
+    serves both sides. Tables too large for ``MAX_TABLE_CELLS`` are built
+    for runs of trials instead, with the same records."""
     inst = make_planar_blobs(300, 5, 2, seed=5)
     cs = build_universal_weak_coreset(
         inst, 0.5, 0.05, seed=5, summary_params=SummaryParams(sample_count=5, seed=5)
@@ -227,8 +252,18 @@ def test_property_b_builds_one_full_and_one_summary_table_per_trial(monkeypatch)
     _, summary, _ = cs.bind(inst, inst.z)
     assert summary.size < inst.n
     tables = count_tables(monkeypatch)
-    verify_property_B(inst, cs, trials=6, eps=0.25, seed=5)
-    assert tables == [(inst.n, 2), (summary.size, 2)] * 6
+    whole = verify_property_B(inst, cs, trials=6, eps=0.25, seed=5)
+    columns = len({c for r in whole.records for c in r.centers})
+    assert 2 < columns <= 5
+    assert tables == [(inst.n, columns), (summary.size, columns)] and whole.stats["tables"] == 2
     tables.clear()
-    verify_property_B(inst, identity_weak_coreset(inst), trials=4, eps=0.25, seed=5)
-    assert tables == [(inst.n, 2)] * 4
+    rep = verify_property_B(inst, identity_weak_coreset(inst), trials=4, eps=0.25, seed=5)
+    assert tables == [(inst.n, len({c for r in rep.records for c in r.centers}))]
+    assert rep.stats["tables"] == 1
+
+    tables.clear()
+    monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 3 * inst.n)
+    runs = verify_property_B(inst, cs, trials=6, eps=0.25, seed=5)
+    assert all(rows in (inst.n, summary.size) and cols <= 3 for rows, cols in tables)
+    assert runs.stats["tables"] == len(tables) > 2
+    assert [vars(r) for r in runs.records] == [vars(r) for r in whole.records]
