@@ -35,6 +35,13 @@ class CandidateParams:
             raise ValidationError("mix must lie in [0, 1]")
         if self.eta is not None and self.eta < 1:
             raise ValidationError("eta must be positive")
+        for name in ("euclidean_subset_size", "euclidean_base_size"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise ValidationError(f"{name} must be None or at least 1, got {size}")
+        cap = self.max_euclidean_candidates
+        if cap < 1:
+            raise ValidationError(f"max_euclidean_candidates must be at least 1, got {cap}")
 
 
 def default_eta(k: int, eps: float) -> int:

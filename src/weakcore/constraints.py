@@ -5,9 +5,9 @@ per-label fraction bounds) all reduce to exact solves in
 :mod:`weakcore.flowlp`: bounded transportation, with lower == upper for a
 fixed profile, or a dense LP with one conservation row per point. Each
 solve reads one D^z table of its points to the k centers, which a caller
-that already holds it passes in, and reports its cost as the exact sum over
-the returned assignment read from that table, so the assignment and its
-cost never disagree.
+that already holds it passes in, and returns its support, (row, cluster,
+mass) triples, with its cost summed exactly from that table over them; only
+plain calls wrap the support into an :class:`Assignment`, one per answer.
 """
 
 from __future__ import annotations
@@ -164,20 +164,20 @@ def _table(B: WeightedPoints, centers, z: int, table) -> np.ndarray:
     return table
 
 
-def _assign(d: np.ndarray, B: WeightedPoints, rows, cols, masses) -> tuple[float, Assignment]:
-    """The assignment of ``masses`` on (row of B, cluster) pairs, with each
-    point's masses rescaled to its weight so conservation is exact (this
-    absorbs solver noise), and its cost: an fsum over the pairs read from
-    the D^z table ``d``."""
+def _assign(d: np.ndarray, B: WeightedPoints, rows, cols, masses):
+    """The support ``(rows, cols, masses)`` on (row of B, cluster) pairs,
+    with each point's masses rescaled to its weight so conservation is
+    exact (this absorbs solver noise), and its cost: (cost, support), the
+    cost an fsum over the pairs read from the D^z table ``d``."""
     sums = np.bincount(rows, weights=masses, minlength=B.size)
     masses = masses * (B.weights[rows] / sums[rows])
     cost = math.fsum((masses * d[rows, cols]).tolist())
-    return cost, Assignment(B.indices[rows], cols, masses)
+    return cost, (rows, cols, masses)
 
 
-def _support(flow: np.ndarray):
-    rows, cols = np.nonzero(flow > 0)
-    return rows, cols, flow[rows, cols]
+def _assignment(B: WeightedPoints, rows, cols, masses) -> Assignment:
+    """The :class:`Assignment` of a solve's support on B."""
+    return Assignment(B.indices[rows], cols, masses)
 
 
 def assignment_cost(B: WeightedPoints, sigma: Assignment, centers, z: int) -> float:
@@ -196,15 +196,13 @@ def assignment_cost(B: WeightedPoints, sigma: Assignment, centers, z: int) -> fl
     return float(math.fsum((sigma.masses * d**z).tolist()))
 
 
-def voronoi_assignment(B: WeightedPoints, centers, z: int) -> tuple[float, Assignment]:
-    """Every point fully to its nearest center (ties to the lowest cluster index)."""
-    return _voronoi(_cost_matrix(B, centers, z), B)
-
-
-def _voronoi(d: np.ndarray, B: WeightedPoints) -> tuple[float, Assignment]:
-    nearest = np.argmin(d, axis=1)
-    cost = float(math.fsum((B.weights * d[np.arange(B.size), nearest]).tolist()))
-    return cost, Assignment(B.indices, nearest, B.weights)
+def _voronoi(d: np.ndarray, B: WeightedPoints):
+    """Every point fully to its nearest center (ties to the lowest cluster
+    index) on the D^z table ``d``: (cost, support, cluster totals, None)."""
+    rows, nearest = np.arange(B.size), np.argmin(d, axis=1)
+    cost = float(math.fsum((B.weights * d[rows, nearest]).tolist()))
+    totals = np.bincount(nearest, weights=B.weights, minlength=d.shape[1])
+    return cost, (rows, nearest, B.weights), totals, None
 
 
 def voronoi_profile(B: WeightedPoints, centers, z: int, *, table=None) -> ClusterProfile:
@@ -229,18 +227,17 @@ def profile_cost(
     solve per label class with every sink pinned to its target, the whole
     set being one class when the profile is unlabeled.
 
-    Returns (cost, assignment), and the sink prices as a third item with
-    ``return_prices``; ``prices``, ``table`` and ``stats`` are as in
-    :func:`optimal_feasible_cost`."""
-    cost, sigma, _, out = _solve(_table(B, centers, z, table), B, FixedProfile(profile), prices, stats)
-    return (cost, sigma, out) if return_prices else (cost, sigma)
+    Returns (cost, assignment), or the solve's own (cost, support, sink prices)
+    with ``return_prices``; all else is as in :func:`optimal_feasible_cost`."""
+    cost, support, _, out = _solve(_table(B, centers, z, table), B, FixedProfile(profile), prices, stats)
+    return (cost, support, out) if return_prices else (cost, _assignment(B, *support))
 
 
 def _transport(d, B, classes, lower, upper, prices, stats):
     """One bounded transport per label class j of ``classes`` (all of ``B``
     when None) on its rows of the D^z table ``d``, between the columns
     ``lower[:, j]`` and ``upper[:, j]``, started from ``prices[j]``: (cost,
-    assignment, sink totals per class, prices per class). Each solve adds
+    support, sink totals per class, prices per class). Each solve adds
     its :data:`TRANSPORT_COUNTERS` to ``stats`` unless it is None."""
     shape = lower.shape[::-1]
     if prices is not None and np.shape(prices) != shape:
@@ -264,13 +261,13 @@ def _transport(d, B, classes, lower, upper, prices, stats):
         totals.append(sol.sink_totals)
         out.append(sol.prices)
     support = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
-    cost, sigma = _assign(d, B, *support)
-    return cost, sigma, np.stack(totals, axis=1), np.stack(out)
+    cost, support = _assign(d, B, *support)
+    return cost, support, np.stack(totals, axis=1), np.stack(out)
 
 
 def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """LP over sigma(x, i) >= 0 with per-point conservation and, per
-    (cluster i, label j): alpha * mass(i) <= mass of label j in i <= beta * mass(i)."""
+    """In :func:`_solve`'s form, the LP over sigma(x, i) >= 0 with per-point conservation
+    and, per (cluster i, label j): alpha * mass(i) <= mass of label j in i <= beta * mass(i)."""
     n, k = d.shape
     m = alpha.shape[1]
     in_label = (B.labels == np.arange(m)[:, None]).astype(np.float64)  # (m, n)
@@ -294,7 +291,11 @@ def _fraction_lp(B: WeightedPoints, d: np.ndarray, alpha: np.ndarray, beta: np.n
     bound = float(B.weights @ (d - shift[B.labels]).min(axis=1))
     if sol.objective - bound > 1e-9 * max(1.0, abs(sol.objective)):
         raise SolverError(f"fraction LP duality gap {sol.objective - bound:.3e} at cost {sol.objective:.12g}")
-    return sol.x, shift
+    rows, cols = np.nonzero(sol.x > 0)
+    cost, (rows, cols, masses) = _assign(d, B, rows, cols, sol.x[rows, cols])
+    # The mass table in Assignment.label_cluster_mass's order.
+    mass = np.bincount(cols * m + B.labels[rows], weights=masses, minlength=k * m).reshape(k, m)
+    return cost, (rows, cols, masses), mass, shift
 
 
 def _lagrangian(B: WeightedPoints, spec: ConstraintSpec, prices: np.ndarray):
@@ -334,34 +335,35 @@ def optimal_feasible_cost(
 ):
     """Minimum cost over all assignments satisfying ``spec`` for fixed centers.
 
-    Returns (cost, minimizing assignment, realized profile), and with
-    ``return_prices`` a fourth item: the solve's multipliers as an (m, k)
-    array, one row per label class (one row for ``Balanced``), or None when
-    unconstrained. For the transport families they are the sink prices;
-    for fraction bounds, the LP's Lagrangian shift. Either way they bound
-    the cost of any other centers under ``spec`` on ``B``
-    (:func:`_lagrangian`). Passing transport prices, say from the same
-    centers on a summary of ``B``, warm-starts the transport solves
-    (the LP takes none); the result is exact either way. ``table``, B's
-    (|B|, k) ``D^z`` table to ``centers`` when the caller already holds it,
-    spares building it again; the cost is read from it. A ``stats`` dict
-    gets each transport solve's :data:`TRANSPORT_COUNTERS` added to it.
-    Raises :class:`weakcore.flowlp.Infeasible` when the constraint set is
-    empty.
+    Returns (cost, minimizing assignment, realized profile). With
+    ``return_prices`` it builds neither and returns the solve's own form, (cost,
+    support, mass table, prices): the support is (rows of ``B``, clusters,
+    masses), the mass table the realized profile's values, and the prices the
+    solve's multipliers as an (m, k) array, one row per label class (one row for
+    ``Balanced``), or None when unconstrained. For the transport families they
+    are the sink prices; for fraction bounds, the LP's Lagrangian shift. Either
+    way they bound the cost of any other centers under ``spec`` on ``B``
+    (:func:`_lagrangian`). Passing transport prices, say from the same centers
+    on a summary of ``B``, warm-starts the transport solves (the LP takes none);
+    the result is exact either way. ``table``, B's (|B|, k) ``D^z`` table to
+    ``centers`` when the caller already holds it, spares building it again; the
+    cost is read from it. A ``stats`` dict gets each transport solve's
+    :data:`TRANSPORT_COUNTERS` added to it. Raises
+    :class:`weakcore.flowlp.Infeasible` when the constraint set is empty.
     """
-    cost, sigma, profile, out = _solve(_table(B, centers, z, table), B, spec, prices, stats)
-    return (cost, sigma, profile, out) if return_prices else (cost, sigma, profile)
+    solved = _solve(_table(B, centers, z, table), B, spec, prices, stats)
+    cost, support, mass, _ = solved
+    return solved if return_prices else (cost, _assignment(B, *support), ClusterProfile(mass))
 
 
 def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None, stats=None):
     """The one exact solve behind :func:`optimal_feasible_cost` and
-    :func:`profile_cost`, on B's D^z table ``d`` to k centers: (cost,
-    assignment, realized profile, prices). The cost is an fsum over the
-    assignment's (point, cluster) pairs read from ``d``."""
+    :func:`profile_cost`, on B's D^z table ``d`` to k centers: (cost, support,
+    mass table, prices), the table being the realized profile's values. The
+    cost is an fsum over the support's (point, cluster) pairs read from ``d``."""
     k = d.shape[1]
     if isinstance(spec, Unconstrained):
-        cost, sigma = _voronoi(d, B)
-        return cost, sigma, ClusterProfile(sigma.cluster_totals(k)), None
+        return _voronoi(d, B)
     if isinstance(spec, FixedProfile):
         profile = spec.profile
         if profile.k != k:
@@ -371,21 +373,19 @@ def _solve(d: np.ndarray, B: WeightedPoints, spec: ConstraintSpec, prices=None, 
             raise ValidationError("; ".join(bad))
         classes = B.labels if profile.is_labeled else None
         gamma = profile.values.reshape(k, profile.m)
-        cost, sigma, _, out = _transport(d, B, classes, gamma, gamma, prices, stats)
-        return cost, sigma, profile, out
+        cost, support, _, out = _transport(d, B, classes, gamma, gamma, prices, stats)
+        return cost, support, profile.values, out
     if isinstance(spec, Balanced):
         if spec.lower.size != k:
             raise ValidationError(f"balanced bounds length {spec.lower.size} != k={k}")
         lower, upper = spec.lower[:, None], spec.upper[:, None]
-        cost, sigma, totals, out = _transport(d, B, None, lower, upper, prices, stats)
-        return cost, sigma, ClusterProfile(totals[:, 0]), out
+        cost, support, totals, out = _transport(d, B, None, lower, upper, prices, stats)
+        return cost, support, totals[:, 0], out
     if isinstance(spec, FractionBounds):
         if B.labels is None:
             raise ValidationError("fraction bounds require a labeled point set")
         alpha, beta = spec.per_label(k, B.n_labels)
-        flow, shift = _fraction_lp(B, d, alpha, beta)
-        cost, sigma = _assign(d, B, *_support(flow))
-        return cost, sigma, ClusterProfile(sigma.label_cluster_mass(B, k)), shift
+        return _fraction_lp(B, d, alpha, beta)
     raise ValidationError(f"unknown constraint spec {type(spec).__name__}")
 
 

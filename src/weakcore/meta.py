@@ -156,7 +156,6 @@ def best_tuple(
     cost_target: Optional[float] = None,
     *,
     prune: bool = True,
-    return_prices: bool = False,
     stats: Optional[dict] = None,
 ):
     """The enumeration kernel: the cheapest k-tuple of ``candidates`` under
@@ -178,9 +177,9 @@ def best_tuple(
     ``prune`` every tuple is solved in rank order. With ``cost_target`` the
     walk stops at the first solved tuple whose cost is at or below it.
 
-    Returns ``(cost, tuple, assignment, exact solves)``, and with
-    ``return_prices`` the winner's multipliers from
-    :func:`optimal_feasible_cost` as a fifth item; raises
+    Returns ``(cost, tuple, support, exact solves, prices)``, the winner's
+    support on ``B`` and multipliers as :func:`optimal_feasible_cost` gives
+    them with ``return_prices``; no tuple's solve builds an assignment. Raises
     :class:`Infeasible` when no tuple is feasible. A ``stats`` dict gets
     the walk's counters: ``tuples_total`` (all tuples), ``tuples_solved``
     (exact solves), ``tuples_infeasible`` (solves that found no feasible
@@ -217,14 +216,14 @@ def best_tuple(
         evaluated += 1
         centers = pool[pos]
         try:
-            cost, sigma, _, prices = optimal_feasible_cost(
+            cost, support, _, prices = optimal_feasible_cost(
                 B, centers, spec, z, return_prices=True, table=dz[:, pos], stats=stats
             )
         except Infeasible:
             infeasible += 1
             continue
         if best is None or (cost, rank) < best[:2]:
-            best = (cost, rank, centers, sigma, prices)
+            best = (cost, rank, centers, support, prices)
             stop_at = cost + PRUNE_TOL * max(1.0, abs(cost))
             if cost_target is not None and cost <= cost_target:
                 break
@@ -240,9 +239,8 @@ def best_tuple(
         )
     if best is None:
         raise Infeasible("no candidate tuple admits a feasible assignment")
-    cost, _, centers, sigma, prices = best
-    found = cost, tuple(int(c) for c in centers), sigma, evaluated
-    return found + (prices,) if return_prices else found
+    cost, _, centers, support, prices = best
+    return cost, tuple(int(c) for c in centers), support, evaluated, prices
 
 
 def solve_constrained(
@@ -283,8 +281,7 @@ def solve_constrained(
             raise ValidationError("; ".join(bad))
     stats = dict.fromkeys(TRANSPORT_COUNTERS, 0)
     cost_summary, winning, _, evaluated, prices = best_tuple(
-        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target,
-        return_prices=True, stats=stats,
+        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target, stats=stats
     )
 
     # The winner's summary prices warm-start its transport solves on the full data.

@@ -12,6 +12,7 @@ from numpy.random import SeedSequence, default_rng
 from .constraints import (
     ConstraintSpec,
     Unconstrained,
+    _assignment,
     _cost_matrix,
     _voronoi,
     is_symmetric,
@@ -50,11 +51,11 @@ def brute_force_opt(
     if ordered is None:
         ordered = not is_symmetric(spec)
     check_tuple_ceiling(inst.facilities.size, inst.k, ordered, allow_repeats, max_solves)
-    cost, tup, sigma, _ = best_tuple(
-        inst.weighted_points(), np.sort(inst.facilities), inst.k, spec, z, ordered,
-        allow_repeats, prune=False,
+    B = inst.weighted_points()
+    cost, tup, support, *_ = best_tuple(
+        B, np.sort(inst.facilities), inst.k, spec, z, ordered, allow_repeats, prune=False
     )
-    return tup, float(cost), sigma
+    return tup, float(cost), _assignment(B, *support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +185,9 @@ def verify_property_B(
             elif summary_is_full:
                 cost_full = cost_summary
             else:
-                cost_full, _ = profile_cost(full, chosen, gamma, z, prices=prices, table=full_t)
+                cost_full, *_ = profile_cost(
+                    full, chosen, gamma, z, prices=prices, return_prices=True, table=full_t
+                )
                 stats["full_solves"] += 1
             ratio = _ratio(cost_full, cost_summary)
             ok = (1.0 - eps) <= ratio <= (1.0 + eps)
@@ -238,7 +241,7 @@ def verify_property_A(
         cost_j, tup_j = opt_cost, opt_tup
     else:
         check_tuple_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
-        cost_j, tup_j, _, _ = best_tuple(full, candidate_ids, inst.k, spec, z, ordered)
+        cost_j, tup_j, *_ = best_tuple(full, candidate_ids, inst.k, spec, z, ordered)
 
     ratio = _ratio(cost_j, opt_cost)
     bound = coreset.alpha + coreset.epsilon

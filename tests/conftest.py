@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from weakcore.cli import make_line_instance, make_planar_blobs, make_random_metric
 from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained
-from weakcore.model import ClusterProfile, MetricSpace
+from weakcore.model import Assignment, ClusterProfile, MetricSpace
 
 
 def row_layout(payload: dict) -> dict:
@@ -96,3 +96,16 @@ def count_tables(monkeypatch):
 
     monkeypatch.setattr(MetricSpace, "pairwise", spy)
     return calls
+
+
+def count_assignments(monkeypatch):
+    """The length of every Assignment built from now on, in call order."""
+    built = []
+    post_init = Assignment.__post_init__
+
+    def spy(self):
+        post_init(self)
+        built.append(len(self))
+
+    monkeypatch.setattr(Assignment, "__post_init__", spy)
+    return built

@@ -24,6 +24,17 @@ def test_default_eta_formula():
     assert resolve_eta(CandidateParams(eta=1), k=3, eps=0.5) == 3  # floor at k
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("euclidean_subset_size", 0), ("euclidean_base_size", -2), ("max_euclidean_candidates", 0)],
+)
+def test_candidate_params_reject_sizes_below_one(field, value):
+    """A size below 1 is refused up front, naming its field, instead of
+    being replaced by the default (0) or failing inside the build."""
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        CandidateParams(**{field: value})
+
+
 def test_dz_seed_single_facility():
     space = MetricSpace.euclidean([[0.0], [1.0], [2.0]])
     inst = ClusteringInstance(space, [0, 1], [1.0, 1.0], [2], k=1)

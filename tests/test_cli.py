@@ -844,6 +844,13 @@ USAGE_ERRORS = {
                             ("--m", "0")]
     },
     **{
+        f"coreset-{flag[2:]}-{value}": ["coreset", "--instance", "i.json", "--out", "o.json",
+                                        "--epsilon", "0.5", "--mode", "euclidean_kmeans", "--z", "2",
+                                        flag, value]
+        for flag, value in [("--subset-size", "-3"), ("--subset-size", "0"), ("--base-size", "-2"),
+                            ("--base-size", "0"), ("--max-candidates", "0")]
+    },
+    **{
         f"verify-trials-{value}": ["verify", "--instance", "i.json", "--coreset", "c.json",
                                    "--out", "o.json", "--trials", value]
         for value in ("0", "-3")

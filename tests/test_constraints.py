@@ -26,7 +26,6 @@ from weakcore.constraints import (
     ldiversity_bounds,
     optimal_feasible_cost,
     profile_cost,
-    voronoi_assignment,
     voronoi_profile,
 )
 from weakcore.flowlp import SolverError, SolverLimit
@@ -74,7 +73,7 @@ def test_assignment_cost_single_point():
 
 def test_assignment_cost_line_voronoi(line_instance):
     B = line_instance.weighted_points()
-    cost, sigma = voronoi_assignment(B, LINE_CENTERS, 1)
+    cost, sigma = optimal_feasible_cost(B, LINE_CENTERS, Unconstrained(), 1)[:2]
     assert cost == 3.0
     assert assignment_cost(B, sigma, LINE_CENTERS, 1) == 3.0
 
@@ -225,7 +224,7 @@ def test_fraction_lp_at_voronoi_takes_no_pivot(monkeypatch):
     inst = make_planar_blobs(60, 4, 3, m=2, seed=2)
     B, centers = inst.weighted_points(), inst.facilities[:3]
     spec = FractionBounds(np.full(3, 0.3), np.full(3, 0.7))
-    voronoi_cost, sigma = voronoi_assignment(B, centers, 1)
+    voronoi_cost, sigma = optimal_feasible_cost(B, centers, Unconstrained(), 1)[:2]
     assert check_feasibility(sigma, B, spec, k=3) == []
     pivots = []
     pivot = flowlp._pivot
@@ -311,12 +310,12 @@ def test_fraction_lp_at_1000_points(spec):
     cost, sigma, _ = optimal_feasible_cost(B, centers, spec, 1)
     assert time.perf_counter() - started < 5.0
     assert check_feasibility(sigma, B, spec, k=3) == []
-    assert cost > voronoi_assignment(B, centers, 1)[0]
+    assert cost > optimal_feasible_cost(B, centers, Unconstrained(), 1)[0]
 
 
 def test_check_feasibility_names_upper_bound(line_instance):
     B = line_instance.weighted_points()
-    _, sigma = voronoi_assignment(B, np.array([1, 1]), 1)  # everything to cluster 0
+    _, sigma = optimal_feasible_cost(B, np.array([1, 1]), Unconstrained(), 1)[:2]  # everything to cluster 0
     spec = Balanced(np.zeros(2), np.array([4.0, 4.0]))
     report = check_feasibility(sigma, B, spec, k=2)
     assert len(report) == 1 and "upper bound" in report[0]
@@ -345,7 +344,7 @@ ONE_BROKEN_CELL = {
 @pytest.mark.parametrize("spec, message", ONE_BROKEN_CELL.values(), ids=ONE_BROKEN_CELL.keys())
 def test_check_feasibility_reports_the_one_broken_cell(labeled_line_instance, spec, message):
     B = labeled_line_instance.weighted_points()
-    _, sigma = voronoi_assignment(B, LINE_CENTERS, 1)
+    _, sigma = optimal_feasible_cost(B, LINE_CENTERS, Unconstrained(), 1)[:2]
     assert check_feasibility(sigma, B, spec, k=2) == [message]
 
 
@@ -365,7 +364,7 @@ def test_check_feasibility_rejects_a_spec_of_another_shape(labeled_line_instance
     """A spec sized for k=3, or a profile with more label columns than the
     point set has labels, used to raise IndexError."""
     B = labeled_line_instance.weighted_points()
-    _, sigma = voronoi_assignment(B, LINE_CENTERS, 1)
+    _, sigma = optimal_feasible_cost(B, LINE_CENTERS, Unconstrained(), 1)[:2]
     with pytest.raises(ValidationError, match=re.escape(shapes)):
         check_feasibility(sigma, B, spec, k=2)
 
@@ -425,7 +424,7 @@ def test_voronoi_profile_cost_identity(line_instance):
     B = line_instance.weighted_points()
     for tup in itertools.combinations(line_instance.facilities.tolist(), 2):
         centers = np.array(tup)
-        direct, _ = voronoi_assignment(B, centers, 1)
+        direct, _ = optimal_feasible_cost(B, centers, Unconstrained(), 1)[:2]
         prof = voronoi_profile(B, centers, 1)
         via_profile, _ = profile_cost(B, centers, prof, 1)
         assert via_profile == pytest.approx(direct, rel=1e-9)
@@ -597,16 +596,24 @@ def _assert_table_costs(B, pool, rng, k, z):
     """For k random positions into ``pool`` and one spec per family: the
     cost read from the D^z table is assignment_cost of the returned
     assignment, bit for bit, and a column slice of the |B| x |pool| table
-    passed in gives the same cost and assignment."""
+    passed in gives the same cost and assignment. The ``return_prices``
+    form gives the same cost too, its support wrapped into an Assignment is
+    the plain call's assignment, and its mass table is the plain call's
+    realized profile, all bit for bit."""
     wide = constraints._cost_matrix(B, pool, z)
     pos = rng.choice(pool.size, size=k, replace=False)
     centers = pool[pos]
     for spec in one_spec_per_family(B, k, rng):
-        cost, sigma, _ = optimal_feasible_cost(B, centers, spec, z)
-        assert cost == assignment_cost(B, sigma, centers, z), type(spec).__name__
+        name = type(spec).__name__
+        cost, sigma, profile = optimal_feasible_cost(B, centers, spec, z)
+        assert cost == assignment_cost(B, sigma, centers, z), name
         again, sigma2, _ = optimal_feasible_cost(B, centers, spec, z, table=wide[:, pos])
-        assert again == cost and np.array_equal(sigma2.points, sigma.points), type(spec).__name__
-        assert np.array_equal(sigma2.clusters, sigma.clusters) and np.array_equal(sigma2.masses, sigma.masses)
+        own, (rows, cols, masses), mass, _ = optimal_feasible_cost(B, centers, spec, z, return_prices=True)
+        assert again == cost and own == cost, name
+        for other in (sigma2, Assignment(B.indices[rows], cols, masses)):
+            for part in ("points", "clusters", "masses"):
+                assert getattr(other, part).tobytes() == getattr(sigma, part).tobytes(), (name, part)
+        assert mass.tobytes() == profile.values.tobytes() and mass.shape == profile.values.shape, name
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "explicit"])

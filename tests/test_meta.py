@@ -191,7 +191,7 @@ def _random_specs(rng, B, k, m):
 def _best_or_infeasible(*args, **kwargs):
     stats = {}
     try:
-        cost, tup, _, solves = best_tuple(*args, stats=stats, **kwargs)
+        cost, tup, _, solves, _ = best_tuple(*args, stats=stats, **kwargs)
     except Infeasible:
         return "infeasible", None
     assert solves == stats["tuples_solved"]
@@ -422,7 +422,7 @@ def test_best_tuple_builds_one_table(monkeypatch, prune):
     tables = count_tables(monkeypatch)
     for spec in one_spec_per_family(B, 3, np.random.default_rng(2)):
         tables.clear()
-        *_, evaluated = best_tuple(B, pool, 3, spec, 1, False, prune=prune)
+        evaluated = best_tuple(B, pool, 3, spec, 1, False, prune=prune)[3]
         assert tables == [(B.size, pool.size)], type(spec).__name__
         assert evaluated == 35 or prune
 

@@ -3,7 +3,7 @@ import pytest
 
 import weakcore.constraints as constraints
 import weakcore.oracle as oracle
-from conftest import count_tables, random_small_instance
+from conftest import count_assignments, count_tables, one_spec_per_family, random_small_instance
 from oracles import exhaustive_voronoi_opt
 from weakcore.cli import make_planar_blobs, make_random_metric
 from weakcore.constraints import Balanced, FixedProfile, Unconstrained, profile_cost, voronoi_profile
@@ -267,3 +267,26 @@ def test_property_b_builds_one_full_and_one_summary_table_per_call(monkeypatch):
     assert all(rows in (inst.n, summary.size) and cols <= 3 for rows, cols in tables)
     assert runs.stats["tables"] == len(tables) > 2
     assert [vars(r) for r in runs.records] == [vars(r) for r in whole.records]
+
+
+def test_each_answer_builds_one_assignment(monkeypatch):
+    """Exact solves return their support; only an answer wraps one into an
+    Assignment. solve_constrained builds one per call for every family (its
+    full-data answer), brute_force_opt one (its winner's), and a property-B
+    verify none, although each of its trials runs exact solves."""
+    inst = make_planar_blobs(120, 6, 2, m=2, seed=3)
+    cs = build_universal_weak_coreset(
+        inst, 0.5, 0.05, seed=3, summary_params=SummaryParams(sample_count=5, seed=3)
+    )
+    built = count_assignments(monkeypatch)
+    for spec in one_spec_per_family(inst.weighted_points(), 2, np.random.default_rng(3)):
+        built.clear()
+        res = solve_constrained(cs, inst, spec)
+        assert built == [len(res.assignment_on_full)], type(spec).__name__
+        built.clear()
+        _, _, sigma = brute_force_opt(inst, spec)
+        assert built == [len(sigma)], type(spec).__name__
+    built.clear()
+    report = verify_property_B(inst, cs, trials=10, eps=0.5, seed=3)
+    assert report.stats["full_solves"] > 0 and report.stats["summary_solves"] == 10
+    assert built == []
