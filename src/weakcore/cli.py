@@ -43,7 +43,7 @@ from .constraints import (
     Unconstrained,
     ldiversity_bounds,
 )
-from .coreset import SummaryParams, WeakCoreset, build_universal_weak_coreset
+from .coreset import SummaryParams, WeakCoreset, build_universal_weak_coreset, split_seed
 from .candidates import CandidateParams
 from .flowlp import Infeasible, SolverError, SolverLimit
 from .meta import SolveResult, solve_constrained
@@ -667,10 +667,11 @@ def cmd_generate(args) -> int:
 
 def cmd_coreset(args) -> int:
     inst = load_instance(args.instance, triangle_check=args.triangle_check, z=args.z)
+    cand_seed, summ_seed = split_seed(args.seed)
     cparams = CandidateParams(
         eta=args.eta,
         mix=args.mix,
-        seed=int(SeedSequence(args.seed, spawn_key=(0,)).generate_state(1)[0]),
+        seed=cand_seed,
         euclidean_subset_size=args.subset_size,
         euclidean_base_size=args.base_size,
         max_euclidean_candidates=args.max_candidates,
@@ -679,7 +680,7 @@ def cmd_coreset(args) -> int:
         sample_count=args.sample_count,
         c0=args.c0,
         delta=args.delta,
-        seed=int(SeedSequence(args.seed, spawn_key=(1,)).generate_state(1)[0]),
+        seed=summ_seed,
     )
     started = time.perf_counter()
     cs = build_universal_weak_coreset(
@@ -718,16 +719,10 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance, triangle_check=args.triangle_check, z=args.z)
     cs = coreset_from_payload(load_json(args.coreset))
     spec = load_constraint(args.constraint, inst)
-    ordered = None
-    if args.ordered:
-        ordered = True
-    elif args.unordered:
-        ordered = False
     res = solve_constrained(
         cs,
         inst,
         spec,
-        ordered=ordered,
         allow_repeats=args.allow_repeats,
         cost_target=args.cost_target,
     )
@@ -875,9 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--coreset", required=True)
     s.add_argument("--constraint", required=True)
-    order = s.add_mutually_exclusive_group()
-    order.add_argument("--ordered", action="store_true", help="force ordered tuple enumeration")
-    order.add_argument("--unordered", action="store_true", help="force unordered enumeration")
     s.add_argument("--allow-repeats", action="store_true")
     s.add_argument("--cost-target", type=float, default=None)
     s.add_argument("--csv", default=None, help="also write the assignment as CSV")

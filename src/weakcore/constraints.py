@@ -136,8 +136,10 @@ def ldiversity_bounds(l: int, k: int, m: int, at_most: bool = False) -> Fraction
 
 
 def is_symmetric(spec: ConstraintSpec) -> bool:
-    """True when the spec treats all cluster indices identically, so center
-    tuples can be enumerated as unordered combinations."""
+    """True when the spec treats all cluster indices identically, so a
+    tuple's cost does not depend on its order and center tuples can be
+    enumerated as unordered combinations. A fixed profile is symmetric when
+    its k rows are equal, plain or labeled."""
     if isinstance(spec, Unconstrained):
         return True
     if isinstance(spec, Balanced):
@@ -145,6 +147,9 @@ def is_symmetric(spec: ConstraintSpec) -> bool:
     if isinstance(spec, FractionBounds):  # one row per cluster, a (k,) pair included
         a, b = (x.reshape(len(x), -1) for x in (spec.alpha, spec.beta))
         return bool(np.all(a == a[0]) and np.all(b == b[0]))
+    if isinstance(spec, FixedProfile):
+        values = spec.profile.values
+        return bool(np.all(values == values[0]))
     return False
 
 

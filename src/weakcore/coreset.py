@@ -313,6 +313,11 @@ def identity_weak_coreset(inst: ClusteringInstance) -> WeakCoreset:
     )
 
 
+def split_seed(seed: int) -> tuple[int, int]:
+    """The candidate and summary seeds that one coreset seed stands for."""
+    return tuple(int(SeedSequence(int(seed), spawn_key=(i,)).generate_state(1)[0]) for i in (0, 1))
+
+
 def build_universal_weak_coreset(
     inst: ClusteringInstance,
     eps: float,
@@ -331,8 +336,7 @@ def build_universal_weak_coreset(
         raise ValidationError(f"unknown coreset mode {mode!r}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"epsilon must be finite and positive, got {eps}")
-    cand_seed = int(SeedSequence(int(seed), spawn_key=(0,)).generate_state(1)[0])
-    summ_seed = int(SeedSequence(int(seed), spawn_key=(1,)).generate_state(1)[0])
+    cand_seed, summ_seed = split_seed(seed)
     cparams = candidate_params if candidate_params is not None else CandidateParams(seed=cand_seed)
     sparams = summary_params if summary_params is not None else SummaryParams(
         seed=summ_seed, delta=delta

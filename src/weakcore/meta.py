@@ -1,11 +1,13 @@
 """Enumeration meta-solver: score the k-tuples of candidate centers against
 the summary, keep the cheapest, then re-solve the winner on the full data.
-The enumeration kernel, :func:`best_tuple`, is shared with the oracle. It
-visits tuples in ascending Voronoi lower bound and stops at the first whose
-bound cannot beat the best cost; before solving a tuple it prices it with
-the best tuple's multipliers (a Lagrangian bound, of which the Voronoi bound
-is the case with every multiplier at zero) and skips it when that bound
-cannot beat the best cost either."""
+The enumeration kernel, :func:`best_tuple`, is shared with the oracle and
+is the one place a walk is set up: the spec picks ordered or unordered
+tuples, one ceiling is checked, and one array holds every tuple's
+positions. It visits tuples in ascending Voronoi lower bound and stops at
+the first whose bound cannot beat the best cost; before solving a tuple it
+prices it with the best tuple's multipliers (a Lagrangian bound, of which
+the Voronoi bound is the case with every multiplier at zero) and skips it
+when that bound cannot beat the best cost either."""
 
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ from .coreset import WeakCoreset
 from .flowlp import Infeasible, SolverError, SolverLimit
 from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError, WeightedPoints
 
-# Pruned enumeration holds a bound per tuple; beyond this many it refuses.
+# Every walk holds each tuple's positions, and a pruned one its bound too;
+# beyond this many tuples either refuses.
 MAX_BOUND_TUPLES = 10_000_000
 # D^z cells gathered per block of bounds (0.5 MB of float64), so that working
 # memory does not grow with the tuple count.
@@ -83,57 +86,32 @@ class SolveResult:
     stats: dict = field(default_factory=dict)
 
 
-def check_tuple_ceiling(
-    j_size: int, k: int, ordered: bool, allow_repeats: bool, ceiling: int
-) -> int:
-    """The number of center tuples; raises :class:`SolverLimit` above ``ceiling``."""
-    total = count_center_tuples(j_size, k, ordered, allow_repeats)
-    if total > ceiling:
-        raise SolverLimit(f"{total} center tuples exceed the ceiling of {ceiling}")
-    return total
-
-
-def _position_blocks(
-    j_size: int, k: int, ordered: bool, allow_repeats: bool, block: int = 4096
-) -> Iterator[np.ndarray]:
-    """:func:`enumerate_center_tuples` over ``range(j_size)`` as (rows, k)
-    position arrays of at most ``block`` rows each, in rank order."""
+def _positions(j_size: int, k: int, ordered: bool, allow_repeats: bool, total: int) -> np.ndarray:
+    """All ``total`` k-tuples of :func:`enumerate_center_tuples` over
+    ``range(j_size)`` as one (total, k) position array, in rank order, in
+    the smallest integer type that holds a position."""
+    row = np.dtype((np.min_scalar_type(max(j_size - 1, 0)), (k,)))
     stream = enumerate_center_tuples(range(j_size), k, ordered, allow_repeats)
-    row = np.dtype((np.intp, (k,)))
-    while True:
-        pos = np.fromiter(itertools.islice(stream, block), dtype=row)
-        if not pos.size:
-            return
-        yield pos
+    return np.fromiter(stream, dtype=row, count=total)
 
 
-def voronoi_bounds(
-    B: WeightedPoints, pool: np.ndarray, k: int, z: int, ordered: bool, allow_repeats: bool, *, table=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every k-tuple of positions into ``pool``, in rank order, and its
-    Voronoi cost on ``B``: ``sum_x v_x * min_{c in tuple} D(x, c)^z``.
+def voronoi_bounds(B: WeightedPoints, positions: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The Voronoi cost on ``B`` of each row of ``positions``, a (tuples, k)
+    array of columns of ``table``, B's ``D^z`` table to the candidates:
+    ``sum_x v_x * min_{c in tuple} D(x, c)^z``.
 
     No constraint lowers a tuple's cost below this, so it bounds every
     family's exact cost from below. The bounds are one dot product per
-    tuple over the |B| x |pool| ``D^z`` table (``table`` when the caller
-    holds it), taken in blocks of about ``_BOUND_CELLS`` cells. Raises
-    :class:`SolverLimit` before allocating when there are more than
-    ``MAX_BOUND_TUPLES`` tuples."""
-    total = check_tuple_ceiling(pool.size, k, ordered, allow_repeats, MAX_BOUND_TUPLES)
-    dz = _cost_matrix(B, pool, z) if table is None else table
-    positions = np.empty((total, k), dtype=np.min_scalar_type(max(pool.size - 1, 0)))
-    bounds = np.empty(total)
-    start = 0
+    tuple, taken in blocks of about ``_BOUND_CELLS`` cells."""
+    bounds = np.empty(len(positions))
     block = max(1, _BOUND_CELLS // max(B.size, 1))
-    for pos in _position_blocks(pool.size, k, ordered, allow_repeats, block):
-        nearest = dz[:, pos[:, 0]]
-        for c in range(1, k):
-            np.minimum(nearest, dz[:, pos[:, c]], out=nearest)
-        stop = start + len(pos)
-        positions[start:stop] = pos
-        bounds[start:stop] = B.weights @ nearest
-        start = stop
-    return positions, bounds
+    for start in range(0, len(positions), block):
+        pos = positions[start : start + block]
+        nearest = table[:, pos[:, 0]]
+        for c in range(1, pos.shape[1]):
+            np.minimum(nearest, table[:, pos[:, c]], out=nearest)
+        bounds[start : start + len(pos)] = B.weights @ nearest
+    return bounds
 
 
 def _slot_orders(k: int, spec: ConstraintSpec) -> np.ndarray:
@@ -151,18 +129,23 @@ def best_tuple(
     k: int,
     spec: ConstraintSpec,
     z: int,
-    ordered: bool,
+    *,
     allow_repeats: bool = False,
     cost_target: Optional[float] = None,
-    *,
     prune: bool = True,
+    max_tuples: int = MAX_BOUND_TUPLES,
     stats: Optional[dict] = None,
 ):
     """The enumeration kernel: the cheapest k-tuple of ``candidates`` under
     an exact constrained assignment on ``B``.
 
-    The winner is the lowest (cost, rank), where rank is the tuple's place
-    in :func:`enumerate_center_tuples` order, so ties break to the earliest
+    The spec picks the tuples: ordered ones unless it treats every cluster
+    index alike (:func:`~weakcore.constraints.is_symmetric`), when a tuple's
+    cost does not depend on its order and unordered combinations suffice.
+    More than ``min(max_tuples, MAX_BOUND_TUPLES)`` tuples raise
+    :class:`SolverLimit` before any table is built. The winner is the
+    lowest (cost, rank), where rank is the tuple's place in
+    :func:`enumerate_center_tuples` order, so ties break to the earliest
     tuple. Every tuple's exact solve reads its columns of one |B| x
     |candidates| ``D^z`` table, built once. With ``prune`` the tuples are
     visited in ascending (Voronoi bound, rank) order
@@ -187,27 +170,28 @@ def best_tuple(
     :data:`~weakcore.constraints.TRANSPORT_COUNTERS` added to it.
     """
     pool = np.asarray(candidates, dtype=np.int64)
+    ordered = not is_symmetric(spec)
     total = count_center_tuples(pool.size, k, ordered, allow_repeats)
-    if prune:  # refuse before the table is built
-        check_tuple_ceiling(pool.size, k, ordered, allow_repeats, MAX_BOUND_TUPLES)
+    ceiling = min(max_tuples, MAX_BOUND_TUPLES)
+    if total > ceiling:
+        raise SolverLimit(f"{total} center tuples exceed the ceiling of {ceiling}")
     dz = _cost_matrix(B, pool, z)
+    positions = _positions(pool.size, k, ordered, allow_repeats, total)
     if prune:
-        positions, bounds = voronoi_bounds(B, pool, k, z, ordered, allow_repeats, table=dz)
+        bounds = voronoi_bounds(B, positions, dz)
         order = np.argsort(bounds, kind="stable")
-        visits = ((int(r), positions[r], bounds[r]) for r in order)
         columns, orders = np.ascontiguousarray(dz.T), _slot_orders(k, spec)
     else:
-        blocks = _position_blocks(pool.size, k, ordered, allow_repeats)
-        rows = itertools.chain.from_iterable(blocks)
-        visits = ((r, pos, -math.inf) for r, pos in enumerate(rows))
+        order = range(total)
 
     best = None
     stop_at = math.inf
     slot_prices = offset = None  # the best tuple's prices per slot order, (orders, k, |B|)
     evaluated = infeasible = skipped = 0
-    for rank, pos, bound in visits:
-        if bound > stop_at:
+    for rank in order:
+        if prune and bounds[rank] > stop_at:
             break
+        pos = positions[rank]
         if slot_prices is not None:
             priced = (columns[pos] - slot_prices).min(axis=1) @ B.weights
             if float(priced.max()) + offset > stop_at:
@@ -249,16 +233,14 @@ def solve_constrained(
     spec: ConstraintSpec,
     z: Optional[int] = None,
     *,
-    ordered: Optional[bool] = None,
     allow_repeats: bool = False,
     cost_target: Optional[float] = None,
 ) -> SolveResult:
     """Pick the cheapest feasible center tuple from J scored on (S, v), then
     re-solve it exactly on the full instance.
 
-    Symmetric specs enumerate unordered combinations; per-cluster
-    heterogeneous bounds force ordered tuples. Scoring is the pruned walk of
-    :func:`best_tuple`, so ties break to the earliest tuple in enumeration
+    Scoring is the pruned walk of :func:`best_tuple` (ordered tuples unless
+    the spec is symmetric), so ties break to the earliest tuple in enumeration
     order and ``cost_target`` stops at the first tuple, in Voronoi-bound
     order, whose summary cost reaches it. A fixed profile is checked against
     the full data before any tuple is scored. The winner's full-data
@@ -270,8 +252,6 @@ def solve_constrained(
     z = inst.z if z is None else z
     if isinstance(spec, FractionBounds) and inst.labels is None:
         raise ValidationError("fraction-bound constraints require a labeled instance")
-    if ordered is None:
-        ordered = not is_symmetric(spec)
 
     start = time.perf_counter()
     candidate_ids, summary, full = coreset.bind(inst, z)
@@ -281,7 +261,8 @@ def solve_constrained(
             raise ValidationError("; ".join(bad))
     stats = dict.fromkeys(TRANSPORT_COUNTERS, 0)
     cost_summary, winning, _, evaluated, prices = best_tuple(
-        summary, candidate_ids, inst.k, spec, z, ordered, allow_repeats, cost_target, stats=stats
+        summary, candidate_ids, inst.k, spec, z, allow_repeats=allow_repeats, cost_target=cost_target,
+        stats=stats,
     )
 
     # The winner's summary prices warm-start its transport solves on the full data.

@@ -15,14 +15,13 @@ from .constraints import (
     _assignment,
     _cost_matrix,
     _voronoi,
-    is_symmetric,
     profile_cost,
-    voronoi_profile,
 )
-# Not called here; kept importable because perfbench's tracer hooks oracle.optimal_feasible_cost.
-from .constraints import optimal_feasible_cost  # noqa: F401
+# Not called here; kept importable because perfbench's tracer hooks oracle.optimal_feasible_cost
+# and oracle.voronoi_profile.
+from .constraints import optimal_feasible_cost, voronoi_profile  # noqa: F401
 from .coreset import WeakCoreset
-from .meta import best_tuple, check_tuple_ceiling
+from .meta import best_tuple
 from .model import Assignment, ClusteringInstance, ClusterProfile, ValidationError
 
 DEFAULT_SOLVE_CEILING = 1_000_000
@@ -35,25 +34,22 @@ def brute_force_opt(
     spec: ConstraintSpec,
     z: Optional[int] = None,
     *,
-    ordered: Optional[bool] = None,
     allow_repeats: bool = False,
     max_solves: int = DEFAULT_SOLVE_CEILING,
 ) -> tuple[tuple, float, Assignment]:
     """Exact optimum over every admissible center tuple from F.
 
     Runs :func:`~weakcore.meta.best_tuple` over the sorted facilities with
-    the meta-solver's enumeration-mode rule and ``prune=False``, so every
-    tuple is solved and ties break to the earliest tuple: this is the
+    ``prune=False``, so every tuple the spec admits (ordered unless it is
+    symmetric) is solved and ties break to the earliest tuple: this is the
     exhaustive reference the pruned walk is tested against. Raises
     :class:`SolverLimit` when the tuple count exceeds ``max_solves``.
     """
     z = inst.z if z is None else z
-    if ordered is None:
-        ordered = not is_symmetric(spec)
-    check_tuple_ceiling(inst.facilities.size, inst.k, ordered, allow_repeats, max_solves)
     B = inst.weighted_points()
     cost, tup, support, *_ = best_tuple(
-        B, np.sort(inst.facilities), inst.k, spec, z, ordered, allow_repeats, prune=False
+        B, np.sort(inst.facilities), inst.k, spec, z,
+        allow_repeats=allow_repeats, prune=False, max_tuples=max_solves,
     )
     return tup, float(cost), _assignment(B, *support)
 
@@ -132,7 +128,9 @@ def verify_property_B(
     Each trial solves the summary; a random-profile trial starts the full
     solve from the summary's sink prices. A Voronoi-profile trial needs no
     full solve: the Voronoi assignment is optimal over all assignments and
-    meets its own profile, so its cost is the profile's full-data cost.
+    meets its own profile, so its cost is the profile's full-data cost, and
+    one nearest-center pass over its columns gives both the profile and the
+    cost.
     When the summary is the full data itself (the identity coreset), one
     solve prices both sides. ``eps`` is the reporting window half-width: a
     trial passes when its ratio lies in [1 - eps, 1 + eps], and the report
@@ -172,7 +170,8 @@ def verify_property_B(
             pos = np.searchsorted(ids, chosen)
             full_t, summary_t = d_full[:, pos], d_summary[:, pos]
             if voronoi:
-                gamma = voronoi_profile(full, chosen, z, table=full_t)
+                cost_full, _, totals, _ = _voronoi(full_t, full)
+                gamma = ClusterProfile(totals)
             else:
                 gamma = ClusterProfile(W * shares[t] / shares[t].sum())
             cost_summary, _, prices = profile_cost(
@@ -180,7 +179,6 @@ def verify_property_B(
             )
             stats["summary_solves"] += 1
             if voronoi:
-                cost_full = _voronoi(full_t, full)[0]
                 stats["voronoi_trials"] += 1
             elif summary_is_full:
                 cost_full = cost_summary
@@ -228,20 +226,20 @@ def verify_property_A(
     """Compare the best tuple from J against the best tuple from F on the
     full data; report whether the ratio stays within alpha + epsilon.
 
-    The J side is the pruned walk of :func:`~weakcore.meta.best_tuple`.
+    The J side is the pruned walk of :func:`~weakcore.meta.best_tuple`;
+    each side walks the tuples the spec admits, and more than
+    ``max_solves`` of them on either side raise :class:`SolverLimit`.
     When J is the sorted F, both walks have the same answer, so the
     brute-force answer is reused."""
     z = inst.z if z is None else z
     spec = spec if spec is not None else Unconstrained()
-    ordered = not is_symmetric(spec)
 
     candidate_ids, _, full = coreset.bind(inst, z)
-    opt_tup, opt_cost, _ = brute_force_opt(inst, spec, z, ordered=ordered, max_solves=max_solves)
+    opt_tup, opt_cost, _ = brute_force_opt(inst, spec, z, max_solves=max_solves)
     if np.array_equal(candidate_ids, np.sort(inst.facilities)):
         cost_j, tup_j = opt_cost, opt_tup
     else:
-        check_tuple_ceiling(len(candidate_ids), inst.k, ordered, False, max_solves)
-        cost_j, tup_j, *_ = best_tuple(full, candidate_ids, inst.k, spec, z, ordered)
+        cost_j, tup_j, *_ = best_tuple(full, candidate_ids, inst.k, spec, z, max_tuples=max_solves)
 
     ratio = _ratio(cost_j, opt_cost)
     bound = coreset.alpha + coreset.epsilon

@@ -828,8 +828,11 @@ def test_summary_weight_totals_exit_code(tmp_path, capsys, m, edit):
 
 USAGE_ERRORS = {
     "missing-out": ["generate", "--kind", "line"],
-    "ordered-and-unordered": ["solve", "--instance", "i.json", "--coreset", "c.json",
-                              "--constraint", "x.json", "--out", "o.json", "--ordered", "--unordered"],
+    **{
+        f"solve-{flag[2:]}": ["solve", "--instance", "i.json", "--coreset", "c.json",
+                              "--constraint", "x.json", "--out", "o.json", flag]
+        for flag in ("--ordered", "--unordered")
+    },
     "unknown-command": ["frobnicate"],
     **{
         f"coreset-{flag[2:]}-{value}": ["coreset", "--instance", "i.json", "--out", "o.json",
@@ -862,10 +865,11 @@ USAGE_ERRORS = {
 def test_usage_error_exit_code(tmp_path, capsys, args):
     """A usage error or an out-of-range number is an input error (3) with an
     ``error:`` line and no output file: argparse's own code 2 would read as
-    "infeasible", both ordering flags together used to mean ordered, and an
-    epsilon of 0 used to end in a traceback, an infinite one in a non-JSON
-    coreset file, ``generate --n 0`` in a file the loader refuses and
-    ``verify --trials 0`` in a pass with nothing checked."""
+    "infeasible". ``solve --ordered`` and ``--unordered`` are unknown options
+    (the spec alone picks the tuple order; ``--unordered`` gave wrong answers
+    on heterogeneous bounds). An epsilon of 0 used to end in a traceback, an
+    infinite one in a non-JSON coreset file, ``generate --n 0`` in a file the
+    loader refuses and ``verify --trials 0`` in a pass with nothing checked."""
     assert run(["generate", "--kind", "planar-blobs", "--n", 10, "--facilities", 4, "--m", 2,
                 "--out", tmp_path / "i.json"]) == EXIT_OK
     assert run(["coreset", "--instance", tmp_path / "i.json", "--epsilon", 0.5,

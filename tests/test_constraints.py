@@ -418,6 +418,9 @@ def test_is_symmetric():
     assert not is_symmetric(FractionBounds(np.array([0.1, 0.3]), np.ones(2)))
     assert not is_symmetric(FractionBounds(np.zeros((2, 2)), np.array([[1.0, 1.0], [0.8, 1.0]])))
     assert not is_symmetric(FixedProfile(ClusterProfile([2.0, 3.0])))
+    assert is_symmetric(FixedProfile(ClusterProfile([2.5, 2.5])))
+    assert is_symmetric(FixedProfile(ClusterProfile([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])))
+    assert not is_symmetric(FixedProfile(ClusterProfile([[1.0, 2.0], [2.0, 1.0]])))
 
 
 def test_voronoi_profile_cost_identity(line_instance):

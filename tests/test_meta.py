@@ -5,7 +5,14 @@ import dataclasses
 
 from conftest import count_tables, one_spec_per_family, random_small_instance
 from oracles import exhaustive_voronoi_opt
-from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconstrained, optimal_feasible_cost
+from weakcore.constraints import (
+    Balanced,
+    FixedProfile,
+    FractionBounds,
+    Unconstrained,
+    is_symmetric,
+    optimal_feasible_cost,
+)
 from weakcore.coreset import SummaryParams, build_universal_weak_coreset, identity_weak_coreset
 from weakcore.flowlp import Infeasible, SolverError, SolverLimit
 import weakcore.constraints as constraints
@@ -85,6 +92,24 @@ def test_solve_balanced_heterogeneous_ordered(line_instance):
     assert totals[0] >= 4.0 - 1e-9
 
 
+def test_heterogeneous_bounds_walk_ordered_tuples(line_instance):
+    """Bounds that tell the clusters apart need ordered tuples: walking
+    unordered ones (what an unordered override did) missed the optimum (4, 1)
+    at 10.0 and returned (0, 2) at 16.0, in the solver and in the exhaustive
+    reference alike. The spec alone picks the order, so no override is taken."""
+    cs = identity_weak_coreset(line_instance)
+    spec = Balanced(np.array([1.0, 4.0]), np.array([5.0, 5.0]))
+    res = solve_constrained(cs, line_instance, spec)
+    assert (res.centers, res.cost_on_full) == ((4, 1), 10.0)
+    assert brute_force_opt(line_instance, spec)[:2] == ((4, 1), 10.0)
+    with pytest.raises(TypeError):
+        solve_constrained(cs, line_instance, spec, ordered=False)
+    with pytest.raises(TypeError):
+        brute_force_opt(line_instance, spec, ordered=False)
+    with pytest.raises(TypeError):
+        best_tuple(line_instance.weighted_points(), np.arange(5), 2, spec, 1, ordered=False)
+
+
 def test_finalize_voronoi(line_instance):
     B = line_instance.weighted_points()
     z = line_instance.z
@@ -162,8 +187,9 @@ def test_cost_target_below_every_cost_is_exhaustive(line_instance):
 
 def _random_specs(rng, B, k, m):
     """One spec per family, from random bounds that are sometimes infeasible,
-    plus two symmetric specs that the priced bound may match slot orders
-    for: balanced bounds with no upper bound and, when labeled, fraction
+    plus the symmetric specs that the priced bound may match slot orders
+    for: balanced bounds with no upper bound, a fixed profile with equal
+    rows and, when labeled, a labeled one with equal rows and fraction
     bounds shared by every cluster."""
     W = B.total_weight
     shares = rng.dirichlet(np.ones(k))
@@ -182,7 +208,9 @@ def _random_specs(rng, B, k, m):
     if m > 1:
         specs.append(FractionBounds(alpha, np.minimum(1.0, alpha + rng.uniform(0.2, 0.7))))
     specs.append(Balanced(np.full(k, rng.uniform(0.05, 0.3) * W), np.full(k, np.inf)))
+    specs.append(FixedProfile(ClusterProfile(np.full(k, W / k))))
     if m > 1:
+        specs.append(FixedProfile(ClusterProfile(np.tile(label_w / k, (k, 1)))))
         a = rng.uniform(0.0, 0.45)
         specs.append(FractionBounds(np.full((k, m), a), np.full((k, m), min(1.0, a + rng.uniform(0.1, 0.6)))))
     return specs
@@ -208,15 +236,42 @@ def test_pruned_walk_matches_exhaustive(seed):
     B = WeightedPoints(inst.space, inst.points, rng.uniform(0.3, 3.0, inst.n), inst.labels)
     facilities = np.sort(inst.facilities)
     for spec in _random_specs(rng, B, inst.k, m):
-        for ordered in (False, True):
-            args = (B, facilities, inst.k, spec, inst.z, ordered)
-            pruned, pruned_solves = _best_or_infeasible(*args, prune=True)
-            exhaustive, all_solves = _best_or_infeasible(*args, prune=False)
-            # Same tuple, bitwise-equal cost, or both infeasible.
-            assert pruned == exhaustive, (type(spec).__name__, ordered)
-            if exhaustive != "infeasible":
-                assert all_solves == count_center_tuples(facilities.size, inst.k, ordered, False)
-                assert pruned_solves <= all_solves
+        args = (B, facilities, inst.k, spec, inst.z)
+        pruned, pruned_solves = _best_or_infeasible(*args, prune=True)
+        exhaustive, all_solves = _best_or_infeasible(*args, prune=False)
+        # Same tuple, bitwise-equal cost, or both infeasible.
+        assert pruned == exhaustive, type(spec).__name__
+        if exhaustive != "infeasible":
+            ordered = not is_symmetric(spec)
+            assert all_solves == count_center_tuples(facilities.size, inst.k, ordered, False)
+            assert pruned_solves <= all_solves
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_equal_row_profile_walk_matches_every_ordered_tuple(seed):
+    """A fixed profile with equal rows is symmetric, so the walk takes
+    unordered tuples; its cost must still be the least over every ordered
+    tuple, solved one by one."""
+    m = 1 + seed % 2
+    inst = random_small_instance(seed, n_max=9, f_max=5, k_max=3, m=m)
+    rng = np.random.default_rng(3000 + seed)
+    B = WeightedPoints(inst.space, inst.points, rng.uniform(0.3, 3.0, inst.n), inst.labels)
+    facilities = np.sort(inst.facilities)
+    k = inst.k
+    profiles = [np.full(k, B.total_weight / k)]
+    if m > 1:
+        profiles.append(np.tile([B.label_weight(j) / k for j in range(m)], (k, 1)))
+    for values in profiles:
+        spec = FixedProfile(ClusterProfile(values))
+        assert is_symmetric(spec)
+        stats = {}
+        cost = best_tuple(B, facilities, k, spec, inst.z, stats=stats)[0]
+        assert stats["tuples_total"] == count_center_tuples(facilities.size, k, False, False)
+        direct = min(
+            optimal_feasible_cost(B, np.array(t), spec, inst.z)[0]
+            for t in enumerate_center_tuples(facilities, k, ordered=True)
+        )
+        assert cost == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -278,10 +333,10 @@ def test_mirror_tie_breaks_to_earlier_rank_despite_bound_rounding():
         n = coords.size - 2
         B = WeightedPoints(MetricSpace.euclidean(coords[:, None]), np.arange(n), np.full(n, 0.1))
         facilities = np.array([n, n + 1])
-        exhaustive = best_tuple(B, facilities, 1, Unconstrained(), 1, False, prune=False)
-        pruned = best_tuple(B, facilities, 1, Unconstrained(), 1, False)
+        exhaustive = best_tuple(B, facilities, 1, Unconstrained(), 1, prune=False)
+        pruned = best_tuple(B, facilities, 1, Unconstrained(), 1)
         assert exhaustive[:2] == pruned[:2] == (exhaustive[0], (n,))
-        _, bounds = voronoi_bounds(B, facilities, 1, 1, False, False)
+        bounds = voronoi_bounds(B, np.arange(2)[:, None], B.space.pairwise(B.indices, facilities))
         winner_bound_above_cost += bool(bounds[1] < bounds[0] and bounds[0] > exhaustive[0])
     # +f is visited first and -f's bound exceeds the tied cost: a stop rule
     # without slack would return +f.
@@ -295,10 +350,11 @@ def test_voronoi_bounds_match_loop_across_blocks(monkeypatch, ordered, allow_rep
     B = inst.weighted_points()
     pool = np.sort(inst.facilities)
     monkeypatch.setattr(meta, "_BOUND_CELLS", 5 * B.size)  # blocks of 5 tuples
-    positions, bounds = voronoi_bounds(B, pool, 3, 2, ordered, allow_repeats)
     tuples = list(enumerate_center_tuples(range(pool.size), 3, ordered, allow_repeats))
+    positions = meta._positions(pool.size, 3, ordered, allow_repeats, len(tuples))
     assert positions.tolist() == [list(t) for t in tuples]
     dz = B.space.pairwise(B.indices, pool) ** 2
+    bounds = voronoi_bounds(B, positions, dz)
     expected = [B.weights @ dz[:, list(t)].min(axis=1) for t in tuples]
     assert np.allclose(bounds, expected, rtol=1e-12, atol=0.0)
 
@@ -306,7 +362,7 @@ def test_voronoi_bounds_match_loop_across_blocks(monkeypatch, ordered, allow_rep
 def test_pruned_walk_refuses_more_than_ten_million_tuples(line_instance):
     # C(400, 3) = 10,586,800 tuples: refused before any table is built.
     with pytest.raises(SolverLimit, match="10586800 center tuples exceed the ceiling of 10000000"):
-        best_tuple(line_instance.weighted_points(), np.arange(400), 3, Unconstrained(), 1, False)
+        best_tuple(line_instance.weighted_points(), np.arange(400), 3, Unconstrained(), 1)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -422,9 +478,9 @@ def test_best_tuple_builds_one_table(monkeypatch, prune):
     tables = count_tables(monkeypatch)
     for spec in one_spec_per_family(B, 3, np.random.default_rng(2)):
         tables.clear()
-        evaluated = best_tuple(B, pool, 3, spec, 1, False, prune=prune)[3]
+        evaluated = best_tuple(B, pool, 3, spec, 1, prune=prune)[3]
         assert tables == [(B.size, pool.size)], type(spec).__name__
-        assert evaluated == 35 or prune
+        assert evaluated == count_center_tuples(pool.size, 3, not is_symmetric(spec), False) or prune
 
 
 def test_stage_3_builds_one_full_table_and_checks_conservation_once(monkeypatch):
