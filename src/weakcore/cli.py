@@ -3,11 +3,15 @@ and the generate / coreset / solve / oracle / verify commands.
 
 Instance files are columnar: ``"points"`` holds a ``"weight"`` list, a
 ``"label"`` list on labeled instances, and either ``"coords"`` (Euclidean:
-one flat row-major list of n * ``dim`` numbers) or ``"index"`` (explicit: ids
-into the row-major ``"distance_matrix"``). Facilities are rows, each a
-``{"point": i}`` reference or a location of its own. Row-shaped files (one
-dict per point) still load, through the same checks. Coreset and result
-files are row-shaped.
+n * ``dim`` numbers, flat and row-major) or ``"index"`` (explicit: ids into
+the row-major ``"distance_matrix"``). ``coords`` and ``distance_matrix`` are
+written as binary columns, ``{"dtype": "<f8", "base64": ...}``: the base64
+text of the little-endian float64 bytes, which loads without a Python float
+per number. Facilities are rows, each a ``{"point": i}`` reference or a
+location of its own. Files with text ``coords`` or ``distance_matrix``
+lists, and row-shaped files (one dict per point), still load, through the
+same checks. Coreset and result files are row-shaped; the writer takes their
+rows as :class:`Rows`, one list per field, and writes the same bytes.
 
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
 2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded
@@ -20,6 +24,7 @@ triangle inequality), is one stderr line.
 from __future__ import annotations
 
 import argparse
+import base64
 import itertools
 import json
 import math
@@ -66,9 +71,29 @@ MAX_INSTANCE_BYTES = 100 * 1024 * 1024
 # ---------------------------------------------------------------------------
 
 
+class Rows:
+    """A list of dicts held as its columns: ``Rows(point=[0, 1], mass=[1.0,
+    0.5])`` is written as ``[{"mass": 1.0, "point": 0}, {"mass": 0.5, "point":
+    1}]`` without building a dict per row."""
+
+    def __init__(self, **columns: list):
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError("row columns differ in length")
+        self.columns = dict(sorted(columns.items()))
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def dicts(self) -> list:
+        keys = list(self.columns)
+        return [dict(zip(keys, row)) for row in zip(*self.columns.values())]
+
+
 def _json_default(obj):
-    """numpy values the json module does not take; ``np.float64`` is a
-    ``float`` and never reaches here."""
+    """numpy values the json module does not take, and :class:`Rows` as its
+    list of dicts; ``np.float64`` is a ``float`` and never reaches here."""
+    if isinstance(obj, Rows):
+        return obj.dicts()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
@@ -123,31 +148,38 @@ def _scalar_texts(values, types: set) -> Optional[list]:
     return [_SCALAR_TEXT[type(v)](v) for v in values]
 
 
-def _row_block(rows: list, level: int) -> Optional[str]:
-    """The column path for a list of dicts whose items sit at depth ``level``.
-
-    When the dicts share one set of str keys and each key holds scalars, or
-    lists of scalars of one length, each column converts in one ``map`` and
-    one join interleaves the columns with the fixed text around them. Returns
-    the rows with their separators, or None for any other list."""
+def _row_columns(rows: list) -> Optional[dict]:
+    """The columns of a list of dicts that share one set of str keys, in key
+    order; None for any other list."""
     keys = sorted(rows[0])
     if not keys or set(map(len, rows)) != {len(keys)} or set(map(type, keys)) != {str}:
         return None
     try:
-        cols = [list(map(itemgetter(key), rows)) for key in keys]
+        return {key: list(map(itemgetter(key), rows)) for key in keys}
     except KeyError:
         return None
+
+
+def _column_block(columns: dict, level: int) -> Optional[str]:
+    """The text of the rows that ``columns`` (str key -> one list of n values,
+    keys in sorted order) hold, each row a dict at depth ``level``.
+
+    When each column holds scalars, or lists of scalars of one length, it
+    converts in one ``map`` and one join interleaves the columns with the
+    fixed text around them. Returns the rows with their separators, or None
+    when a column holds anything else."""
+    cols = list(columns.values())
     col_types = [set(map(type, col)) for col in cols]
     if not all(types <= _SCALAR_TEXT.keys() or types <= {list, tuple} for types in col_types):
         return None
     pad = "\n" + _INDENT * (level + 1)
-    literals, columns, literal = [], [], "{"
-    for key, col, types in zip(keys, cols, col_types):
-        literal += ("," if columns else "") + pad + _quote(key) + ": "
+    literals, texts_of, literal = [], [], "{"
+    for key, col, types in zip(columns, cols, col_types):
+        literal += ("," if texts_of else "") + pad + _quote(key) + ": "
         texts = _scalar_texts(col, types)
         if texts is not None:
             literals.append(literal)
-            columns.append(texts)
+            texts_of.append(texts)
             literal = ""
             continue
         width = len(col[0])
@@ -160,13 +192,13 @@ def _row_block(rows: list, level: int) -> Optional[str]:
             if texts is None:
                 return None
             literals.append(literal + ("," if i else "") + pad + _INDENT)
-            columns.append(texts)
+            texts_of.append(texts)
             literal = ""
         literal = pad + "]"
     close = literal + "\n" + _INDENT * level + "}"
-    n, stride = len(rows), 2 * len(columns) + 1
+    n, stride = len(cols[0]), 2 * len(texts_of) + 1
     out = [close + ",\n" + _INDENT * level] * (n * stride)
-    for i, (literal, texts) in enumerate(zip(literals, columns)):
+    for i, (literal, texts) in enumerate(zip(literals, texts_of)):
         out[2 * i :: stride] = [literal] * n
         out[2 * i + 1 :: stride] = texts
     out[-1] = close
@@ -194,7 +226,8 @@ def _write(o, level: int, out: list) -> None:
         if texts is not None:
             block = ("," + pad).join(texts)
         else:
-            block = _row_block(o, level + 1) if types == {dict} else None
+            columns = _row_columns(o) if types == {dict} else None
+            block = None if columns is None else _column_block(columns, level + 1)
         if block is not None:
             out.append("[" + pad + block + close + "]")
             return
@@ -219,6 +252,12 @@ def _write(o, level: int, out: list) -> None:
             else:
                 _write(value, level + 1, out)
         out.append(close + "}")
+    elif isinstance(o, Rows):
+        block = _column_block(o.columns, level + 1) if len(o) else None
+        if block is None:
+            _write(o.dicts(), level, out)
+        else:
+            out.append("[" + pad + block + close + "]")
     else:
         text = _scalar_text(o)
         if text is None:
@@ -277,10 +316,44 @@ def _numbers(values, name: str) -> None:
 
 
 def _number_array(values, name: str) -> np.ndarray:
-    """A list of JSON numbers, or a list of such lists, as a float array."""
+    """A list of JSON numbers, or a list of such lists, as a float array; a
+    decoded binary column passes as it is."""
+    if isinstance(values, np.ndarray):
+        return values
     nested = isinstance(values, list) and values and isinstance(values[0], list)
     _numbers(itertools.chain.from_iterable(values) if nested else values, name)
     return np.array(values, dtype=np.float64)
+
+
+COLUMN_DTYPE = "<f8"
+
+
+def _binary_column(values: np.ndarray) -> dict:
+    """A float column as one base64 string of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(values, dtype=COLUMN_DTYPE).tobytes()
+    return {"dtype": COLUMN_DTYPE, "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _read_column(values, name: str):
+    """A column as it is read: a binary column decodes to a float array, and
+    anything else passes as it is, to be checked with its fellow numbers."""
+    if not isinstance(values, dict):
+        return values
+    if values.keys() != {"dtype", "base64"}:
+        raise ValidationError(
+            f"binary {name} column needs the keys base64 and dtype, got {', '.join(sorted(values))}"
+        )
+    if values["dtype"] != COLUMN_DTYPE:
+        raise ValidationError(f"binary {name} column has dtype {values['dtype']!r}, not {COLUMN_DTYPE!r}")
+    if not isinstance(values["base64"], str):
+        raise ValidationError(f"binary {name} column's base64 is not a string")
+    try:
+        raw = base64.b64decode(values["base64"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValidationError(f"binary {name} column is not base64: {exc}") from exc
+    if len(raw) % 8:
+        raise ValidationError(f"binary {name} column holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, dtype=COLUMN_DTYPE)
 
 
 def load_json(path: str) -> dict:
@@ -297,14 +370,15 @@ def load_json(path: str) -> dict:
 
 
 def instance_to_payload(inst: ClusteringInstance) -> dict:
-    """The columnar instance file: each point field is one list, Euclidean
+    """The columnar instance file: each point field is one column, Euclidean
     coordinates flat and row-major with ``dim`` numbers per point; facilities
-    stay rows, each a point reference or its own location, in their order."""
+    stay rows, each a point reference or its own location, in their order.
+    The coordinates and an explicit ``distance_matrix`` are binary columns."""
     points: dict = {"weight": inst.weights.tolist()}
     if inst.labels is not None:
         points["label"] = inst.labels.tolist()
     if inst.space.is_euclidean:
-        points["coords"] = inst.space.coords[inst.points].ravel().tolist()
+        points["coords"] = _binary_column(inst.space.coords[inst.points])
     else:
         points["index"] = inst.points.tolist()
     facilities = []
@@ -326,7 +400,7 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
     if inst.space.is_euclidean:
         payload["dim"] = int(inst.space.coords.shape[1])
     else:
-        payload["distance_matrix"] = inst.space.matrix.ravel().tolist()
+        payload["distance_matrix"] = _binary_column(inst.space.matrix)
     return payload
 
 
@@ -356,8 +430,9 @@ def _flat_rows(rows: list, dim: int, name: str) -> list:
 
 @_malformed("instance")
 def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> ClusteringInstance:
-    """An instance from a columnar payload, or from a row-shaped one (a list
-    with one dict per point), whose rows become the same columns first."""
+    """An instance from a columnar payload, its float columns binary or text
+    lists, or from a row-shaped one (a list with one dict per point), whose
+    rows become the same columns first. The payload is left as it is."""
     kind = payload.get("metric")
     raw_points = payload.get("points", [])
     raw_fac = payload.get("facilities", [])
@@ -375,17 +450,16 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     if unknown:
         raise ValidationError(f"unknown point columns: {', '.join(sorted(unknown))}")
 
-    dim = 1
+    dim, flat = 1, cols[ids]
     if euclidean:
         # A row file may leave dim to its points' coords.
-        dim = _integer(len(cols[ids][0]) if rows and "dim" not in payload else payload.get("dim"), "dim")
+        dim = _integer(len(flat[0]) if rows and "dim" not in payload else payload.get("dim"), "dim")
         if dim < 1:
             raise ValidationError(f"dim must be positive, got {dim}")
-        if rows:
-            cols[ids] = _flat_rows(cols[ids], dim, "point")
-    n, rest = divmod(len(cols[ids]), dim)
+        flat = _flat_rows(flat, dim, "point") if rows else _read_column(flat, ids)
+    n, rest = divmod(len(flat), dim)
     if rest:
-        raise ValidationError(f"coords holds {len(cols[ids])} numbers, not a multiple of dim {dim}")
+        raise ValidationError(f"coords holds {len(flat)} numbers, not a multiple of dim {dim}")
     sizes = {key: len(cols[key]) for key in ("weight", "label") if key in cols}
     if set(sizes.values()) - {n}:
         listed = ", ".join(f"{key} {size}" for key, size in sizes.items())
@@ -394,7 +468,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     _numbers(weights, "weight")
     labels = cols.get("label")
 
-    point_ids = range(n) if euclidean else _integers(cols[ids], "point index")
+    point_ids = range(n) if euclidean else _integers(flat, "point index")
     fac_ids, own = [], []
     for f in raw_fac:
         if "point" in f:
@@ -410,19 +484,18 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         else:
             fac_ids.append(_integer(f[ids], "facility index"))
     if euclidean:
-        coords = cols[ids] + _flat_rows(own, dim, "facility")
-        _numbers(coords, "coordinate")
-        space = MetricSpace.euclidean(np.array(coords, dtype=np.float64).reshape(-1, dim))
+        own = _number_array(_flat_rows(own, dim, "facility"), "coordinate")
+        coords = np.concatenate([_number_array(flat, "coordinate"), own])
+        space = MetricSpace.euclidean(coords.reshape(-1, dim))
     else:
-        matrix_flat = payload.get("distance_matrix")
+        matrix_flat = _read_column(payload.get("distance_matrix"), "distance_matrix")
         if matrix_flat is None:
             raise ValidationError("explicit instances need a distance_matrix")
         size = int(round(len(matrix_flat) ** 0.5))
         if size * size != len(matrix_flat):
             raise ValidationError("distance_matrix length is not a perfect square")
         space = MetricSpace.explicit(
-            _number_array(matrix_flat, "distance").reshape(size, size),
-            triangle_check=triangle_check,
+            _number_array(matrix_flat, "distance").reshape(size, size), triangle_check=triangle_check
         )
 
     inst = ClusteringInstance(
@@ -461,9 +534,7 @@ def load_instance(path: str, triangle_check: str = "sampled", z: Optional[int] =
 def coreset_to_payload(cs: WeakCoreset) -> dict:
     payload = {
         "J": cs.J.tolist() if cs.J is not None else cs.J_coords.tolist(),
-        "S": [
-            {"point": int(p), "weight": float(w)} for p, w in zip(cs.S.tolist(), cs.v.tolist())
-        ],
+        "S": Rows(point=cs.S.tolist(), weight=cs.v.tolist()),
         "alpha": float(cs.alpha),
         "z": int(cs.z),
         "epsilon": float(cs.epsilon),
@@ -702,15 +773,16 @@ def cmd_coreset(args) -> int:
 
 
 def solve_result_payload(res: SolveResult) -> dict:
+    sigma = res.assignment_on_full
     payload = {
         "centers": res.centers if res.center_coords is None else res.center_coords.tolist(),
         "cost_on_summary": res.cost_on_summary,
         "cost_on_full": res.cost_on_full,
         "realized_profile": res.realized_profile.values.tolist(),
         "tuples_evaluated": res.tuples_evaluated,
-        "assignment": [
-            {"point": p, "cluster": c, "mass": m} for p, c, m in res.assignment_on_full.entries()
-        ],
+        "assignment": Rows(
+            point=sigma.points.tolist(), cluster=sigma.clusters.tolist(), mass=sigma.masses.tolist()
+        ),
     }
     return payload
 
@@ -726,12 +798,13 @@ def cmd_solve(args) -> int:
         allow_repeats=args.allow_repeats,
         cost_target=args.cost_target,
     )
-    dump_json(solve_result_payload(res), args.out)
+    payload = solve_result_payload(res)
+    dump_json(payload, args.out)
     if args.csv:
+        cols = payload["assignment"].columns
+        lines = map("{},{},{!r}\n".format, cols["point"], cols["cluster"], cols["mass"])
         with open(args.csv, "w") as fh:
-            fh.write("point,cluster,mass\n")
-            for p, c, m in res.assignment_on_full.entries():
-                fh.write(f"{p},{c},{m!r}\n")
+            fh.write("point,cluster,mass\n" + "".join(lines))
     centers = res.centers if res.center_coords is None else res.center_coords.tolist()
     print(f"{'centers':>18}: {centers}")
     print(f"{'cost on summary':>18}: {res.cost_on_summary:.9g}")

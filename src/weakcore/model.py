@@ -260,6 +260,13 @@ class ClusteringInstance:
         )
 
 
+def _repeats(ids: np.ndarray) -> bool:
+    """Whether ``ids`` holds a value twice, by one sort: numpy 2's hashing
+    ``np.unique`` is many times slower on 20,000 ids."""
+    ids = np.sort(ids)
+    return bool(np.any(ids[1:] == ids[:-1]))
+
+
 def validate_instance(inst: ClusteringInstance) -> list[str]:
     """Collect invariant violations; an empty list means the instance is valid."""
     report: list[str] = []
@@ -281,9 +288,9 @@ def validate_instance(inst: ClusteringInstance) -> list[str]:
     for name, arr in (("point", inst.points), ("facility", inst.facilities)):
         if arr.size and (arr.min() < 0 or arr.max() >= size):
             report.append(f"{name} index out of range for metric space of size {size}")
-    if len(np.unique(inst.points)) != inst.points.size:
+    if _repeats(inst.points):
         report.append("duplicate point indices")
-    if len(np.unique(inst.facilities)) != inst.facilities.size:
+    if _repeats(inst.facilities):
         report.append("duplicate facility indices")
     if inst.labels is not None:
         if inst.labels.shape != inst.points.shape:

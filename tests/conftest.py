@@ -1,3 +1,4 @@
+import base64
 import sys
 from pathlib import Path
 
@@ -11,10 +12,31 @@ from weakcore.constraints import Balanced, FixedProfile, FractionBounds, Unconst
 from weakcore.model import Assignment, ClusterProfile, MetricSpace
 
 
+def text_column(column):
+    """A binary float column, ``{"dtype": ..., "base64": ...}``, as its list of
+    numbers; any other value as it is."""
+    if not isinstance(column, dict):
+        return column
+    return np.frombuffer(base64.b64decode(column["base64"]), dtype=column["dtype"]).tolist()
+
+
+def text_layout(payload: dict) -> dict:
+    """A columnar instance payload with its binary columns (``coords``,
+    ``distance_matrix``) decoded to lists of numbers, as text files hold
+    them. The payload itself is left as it is."""
+    out = {**payload, "points": dict(payload["points"])}
+    if "coords" in out["points"]:
+        out["points"]["coords"] = text_column(out["points"]["coords"])
+    if "distance_matrix" in out:
+        out["distance_matrix"] = text_column(out["distance_matrix"])
+    return out
+
+
 def row_layout(payload: dict) -> dict:
     """A columnar instance payload in the row layout: one dict per point, with
     its weight, its label when the instance is labeled, and its coords (a
     list of ``dim`` numbers) or its index."""
+    payload = text_layout(payload)
     cols = payload["points"]
     if "coords" in cols:
         dim = payload["dim"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_layout
+from conftest import row_layout, text_layout
 import weakcore.cli as cli
 from weakcore.cli import (
     EXIT_CEILING,
@@ -15,6 +15,7 @@ from weakcore.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    Rows,
     _json_default,
     coreset_from_payload,
     coreset_to_payload,
@@ -102,7 +103,7 @@ def test_constraint_parse_errors(line_instance):
 def test_generate_line_canonical(tmp_path):
     out = tmp_path / "inst.json"
     assert run(["generate", "--kind", "line", "--n", 5, "--k", 2, "--out", out]) == EXIT_OK
-    payload = load_json(str(out))
+    payload = text_layout(load_json(str(out)))
     assert payload["dim"] == 1 and payload["points"]["coords"] == [0.0, 1.0, 2.0, 9.0, 10.0]
     xs = [p["coords"][0] for p in row_layout(payload)["points"]]
     assert xs == [0.0, 1.0, 2.0, 9.0, 10.0]
@@ -115,7 +116,7 @@ def test_generate_random_metric_triangle_exhaustive(tmp_path):
              "--k", 2, "--seed", 5, "--out", out])
         == EXIT_OK
     )
-    payload = load_json(str(out))
+    payload = text_layout(load_json(str(out)))
     size = 30
     mat = np.array(payload["distance_matrix"]).reshape(size, size)
     MetricSpace.explicit(mat, triangle_check="full")  # raises on violation
@@ -235,6 +236,23 @@ def test_solve_csv_export(tmp_path):
     assert len(lines) == 6  # header + five points
 
 
+def test_solve_csv_matches_the_line_by_line_form(tmp_path):
+    """``solve --csv`` on a 20,000-row result writes the bytes of one
+    ``f"{point},{cluster},{mass!r}"`` line per assignment entry."""
+    inst, cs, con = tmp_path / "inst.json", tmp_path / "cs.json", tmp_path / "con.json"
+    res, csv = tmp_path / "res.json", tmp_path / "assign.csv"
+    run(["generate", "--kind", "planar-blobs", "--n", 20000, "--facilities", 6, "--k", 2, "--m", 2,
+         "--seed", 3, "--out", inst])
+    run(["coreset", "--instance", inst, "--epsilon", 0.5, "--sample-count", 4, "--seed", 3, "--out", cs])
+    con.write_text(json.dumps({"type": "profile", "gamma": [12345.678, 7654.322]}))
+    assert run(["solve", "--instance", inst, "--coreset", cs, "--constraint", con,
+                "--out", res, "--csv", csv]) == EXIT_OK
+    entries = load_json(str(res))["assignment"]
+    assert len(entries) >= 20000 and any(e["mass"] % 1 for e in entries)
+    lines = [f"{e['point']},{e['cluster']},{e['mass']!r}\n" for e in entries]
+    assert csv.read_text() == "point,cluster,mass\n" + "".join(lines)
+
+
 def test_euclidean_kmeans_coreset_pipeline(tmp_path):
     inst = tmp_path / "inst.json"
     cs = tmp_path / "cs.json"
@@ -317,12 +335,12 @@ ONE_TYPE = st.sampled_from(
 
 
 @st.composite
-def uniform_rows(draw, children):
-    """Lists of dicts with one key set. Each key holds scalars of one type or
-    of mixed types, lists or tuples of them of one length or of several
-    lengths, or anything."""
+def row_columns(draw, children, min_rows=1):
+    """Columns of equal length under distinct keys. Each column holds scalars
+    of one type or of mixed types, lists or tuples of them of one length or of
+    several lengths, or anything."""
     keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(min_rows, 5))
     columns = []
     for _ in keys:
         scalar = draw(st.sampled_from([draw(ONE_TYPE), SCALARS]))
@@ -335,7 +353,17 @@ def uniform_rows(draw, children):
             children,
         ]))
         columns.append(draw(st.lists(value, min_size=n, max_size=n)))
-    return [dict(zip(keys, row)) for row in zip(*columns)]
+    return dict(zip(keys, columns))
+
+
+def uniform_rows(children):
+    """Lists of dicts with one key set, from :func:`row_columns`."""
+    return row_columns(children).map(lambda cols: [dict(zip(cols, row)) for row in zip(*cols.values())])
+
+
+def column_rows(children):
+    """:class:`Rows` from :func:`row_columns`, zero rows included."""
+    return row_columns(children, min_rows=0).map(lambda cols: Rows(**cols))
 
 
 JSON_TREES = st.recursive(
@@ -347,6 +375,7 @@ JSON_TREES = st.recursive(
         | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(), children,
                           max_size=3)
         | uniform_rows(children)
+        | column_rows(children)
     ),
     max_leaves=30,
 )
@@ -369,6 +398,10 @@ def test_dump_json_matches_stdlib(payload):
     {"rows": [{"%s": 1.0, "%": math.nan}, {"%s": math.inf, "%": -0.0}]},
     {"rows": [{"a": 1e308}, {"a": 1e308}]},  # finite, but the sum overflows
     {"nan": [math.nan, -math.inf, 1.0], "tuple": ((1, 2), ("x", None)), "empty": [[], {}, ()]},
+    {"rows": Rows(point=[], mass=[]), "none": Rows()},  # zero rows
+    {"rows": Rows(a=[1, 2.5, "x", None, True], b=[[1, 2], (3, 4), [5, 6], (7, 8), [9, 0]])},  # mixed types
+    {"rows": Rows(a=[1, 2], b=[{"c": 1}, [1]])},  # a column of anything
+    {"rows": Rows(a=[[1, 2], [3]]), "nested": [Rows(x=[np.float64(0.5), math.inf])]},
 ])
 def test_dump_json_matches_stdlib_on_row_edges(payload):
     assert dump_json(payload, None) == _stdlib_text(payload)
@@ -545,11 +578,16 @@ def _row_set(path, value):
     return lambda payload: _set(path, value)(row_layout(payload))
 
 
+def _text_set(path, value):
+    """``_set`` on an instance payload whose binary columns are text lists."""
+    return lambda payload: _set(path, value)(text_layout(payload))
+
+
 MALFORMED_INPUT = {
     "points-plain-ints": ("instance", _set(["points"], [1, 2, 3, 4, 5])),
     "coordinate-a-string": ("instance", _row_set(["points", 0, "coords", 0], "a")),
     "weight-a-string": ("instance", _row_set(["points", 0, "weight"], "heavy")),
-    "coordinate-a-string-columnar": ("instance", _set(["points", "coords", 0], "a")),
+    "coordinate-a-string-columnar": ("instance", _text_set(["points", "coords", 0], "a")),
     "weight-a-string-columnar": ("instance", _set(["points", "weight", 0], "heavy")),
     "k-a-string": ("instance", _set(["k"], "two")),
     "balanced-l-a-string": ("constraint", _set(["l"], "ab")),
@@ -591,7 +629,7 @@ NON_INTEGER = {
     "point-index-a-string": ("random-metric", "inst", _row_set(["points", 0, "index"], "0"), "point index"),
     "point-index-a-bool": ("random-metric", "inst", _row_set(["points", 0, "index"], False), "point index"),
     **{
-        f"{name}-columnar": (kind, "inst", _set(["points", column, 0], value), needle)
+        f"{name}-columnar": (kind, "inst", _text_set(["points", column, 0], value), needle)
         for name, kind, column, value, needle in [
             ("label-fractional", "line", "label", 0.7, "label must be"),
             ("label-a-string", "line", "label", "1", "label must be"),
@@ -635,10 +673,10 @@ NUMERIC_STRING = {
     "weight": ("line", "inst", _row_set(["points", 0, "weight"], "2.5"), "weight must be a number"),
     "coordinate": ("line", "inst", _row_set(["points", 0, "coords", 0], "0.5"), "coordinate must be"),
     "weight-columnar": ("line", "inst", _set(["points", "weight", 0], "2.5"), "weight must be a number"),
-    "coordinate-columnar": ("line", "inst", _set(["points", "coords", 0], "0.5"), "coordinate must be"),
+    "coordinate-columnar": ("line", "inst", _text_set(["points", "coords", 0], "0.5"), "coordinate must be"),
     "facility-coordinate": ("planar-blobs", "inst", _set(["facilities", 0, "coords", 1], "1"),
                             "coordinate must be"),
-    "distance": ("random-metric", "inst", _set(["distance_matrix", 1], "1.0"), "distance must be"),
+    "distance": ("random-metric", "inst", _text_set(["distance_matrix", 1], "1.0"), "distance must be"),
     "S-weight": ("line", "cs", _set(["S", 0, "weight"], "1.0"), "S weight must be a number"),
     "coreset-alpha": ("line", "cs", _set(["alpha"], "3"), "alpha, epsilon and delta must be"),
     "coreset-epsilon": ("line", "cs", _set(["epsilon"], "0.25"), "alpha, epsilon and delta must be"),
@@ -674,7 +712,7 @@ def test_triangle_warning_is_one_stderr_line(tmp_path, capsys):
     not an error: ``coreset`` exits 0 with one ``warning:`` line on stderr
     (the warnings module's default is two lines, a file:line header and the
     source line), and a library caller still gets the UserWarning."""
-    payload = instance_to_payload(make_random_metric(6, 3, 2, seed=1))
+    payload = text_layout(instance_to_payload(make_random_metric(6, 3, 2, seed=1)))
     matrix = payload["distance_matrix"]
     assert len(matrix) == 81
     matrix[1] = matrix[9] = 100.0  # d(0, 1) and d(1, 0)

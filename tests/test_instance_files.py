@@ -2,10 +2,12 @@
 checks both layouts go through; and damaged instance, coreset and
 constraint files, which must end in a one-line error."""
 
+import base64
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 from functools import reduce
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_layout
+from conftest import row_layout, text_layout
 from weakcore.candidates import CandidateParams
 from weakcore.cli import (
     EXIT_VALIDATION,
     coreset_to_payload,
     dump_json,
+    instance_from_payload,
     instance_to_payload,
     load_instance,
     main,
@@ -63,13 +66,15 @@ INSTANCES = {
 }
 
 
-def _write_both(tmp_path, inst):
-    """The instance as a columnar file and as its row-layout twin."""
+def _write_twins(tmp_path, inst):
+    """The instance as a columnar file with binary float columns, and as its
+    text-column and row-layout twins."""
     payload = instance_to_payload(inst)
-    columns, rows = tmp_path / "columns.json", tmp_path / "rows.json"
+    columns, text, rows = tmp_path / "columns.json", tmp_path / "text.json", tmp_path / "rows.json"
     dump_json(payload, str(columns))
+    text.write_text(json.dumps(text_layout(payload)))
     rows.write_text(json.dumps(row_layout(payload)))
-    return columns, rows
+    return columns, text, rows
 
 
 def _arrays(inst):
@@ -89,12 +94,13 @@ def _arrays(inst):
 @pytest.mark.parametrize("make", INSTANCES.values(), ids=INSTANCES.keys())
 def test_row_and_columnar_files_load_alike(tmp_path, make):
     inst = make()
-    columns, rows = _write_both(tmp_path, inst)
+    columns, text, rows = _write_twins(tmp_path, inst)
     a, b = load_instance(str(columns)), load_instance(str(rows))
-    for name, value in _arrays(a).items():
-        other = _arrays(b)[name]
-        assert (value is None) == (other is None), name
-        assert value is None or np.array_equal(value, other), name
+    for twin in (b, load_instance(str(text))):
+        for name, value in _arrays(a).items():
+            other = _arrays(twin)[name]
+            assert (value is None) == (other is None), name
+            assert value is None or np.array_equal(value, other), name
     assert (a.k, a.z) == (b.k, b.z) == (inst.k, inst.z)
     # Both loads hold the instance itself: its weights, labels and locations.
     assert np.array_equal(a.weights, inst.weights)
@@ -111,7 +117,7 @@ def test_row_and_columnar_files_load_alike(tmp_path, make):
 
 def test_row_file_may_leave_dim_to_its_coords(tmp_path):
     inst = make_planar_blobs(20, 4, 2, m=2, seed=9)
-    columns, rows = _write_both(tmp_path, inst)
+    columns, _, rows = _write_twins(tmp_path, inst)
     payload = json.loads(rows.read_text())
     del payload["dim"]
     rows.write_text(json.dumps(payload))
@@ -120,16 +126,17 @@ def test_row_file_may_leave_dim_to_its_coords(tmp_path):
 
 @pytest.mark.parametrize("name", ["blobs-labeled", "random-metric", "mixed-facilities"])
 def test_row_and_columnar_files_give_the_same_out_files(tmp_path, name):
-    columns, rows = _write_both(tmp_path, INSTANCES[name]())
+    """Binary columns, text columns and rows: one instance, one set of bytes."""
+    columns, text, rows = _write_twins(tmp_path, INSTANCES[name]())
     con = tmp_path / "con.json"
     con.write_text(json.dumps({"type": "unconstrained"}))
     out = {}
-    for inst in (columns, rows):
+    for inst in (columns, text, rows):
         cs, res = tmp_path / f"cs-{inst.stem}.json", tmp_path / f"res-{inst.stem}.json"
         assert run(["coreset", "--instance", inst, "--epsilon", 0.5, "--seed", 3, "--out", cs]) == 0
         assert run(["solve", "--instance", inst, "--coreset", cs, "--constraint", con, "--out", res]) == 0
         out[inst.stem] = (cs.read_bytes(), res.read_bytes())
-    assert out["columns"] == out["rows"]
+    assert out["columns"] == out["text"] == out["rows"]
 
 
 _DROP = object()
@@ -152,7 +159,7 @@ def _edit(path, value):
 SHAPE_ERRORS = {
     **{
         f"{layout}-dim-{name}": (layout, _edit(["dim"], value), needle)
-        for layout in ("columns", "rows")
+        for layout in ("binary", "columns", "rows")
         for name, value, needle in [
             ("a-string", "two", "dim must be an integer, got 'two'"),
             ("fractional", 2.5, "dim must be an integer, got 2.5"),
@@ -161,8 +168,14 @@ SHAPE_ERRORS = {
             ("negative", -2, "dim must be positive, got -2"),
         ]
     },
-    "columns-dim-missing": ("columns", _edit(["dim"], _DROP), "dim must be an integer, got None"),
-    "columns-dim-wider-than-coords": ("columns", _edit(["dim"], 3), "coords holds 80 numbers, not a multiple of dim 3"),
+    **{
+        f"{layout}-dim-{name}": (layout, _edit(["dim"], value), needle)
+        for layout in ("binary", "columns")
+        for name, value, needle in [
+            ("missing", _DROP, "dim must be an integer, got None"),
+            ("wider-than-coords", 3, "coords holds 80 numbers, not a multiple of dim 3"),
+        ]
+    },
     "rows-dim-wider-than-coords": ("rows", _edit(["dim"], 3), "point coords of width 2 disagree with dim 3"),
     "columns-coords-truncated": ("columns", _edit(["points", "coords"], lambda c: c[:-1]),
                                  "coords holds 79 numbers, not a multiple of dim 2"),
@@ -181,7 +194,7 @@ SHAPE_ERRORS = {
             layout, _edit(["facilities", 0, "coords"], lambda c: c + [0.0]),
             "facility coords of width 3 disagree with dim 2",
         )
-        for layout in ("columns", "rows")
+        for layout in ("binary", "columns", "rows")
     },
 }
 
@@ -203,8 +216,105 @@ def test_dim_and_column_shape_exit_code(tmp_path, capsys, layout, edit, needle):
     "two"`` built a coreset with exit 0. Columnar coords are read through it."""
     payload = instance_to_payload(make_planar_blobs(40, 5, 2, m=2, seed=1))
     assert payload["facilities"][0] == {"coords": payload["facilities"][0]["coords"]}
-    _assert_coreset_rejects(tmp_path, capsys, edit(row_layout(payload) if layout == "rows" else payload),
-                            needle)
+    layouts = {"binary": lambda p: p, "columns": text_layout, "rows": row_layout}
+    _assert_coreset_rejects(tmp_path, capsys, edit(layouts[layout](payload)), needle)
+
+
+def _recode(column, change):
+    """An edit of the binary column at ``column`` (a key path): ``change``
+    maps the column's decoded float array to a new array, or to raw bytes."""
+    def edit(payload):
+        node = reduce(getitem, column[:-1], payload)
+        values = np.frombuffer(base64.b64decode(node[column[-1]]["base64"]), dtype="<f8").copy()
+        new = change(values)
+        raw = new if isinstance(new, bytes) else np.asarray(new, dtype="<f8").tobytes()
+        node[column[-1]] = {"dtype": "<f8", "base64": base64.b64encode(raw).decode("ascii")}
+        return payload
+    return edit
+
+
+def _set_value(i, value):
+    def change(values):
+        values[i] = value
+        return values
+    return change
+
+
+COORDS = ["points", "coords"]
+# (kind, edit, message): kind "blobs" is a 40-point labeled planar-blobs file
+# in 2-d (80 coordinates, 640 bytes), "metric" a random metric on 9 ids.
+BINARY_ERRORS = {
+    "dtype-float32": ("blobs", _edit(COORDS + ["dtype"], "<f4"),
+                      "binary coords column has dtype '<f4', not '<f8'"),
+    "dtype-big-endian": ("blobs", _edit(COORDS + ["dtype"], ">f8"),
+                         "binary coords column has dtype '>f8', not '<f8'"),
+    "extra-key": ("blobs", _edit(COORDS + ["shape"], [40, 2]),
+                  "binary coords column needs the keys base64 and dtype, got base64, dtype, shape"),
+    "dtype-missing": ("blobs", _edit(COORDS + ["dtype"], _DROP),
+                      "binary coords column needs the keys base64 and dtype, got base64"),
+    "base64-missing": ("blobs", _edit(COORDS + ["base64"], _DROP),
+                       "binary coords column needs the keys base64 and dtype, got dtype"),
+    "base64-a-number": ("blobs", _edit(COORDS + ["base64"], 5), "binary coords column's base64 is not a string"),
+    "bad-character": ("blobs", _edit(COORDS + ["base64"], lambda b: b[:8] + "!" + b[8:]),
+                      "binary coords column is not base64"),
+    "not-ascii": ("blobs", _edit(COORDS + ["base64"], lambda b: "é" + b[1:]), "binary coords column is not base64"),
+    "bad-padding": ("blobs", _edit(COORDS + ["base64"], lambda b: b.rstrip("=")),
+                    "binary coords column is not base64"),
+    "bytes-not-a-multiple-of-8": ("blobs", _recode(COORDS, lambda v: v.tobytes()[:-4]),
+                                  "binary coords column holds 636 bytes, not a multiple of 8"),
+    "count-not-a-multiple-of-dim": ("blobs", _recode(COORDS, lambda v: v[:-1]),
+                                    "coords holds 79 numbers, not a multiple of dim 2"),
+    "count-short-by-a-point": ("blobs", _recode(COORDS, lambda v: v[:-2]),
+                               "point columns differ in length: coords holds 39 points, weight 40, label 40"),
+    "nan": ("blobs", _recode(COORDS, _set_value(5, math.nan)), "coordinates contains non-finite entries"),
+    "inf": ("blobs", _recode(COORDS, _set_value(0, math.inf)), "coordinates contains non-finite entries"),
+    "minus-inf": ("blobs", _recode(COORDS, _set_value(79, -math.inf)), "coordinates contains non-finite entries"),
+    "matrix-dtype": ("metric", _edit(["distance_matrix", "dtype"], "<i8"),
+                     "binary distance_matrix column has dtype '<i8', not '<f8'"),
+    "matrix-not-square": ("metric", _recode(["distance_matrix"], lambda v: v[:-1]),
+                          "distance_matrix length is not a perfect square"),
+    "matrix-nan": ("metric", _recode(["distance_matrix"], _set_value(1, math.nan)),
+                   "distance matrix contains non-finite entries"),
+    "matrix-inf": ("metric", _recode(["distance_matrix"], _set_value(10, math.inf)),
+                   "distance matrix contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("kind, edit, needle", BINARY_ERRORS.values(), ids=BINARY_ERRORS.keys())
+def test_binary_column_exit_code(tmp_path, capsys, kind, edit, needle):
+    """A binary column is refused with one line unless it is exactly
+    ``{"dtype": "<f8", "base64": ...}`` holding whole float64 values, as many
+    as the file needs, each finite."""
+    make = {"blobs": lambda: make_planar_blobs(40, 5, 2, m=2, seed=1),
+            "metric": lambda: make_random_metric(6, 3, 2, seed=1)}
+    _assert_coreset_rejects(tmp_path, capsys, edit(instance_to_payload(make[kind]())), needle)
+
+
+def test_binary_column_leaves_the_payload_alone():
+    """Loading decodes the binary columns without writing into the payload."""
+    for inst in (make_planar_blobs(20, 4, 2, m=2, seed=9), make_random_metric(6, 3, 2, seed=1)):
+        payload = instance_to_payload(inst)
+        before = copy.deepcopy(payload)
+        instance_from_payload(payload)
+        assert payload == before
+
+
+def test_generate_writes_binary_columns(tmp_path):
+    """``generate`` writes coords and distance_matrix as binary float64
+    columns, which decode to the arrays the instance loads with."""
+    for kind in ("planar-blobs", "random-metric"):
+        out = tmp_path / f"{kind}.json"
+        assert run(["generate", "--kind", kind, "--n", 12, "--facilities", 4, "--out", out]) == 0
+        payload, inst = json.loads(out.read_text()), load_instance(str(out))
+        text = text_layout(payload)
+        if kind == "planar-blobs":
+            column, decoded = payload["points"]["coords"], text["points"]["coords"]
+            expected = inst.space.coords[inst.points]
+        else:
+            column, decoded = payload["distance_matrix"], text["distance_matrix"]
+            expected = inst.space.matrix
+        assert column.keys() == {"dtype", "base64"} and column["dtype"] == "<f8"
+        assert np.array_equal(np.array(decoded), expected.ravel())
 
 
 @pytest.mark.parametrize("m, edit, needle", [
@@ -225,7 +335,7 @@ FUZZ_BASES = {
         ("blobs", lambda: make_planar_blobs(10, 4, 2, seed=2)),
         ("metric-labeled", lambda: make_random_metric(6, 3, 2, m=2, seed=2)),
     ]
-    for layout, to_layout in [("columns", lambda p: p), ("rows", row_layout)]
+    for layout, to_layout in [("binary", lambda p: p), ("columns", text_layout), ("rows", row_layout)]
 }
 
 
@@ -245,14 +355,35 @@ def _nodes(tree, path=()):
 MUTATIONS = {
     "drop": lambda value: True,
     "retype": lambda value: True,
-    "truncate": lambda value: isinstance(value, list) and len(value) > 0,
+    "truncate": lambda value: isinstance(value, (list, str)) and len(value) > 0,
     "number-to-other": lambda value: type(value) in (int, float),
+    "binary": lambda value: isinstance(value, dict) and value.keys() == {"dtype", "base64"},
 }
+
+
+def _mutated_binary(draw, column):
+    """A binary column with its base64 text altered at one place, its dtype
+    swapped, or one key dropped or added."""
+    column = dict(column)
+    how = draw(st.sampled_from(["alter", "dtype", "drop", "add"]))
+    if how == "alter":
+        text = column["base64"]
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(["", "A", "=", "==", "!", "é", " ", "AAAA"]))
+        column["base64"] = text[:i] + piece + text[i + 1 :]
+    elif how == "dtype":
+        column["dtype"] = draw(st.sampled_from(["<f4", ">f8", "<i8", "f8", "float64", 8, None]))
+    elif how == "drop":
+        del column[draw(st.sampled_from(sorted(column)))]
+    else:
+        column[draw(st.sampled_from(["shape", "order", "dtype2"]))] = draw(st.sampled_from([[2], "C", None]))
+    return column
 
 
 def _mutated(draw, payload):
     """A copy of ``payload`` with one key dropped, one value of another type,
-    one list truncated, or one number replaced by a string, a bool or null."""
+    one list or string truncated, one number replaced by a string, a bool or
+    null, or one binary column mutated by :func:`_mutated_binary`."""
     payload = copy.deepcopy(payload)
     nodes = list(_nodes(payload))
     how = draw(st.sampled_from([h for h in sorted(MUTATIONS) if any(MUTATIONS[h](v) for _, v in nodes)]))
@@ -264,6 +395,8 @@ def _mutated(draw, payload):
         parent[path[-1]] = value[: draw(st.integers(0, len(value) - 1))]
     elif how == "number-to-other":
         parent[path[-1]] = draw(st.sampled_from(["2.5", "x", True, False, None]))
+    elif how == "binary":
+        parent[path[-1]] = _mutated_binary(draw, value)
     else:
         others = [[], {}, "x", 1.5, -1, 0, [1.0, 2.0], {"coords": [0.0]}, None]
         parent[path[-1]] = draw(st.sampled_from([o for o in others if type(o) is not type(value)]))
@@ -272,7 +405,7 @@ def _mutated(draw, payload):
 
 @st.composite
 def mutated_instance(draw):
-    """A valid instance file, in either layout, with one mutation of :func:`_mutated`."""
+    """A valid instance file, in any of the three layouts, with one mutation of :func:`_mutated`."""
     return _mutated(draw, draw(st.sampled_from(list(FUZZ_BASES.values()))))
 
 
@@ -296,11 +429,11 @@ def test_mutated_instance_files_exit_cleanly(payload):
 
 FUZZ_INSTANCE = make_planar_blobs(12, 4, 2, z=2, m=2, seed=3)
 FUZZ_CORESETS = [
-    coreset_to_payload(build_universal_weak_coreset(
+    json.loads(dump_json(coreset_to_payload(build_universal_weak_coreset(
         FUZZ_INSTANCE, 0.5, 0.05, mode=mode, seed=1,
         candidate_params=CandidateParams(seed=1, max_euclidean_candidates=6),
         summary_params=SummaryParams(sample_count=3, seed=1),
-    ))
+    )), None))
     for mode in ("metric", "euclidean_kmeans")
 ]
 FUZZ_CONSTRAINTS = [

@@ -119,6 +119,18 @@ def test_validate_instance_flags_bad_weight(line_instance):
     assert any("weight" in r for r in report)
 
 
+@pytest.mark.parametrize("points, facilities, flagged", [
+    ([0, 1, 2, 3, 4], [4, 0, 3, 1, 2], []),
+    ([4, 0, 3, 0, 2], [0, 1, 2, 3, 4], ["duplicate point indices"]),
+    ([0, 1, 2, 3, 4], [2, 0, 1, 4, 2], ["duplicate facility indices"]),
+    ([3, 3, 3, 3, 3], [1, 1, 0, 0, 2], ["duplicate point indices", "duplicate facility indices"]),
+])
+def test_validate_instance_flags_duplicate_ids(line_instance, points, facilities, flagged):
+    inst = ClusteringInstance(line_instance.space, np.array(points), line_instance.weights,
+                              np.array(facilities), k=2)
+    assert [r for r in validate_instance(inst) if r.startswith("duplicate")] == flagged
+
+
 def test_validate_instance_flags_k_too_large(line_instance):
     inst = ClusteringInstance(
         line_instance.space,
