@@ -10,8 +10,11 @@ text of the little-endian float64 bytes, which loads without a Python float
 per number. Facilities are rows, each a ``{"point": i}`` reference or a
 location of its own. Files with text ``coords`` or ``distance_matrix``
 lists, and row-shaped files (one dict per point), still load, through the
-same checks. Coreset and result files are row-shaped; the writer takes their
-rows as :class:`Rows`, one list per field, and writes the same bytes.
+same checks. Coreset and result files are row-shaped; their rows reach the
+writer as :class:`Rows`, one list per field. Every file is the text of
+``json.dumps(sort_keys=True, indent=2)``: the stdlib writes it, and
+:func:`dump_json` splices in the lists of scalars and the rows, rendered a
+column at a time.
 
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
 2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded
@@ -31,10 +34,10 @@ import math
 import os
 import sys
 import time
+import uuid
 import warnings
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -123,18 +126,6 @@ _SCALAR_TEXT = {
 }
 
 
-def _scalar_text(o) -> Optional[str]:
-    """The JSON text of a str, int, float, bool or None, subclasses such as
-    ``np.float64`` included; None for anything else."""
-    text = _SCALAR_TEXT.get(type(o))
-    if text is not None:
-        return text(o)
-    for kind in (str, int, float):
-        if isinstance(o, kind):
-            return _SCALAR_TEXT[kind](o)
-    return None
-
-
 def _scalar_texts(values, types: set) -> Optional[list]:
     """The JSON text of each value when ``types``, the set of the values'
     types, holds only str, int, float, bool or None; otherwise None. A column
@@ -148,132 +139,78 @@ def _scalar_texts(values, types: set) -> Optional[list]:
     return [_SCALAR_TEXT[type(v)](v) for v in values]
 
 
-def _row_columns(rows: list) -> Optional[dict]:
-    """The columns of a list of dicts that share one set of str keys, in key
-    order; None for any other list."""
-    keys = sorted(rows[0])
-    if not keys or set(map(len, rows)) != {len(keys)} or set(map(type, keys)) != {str}:
-        return None
-    try:
-        return {key: list(map(itemgetter(key), rows)) for key in keys}
-    except KeyError:
-        return None
-
-
 def _column_block(columns: dict, level: int) -> Optional[str]:
-    """The text of the rows that ``columns`` (str key -> one list of n values,
-    keys in sorted order) hold, each row a dict at depth ``level``.
+    """The text of the list at depth ``level`` whose rows ``columns`` (str key
+    -> one list of n values, keys in sorted order) hold, each row a dict.
 
-    When each column holds scalars, or lists of scalars of one length, it
-    converts in one ``map`` and one join interleaves the columns with the
-    fixed text around them. Returns the rows with their separators, or None
-    when a column holds anything else."""
-    cols = list(columns.values())
-    col_types = [set(map(type, col)) for col in cols]
-    if not all(types <= _SCALAR_TEXT.keys() or types <= {list, tuple} for types in col_types):
-        return None
-    pad = "\n" + _INDENT * (level + 1)
-    literals, texts_of, literal = [], [], "{"
-    for key, col, types in zip(columns, cols, col_types):
-        literal += ("," if texts_of else "") + pad + _quote(key) + ": "
-        texts = _scalar_texts(col, types)
-        if texts is not None:
-            literals.append(literal)
-            texts_of.append(texts)
-            literal = ""
-            continue
-        width = len(col[0])
-        if not width or set(map(len, col)) != {width}:
+    Each column converts in one ``map`` and one join interleaves the columns
+    with the fixed text around them. None when a column holds anything but
+    str, int, float, bool or None."""
+    texts_of = []
+    for col in columns.values():
+        texts = _scalar_texts(col, set(map(type, col)))
+        if texts is None:
             return None
-        literal += "["
-        for i in range(width):
-            item = list(map(itemgetter(i), col))
-            texts = _scalar_texts(item, set(map(type, item)))
-            if texts is None:
-                return None
-            literals.append(literal + ("," if i else "") + pad + _INDENT)
-            texts_of.append(texts)
-            literal = ""
-        literal = pad + "]"
-    close = literal + "\n" + _INDENT * level + "}"
-    n, stride = len(cols[0]), 2 * len(texts_of) + 1
-    out = [close + ",\n" + _INDENT * level] * (n * stride)
+        texts_of.append(texts)
+    row_pad, key_pad = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
+    literals = [("," if i else "{") + key_pad + _quote(key) + ": " for i, key in enumerate(columns)]
+    close = "\n" + _INDENT * (level + 1) + "}"
+    n, stride = len(texts_of[0]), 2 * len(texts_of) + 1
+    out = [close + "," + row_pad] * (n * stride)
     for i, (literal, texts) in enumerate(zip(literals, texts_of)):
         out[2 * i :: stride] = [literal] * n
         out[2 * i + 1 :: stride] = texts
-    out[-1] = close
+    out[0] = "[" + row_pad + out[0]
+    out[-1] = close + "\n" + _INDENT * level + "]"
     return "".join(out)
 
 
-def _key_text(key) -> str:
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _quote(text)
-
-
-def _write(o, level: int, out: list) -> None:
-    """Append to ``out`` the text ``json.dumps(o, sort_keys=True, indent=2,
-    default=_json_default)`` writes for ``o`` at nesting depth ``level``."""
+def _block(o, level: int) -> Optional[str]:
+    """The text of ``o`` at depth ``level`` when it is a non-empty list or
+    tuple of scalars, or non-empty :class:`Rows` of scalar columns; else None."""
+    if isinstance(o, Rows):
+        return _column_block(o.columns, level) if len(o) else None
+    texts = _scalar_texts(o, set(map(type, o))) if o else None
+    if texts is None:
+        return None
     pad = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        types = set(map(type, o))
-        texts = _scalar_texts(o, types)
-        if texts is not None:
-            block = ("," + pad).join(texts)
-        else:
-            columns = _row_columns(o) if types == {dict} else None
-            block = None if columns is None else _column_block(columns, level + 1)
-        if block is not None:
-            out.append("[" + pad + block + close + "]")
-            return
-        sep = "[" + pad
-        for v in o:
-            out.append(sep)
-            sep = "," + pad
-            _write(v, level + 1, out)
-        out.append(close + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        sep = "{" + pad
-        for key in sorted(o):
-            value = o[key]
-            out.append(sep + (_quote(key) if type(key) is str else _key_text(key)) + ": ")
-            sep = "," + pad
-            text = _SCALAR_TEXT.get(type(value))
-            if text is not None:
-                out.append(text(value))
-            else:
-                _write(value, level + 1, out)
-        out.append(close + "}")
-    elif isinstance(o, Rows):
-        block = _column_block(o.columns, level + 1) if len(o) else None
-        if block is None:
-            _write(o.dicts(), level, out)
-        else:
-            out.append("[" + pad + block + close + "]")
-    else:
-        text = _scalar_text(o)
-        if text is None:
-            _write(_json_default(o), level, out)
-        else:
-            out.append(text)
+    texts[0] = "[" + pad + texts[0]
+    texts[-1] += "\n" + _INDENT * level + "]"
+    return ("," + pad).join(texts)
+
+
+def _held(o, level: int, token: str, blocks: list):
+    """``o`` with each list :func:`_block` renders replaced by the string
+    ``token`` + its index in ``blocks``, where its text is appended."""
+    if isinstance(o, dict):
+        return {key: _held(value, level + 1, token, blocks) for key, value in o.items()}
+    if not isinstance(o, (list, tuple, Rows)):
+        return o
+    block = _block(o, level)
+    if block is None:
+        return o if isinstance(o, Rows) else [_held(v, level + 1, token, blocks) for v in o]
+    blocks.append(block)
+    return token + str(len(blocks) - 1)
 
 
 def dump_json(payload: dict, path: Optional[str]) -> str:
     """Write ``payload`` to ``path`` (if given) and return the text: exactly
     ``json.dumps(payload, sort_keys=True, indent=2, default=_json_default)``
-    plus a newline, written column-wise so that long lists of uniform rows
-    convert at C speed instead of through the stdlib's pure-Python indenting
-    encoder."""
-    out: list = []
-    _write(payload, 0, out)
+    plus a newline. The stdlib writes that text with each list of scalars and
+    each :class:`Rows` held out as a placeholder string; their text, rendered
+    a column at a time at C speed instead of through the stdlib's pure-Python
+    indenting encoder, is spliced in where the placeholders' quoted text
+    stands. A token that occurs anywhere else in the text is drawn again."""
+    while True:
+        token, blocks = uuid.uuid4().hex, []
+        held = _held(payload, 0, token, blocks)
+        parts = json.dumps(held, sort_keys=True, indent=2, default=_json_default).split('"' + token)
+        if len(parts) == len(blocks) + 1:
+            break
+    out = [parts[0]]
+    for part in parts[1:]:
+        index, _, rest = part.partition('"')
+        out += (blocks[int(index)], rest)
     out.append("\n")
     text = "".join(out)
     if path:

@@ -211,10 +211,9 @@ def _voronoi(d: np.ndarray, B: WeightedPoints):
 
 
 def voronoi_profile(B: WeightedPoints, centers, z: int, *, table=None) -> ClusterProfile:
-    """Per-cluster weight totals induced by nearest-center assignment;
-    ``table`` is as in :func:`optimal_feasible_cost`."""
-    d = _table(B, centers, z, table)
-    return ClusterProfile(np.bincount(np.argmin(d, axis=1), weights=B.weights, minlength=d.shape[1]))
+    """Per-cluster weight totals of :func:`_voronoi`'s nearest-center
+    assignment; ``table`` is as in :func:`optimal_feasible_cost`."""
+    return ClusterProfile(_voronoi(_table(B, centers, z, table), B)[2])
 
 
 def profile_cost(

@@ -160,9 +160,14 @@ class MetricSpace:
 
     def _triangle_holds_everywhere(self) -> bool:
         m = self.matrix
-        # d(a,c) <= min_b d(a,b) + d(b,c), via broadcasting over the midpoint.
-        through = (m[:, :, None] + m[None, :, :]).min(axis=1)
-        return bool(np.all(m <= through + TRIANGLE_TOL))
+        # d(a,c) <= min_b d(a,b) + d(b,c), one midpoint b at a time so that
+        # memory stays O(n^2); the minimum is the same in any order.
+        through, tmp = np.full_like(m, np.inf), np.empty_like(m)
+        for b in range(m.shape[0]):
+            np.add(m[:, b, None], m[b], out=tmp)
+            np.minimum(through, tmp, out=through)
+        through += TRIANGLE_TOL
+        return bool(np.all(m <= through))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -405,6 +406,15 @@ def test_dump_json_matches_stdlib(payload):
 ])
 def test_dump_json_matches_stdlib_on_row_edges(payload):
     assert dump_json(payload, None) == _stdlib_text(payload)
+
+
+def test_dump_json_draws_a_fresh_token_when_the_payload_holds_it(monkeypatch):
+    tok = "0123456789abcdef0123456789abcdef"
+    fresh = iter([tok, "f" * 32])
+    monkeypatch.setattr(cli.uuid, "uuid4", lambda: SimpleNamespace(hex=next(fresh)))
+    payload = {"a": [1, 2, 3], "s": tok + "0", tok + "1": "k"}
+    assert dump_json(payload, None) == _stdlib_text(payload)
+    assert next(fresh, None) is None  # the payload's copy of the first token forced a second draw
 
 
 def _coreset_files(tmp_path, m=1, mode="metric"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import distance
 from weakcore.candidates import _nearest_facilities
+from weakcore.cli import make_random_metric
 from weakcore.model import (
     Assignment,
     ClusteringInstance,
     ClusterProfile,
+    TRIANGLE_TOL,
     MetricSpace,
     ValidationError,
     WeightedPoints,
@@ -55,6 +59,33 @@ def test_explicit_full_triangle_raises():
     mat = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]])
     with pytest.raises(ValidationError):
         MetricSpace.explicit(mat, triangle_check="full")
+
+
+def _broadcast_verdict(mat):
+    """The triangle verdict from the whole (n, n, n) table of d(a,b) + d(b,c)."""
+    return bool(np.all(mat <= (mat[:, :, None] + mat[None, :, :]).min(axis=1) + TRIANGLE_TOL))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_full_triangle_check_matches_broadcast(seed):
+    mat = make_random_metric(10, 4, 2, seed=seed).space.matrix.copy()
+    if seed % 2:  # plant a violation: one pair far beyond any path through a midpoint
+        a, c = seed % 14, (seed + 5) % 14
+        mat[a, c] = mat[c, a] = mat.max() * 3
+    space = MetricSpace.explicit(mat, triangle_check="off")
+    assert space._triangle_holds_everywhere() == _broadcast_verdict(mat) == (seed % 2 == 0)
+
+
+def test_full_triangle_check_memory_is_quadratic():
+    space = make_random_metric(120, 30, 2, seed=3).space
+    n = space.size
+    tracemalloc.start()
+    try:
+        assert space._triangle_holds_everywhere()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8
 
 
 def test_index_out_of_range():
