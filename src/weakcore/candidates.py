@@ -70,9 +70,15 @@ def _nearest_facilities(inst: ClusteringInstance, positions) -> np.ndarray:
     return fac[np.argmin(d, axis=1)]
 
 
-def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> np.ndarray:
+def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive seeding: draw points with probability proportional to weight
     times current power distance, mapping each draw to a fresh nearest facility.
+
+    Returns the t chosen facilities and the (n, t) D^z table whose column i
+    holds every point's distance to the i-th choice, raised to z. The table
+    is filled one column per choice, as the seeding needs it, and the
+    seeding's candidate draws and rings read it rather than computing a
+    distance again.
 
     Deterministic given the seed. After 100 duplicate redraws the
     farthest-point facility (max-min distance to the chosen set, ties to the
@@ -84,6 +90,8 @@ def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> np.ndarray:
     w = inst.weights
     chosen: list[int] = []
     chosen_set: set[int] = set()
+    # Row i is column i of the returned table, so each row is written contiguously.
+    table = np.empty((t, inst.n))
     mind: Optional[np.ndarray] = None
 
     while len(chosen) < t:
@@ -109,26 +117,30 @@ def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> np.ndarray:
                 picked = int(remaining[far >= best].min())
             else:
                 picked = int(remaining.min())
+        column = table[len(chosen)]
+        column[:] = inst.space.pairwise(inst.points, [picked])[:, 0] ** z
+        mind = column if mind is None else np.minimum(mind, column)
         chosen.append(picked)
         chosen_set.add(picked)
-        mind_new = inst.space.pairwise(inst.points, [picked])[:, 0] ** z
-        mind = mind_new if mind is None else np.minimum(mind, mind_new)
-    return np.asarray(chosen, dtype=np.int64)
+    return np.asarray(chosen, dtype=np.int64), table.T
 
 
 def _mixed_point_draws(
     inst: ClusteringInstance,
     count: int,
     mix: float,
-    seed_centers: np.ndarray,
-    z: int,
+    table: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Positions of ``count`` points, each drawn uniformly-by-weight with
-    probability ``mix`` and by weighted power distance otherwise."""
+    probability ``mix`` and by weighted power distance to the nearest seed
+    center otherwise, read from the seeding's D^z ``table``.
+
+    The row minimum of D^z values is the D^z of the row's minimum distance
+    bit for bit, since rounding is monotone."""
     w = inst.weights
     uniform_p = w / w.sum()
-    mass = w * (inst.space.pairwise(inst.points, seed_centers).min(axis=1) ** z)
+    mass = w * table.min(axis=1)
     total = mass.sum()
     dz_p = mass / total if total > 0 else uniform_p
     flips = rng.random(count) < mix
@@ -145,9 +157,11 @@ def build_candidates_metric(
     """The candidate set J: seed facilities plus nearest facilities of eta
     sampled points. Sorted, deduplicated; |J| <= eta + k."""
     eta = resolve_eta(params, inst.k, eps)
-    seed_centers = dz_seed(inst, inst.k, inst.z, SeedSequence(int(params.seed), spawn_key=(0,)))
+    seed_centers, table = dz_seed(
+        inst, inst.k, inst.z, SeedSequence(int(params.seed), spawn_key=(0,))
+    )
     rng = default_rng(SeedSequence(int(params.seed), spawn_key=(1,)))
-    draws = _mixed_point_draws(inst, eta, params.mix, seed_centers, inst.z, rng)
+    draws = _mixed_point_draws(inst, eta, params.mix, table, rng)
     j = np.union1d(seed_centers, _nearest_facilities(inst, draws))
     assert j.size <= eta + inst.k
     return j
@@ -188,9 +202,9 @@ def build_candidates_euclidean_means(
         raise ValidationError("Euclidean mean candidates apply to k-means (z=2) only")
     subset = params.euclidean_subset_size or default_subset_size(eps)
     base_size = params.euclidean_base_size or max(2 * subset, math.ceil(inst.k / eps))
-    seed_centers = dz_seed(inst, inst.k, inst.z, SeedSequence(int(params.seed), spawn_key=(0,)))
+    _, table = dz_seed(inst, inst.k, inst.z, SeedSequence(int(params.seed), spawn_key=(0,)))
     rng = default_rng(SeedSequence(int(params.seed), spawn_key=(2,)))
-    base_pos = _mixed_point_draws(inst, base_size, params.mix, seed_centers, inst.z, rng)
+    base_pos = _mixed_point_draws(inst, base_size, params.mix, table, rng)
     base = inst.space.coords[inst.points[base_pos]]
 
     count = math.comb(base_size + subset - 1, subset)

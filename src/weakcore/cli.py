@@ -37,6 +37,7 @@ import time
 import uuid
 import warnings
 from contextlib import contextmanager
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -843,7 +844,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh namespace on every call, so one parser serves every ``main``.
+    Subcommand ``<name>`` runs ``cmd_<name>``."""
     parser = _Parser(
         prog="weakcore",
         description="Universal weak coresets for constrained k-median / k-means.",
@@ -858,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, default=1, help="number of labels (1 = unlabeled)")
     g.add_argument("--out", required=True)
     _common(g)
-    g.set_defaults(func=cmd_generate)
 
     c = sub.add_parser("coreset", help="build a universal weak coreset")
     c.add_argument("--instance", required=True)
@@ -874,7 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-candidates", type=int, default=2000)
     c.add_argument("--out", required=True)
     _common(c)
-    c.set_defaults(func=cmd_coreset)
 
     s = sub.add_parser("solve", help="solve a constrained instance via a coreset")
     s.add_argument("--instance", required=True)
@@ -885,7 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", default=None, help="also write the assignment as CSV")
     s.add_argument("--out", required=True)
     _common(s)
-    s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser("oracle", help="exact brute-force optimum")
     o.add_argument("--instance", required=True)
@@ -893,7 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--max-solves", type=int, default=DEFAULT_SOLVE_CEILING)
     o.add_argument("--out", required=True)
     _common(o)
-    o.set_defaults(func=cmd_oracle)
 
     v = sub.add_parser("verify", help="statistical verification of coreset properties")
     v.add_argument("--instance", required=True)
@@ -905,7 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-solves", type=int, default=DEFAULT_SOLVE_CEILING)
     v.add_argument("--out", required=True)
     _common(v)
-    v.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -919,7 +919,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
-            return args.func(args)
+            # By name at call time, so a wrapper set on a module attribute
+            # after the parser was built still sees the call.
+            return globals()[f"cmd_{args.command}"](args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,15 +31,22 @@ from .model import REL_TOL, ClusteringInstance, ValidationError, WeightedPoints,
 class Ring:
     """One distance-cost band of one cluster.
 
-    ``band`` is in D^z cost units: level 0 covers [0, band_hi], level j >= 1
-    covers (band_lo, band_hi].
+    ``indices`` are the members' point ids and ``weights`` their weights, in
+    the same order, so sampling a ring looks nothing up. ``band`` is in D^z
+    cost units: level 0 covers [0, band_hi], level j >= 1 covers
+    (band_lo, band_hi].
     """
 
     cluster: int
     level: int
     indices: np.ndarray
-    weight: float
+    weights: np.ndarray
     band: tuple[float, float]
+
+    @cached_property
+    def weight(self) -> float:
+        """The members' total weight, summed exactly."""
+        return float(math.fsum(self.weights.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,31 +93,29 @@ def resolve_sample_count(
     return max(1, math.ceil(raw))
 
 
-def ring_decomposition(inst: ClusteringInstance, centers, z: int) -> RingDecomposition:
+def ring_decomposition(inst: ClusteringInstance, centers, table: np.ndarray) -> RingDecomposition:
     """Partition points around seed centers into geometric cost bands.
 
-    Points go to their nearest center (ties to the lowest cluster index).
-    With per-cluster average cost d_avg, level 0 holds costs <= d_avg and
-    level j holds (2^(j-1) d_avg, 2^j d_avg]. A zero-average cluster is one
-    [0, 0] ring.
+    ``table`` is the (n, len(centers)) D^z table of the instance's points to
+    the centers, as :func:`dz_seed` returns it with its centers; no distance
+    is computed here. Points go to their nearest center (ties to the lowest
+    cluster index). With per-cluster average cost d_avg, level 0 holds costs
+    <= d_avg and level j holds (2^(j-1) d_avg, 2^j d_avg]. A zero-average
+    cluster is one [0, 0] ring.
     """
-    B = inst.weighted_points()
     centers = np.asarray(centers, dtype=np.int64)
-    d = B.space.pairwise(B.indices, centers) ** z
-    nearest = np.argmin(d, axis=1)
+    nearest = np.argmin(table, axis=1)
     rings: list[Ring] = []
     for i in range(centers.size):
         mask = nearest == i
         if not mask.any():
             continue
-        costs = d[mask, i]
-        weights = B.weights[mask]
-        members = np.flatnonzero(mask)
+        costs = table[mask, i]
+        weights = inst.weights[mask]
+        members = inst.points[mask]
         avg = float(np.dot(weights, costs) / weights.sum())
         if avg <= 0.0:
-            rings.append(
-                Ring(i, 0, B.indices[members], float(math.fsum(weights.tolist())), (0.0, 0.0))
-            )
+            rings.append(Ring(i, 0, members, weights, (0.0, 0.0)))
             continue
         levels = np.zeros(costs.size, dtype=np.int64)
         above = costs > avg
@@ -119,15 +125,7 @@ def ring_decomposition(inst: ClusteringInstance, centers, z: int) -> RingDecompo
         for lvl in np.unique(levels):
             sel = levels == lvl
             band = (0.0, avg) if lvl == 0 else (2.0 ** (lvl - 1) * avg, 2.0**lvl * avg)
-            rings.append(
-                Ring(
-                    i,
-                    int(lvl),
-                    B.indices[members[sel]],
-                    float(math.fsum(weights[sel].tolist())),
-                    band,
-                )
-            )
+            rings.append(Ring(i, int(lvl), members[sel], weights[sel], band))
     return RingDecomposition(centers=centers, rings=rings)
 
 
@@ -139,9 +137,8 @@ class SummaryResult:
     ring_count: int
 
 
-def _sample_ring(ring: Ring, B: WeightedPoints, s: int, rng: np.random.Generator):
-    members = ring.indices
-    w = B.weights[_positions(B.indices, members)]
+def _sample_ring(ring: Ring, s: int, rng: np.random.Generator):
+    members, w = ring.indices, ring.weights
     if members.size <= s:
         return members, w
     draws = rng.choice(members.size, size=s, p=w / w.sum())
@@ -179,15 +176,17 @@ def build_summary(inst: ClusteringInstance, J, eps: float, params: SummaryParams
     parts_w = []
     sample_count = ring_count = 0
     for tag, sub in _label_classes(inst):
-        seed_centers = dz_seed(sub, sub.k, sub.z, SeedSequence(int(params.seed), spawn_key=(0, tag)))
-        decomp = ring_decomposition(sub, seed_centers, sub.z)
+        seed_centers, table = dz_seed(
+            sub, sub.k, sub.z, SeedSequence(int(params.seed), spawn_key=(0, tag))
+        )
+        decomp = ring_decomposition(sub, seed_centers, table)
+        del table  # freed before the next class's seeding allocates its own
         s = resolve_sample_count(params, sub.k, eps, sub.z, j_size, decomp.ring_count)
-        B = sub.weighted_points()
         for ring in decomp.rings:
             rng = default_rng(
                 SeedSequence(int(params.seed), spawn_key=(1, tag, ring.cluster, ring.level))
             )
-            idx, w = _sample_ring(ring, B, s, rng)
+            idx, w = _sample_ring(ring, s, rng)
             parts_idx.append(idx)
             parts_w.append(w)
         sample_count = max(sample_count, s)

@@ -48,6 +48,44 @@ def _positions(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(index[pos] == keys, pos, -1)
 
 
+def _coordinate_sum(term, lo: int, hi: int) -> np.ndarray:
+    """``term(lo) + ... + term(hi - 1)``, added in place into the terms in
+    the order numpy's float ``add.reduce`` uses along a contiguous axis:
+    one running sum below 8 terms; from 8 to 128 terms, eight running sums
+    (term j goes to sum j mod 8) combined as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)),
+    then the terms past the last multiple of 8 one by one; above 128, the
+    sums of two halves, the first a multiple of 8 terms long. Each ``term``
+    call must return a fresh array."""
+    count = hi - lo
+    if count < 8:
+        total = term(lo)
+        for j in range(lo + 1, hi):
+            total += term(j)
+        return total
+    if count <= 128:
+        sums = [term(lo + j) for j in range(8)]
+        stop = hi - count % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                sums[j] += term(i + j)
+        s0, s1, s2, s3, s4, s5, s6, s7 = sums
+        s0 += s1
+        s2 += s3
+        s0 += s2
+        s4 += s5
+        s6 += s7
+        s4 += s6
+        s0 += s4
+        for j in range(stop, hi):
+            s0 += term(j)
+        return s0
+    half = count // 2
+    half -= half % 8
+    total = _coordinate_sum(term, lo, lo + half)
+    total += _coordinate_sum(term, lo + half, hi)
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
     """Distance oracle over a shared index set covering points and facilities.
@@ -116,21 +154,43 @@ class MetricSpace:
         return self.matrix.shape[0]
 
     def pairwise(self, rows, cols) -> np.ndarray:
-        """All distances between two index arrays, shape (len(rows), len(cols))."""
+        """All distances between two index arrays, shape (len(rows), len(cols)).
+
+        A Euclidean table is built one coordinate at a time: one
+        ``np.subtract.outer`` column per coordinate, squared in place, then
+        the d columns are added in numpy's own pairwise-summation order (see
+        :func:`_coordinate_sum`) and square-rooted in place. That is the
+        order in which ``np.linalg.norm(diff, axis=-1)`` adds the squares of
+        a contiguous (..., d) difference array, so every distance has the
+        same bits as the norm's for every d, while no (rows, cols, d) array
+        is ever built.
+        """
         rows = _index_array(rows)
         cols = _index_array(cols)
-        if self.coords is not None:
-            diff = self.coords[rows][:, None, :] - self.coords[cols][None, :, :]
-            return np.linalg.norm(diff, axis=2)
-        return self.matrix[np.ix_(rows, cols)]
+        if self.coords is None:
+            return self.matrix[np.ix_(rows, cols)]
+        return self._euclidean(lambda x: np.subtract.outer(x[rows], x[cols]))
 
     def distance_pairs(self, a, b) -> np.ndarray:
-        """Elementwise distances d(a[i], b[i])."""
+        """Elementwise distances d(a[i], b[i]), by the kernel of :meth:`pairwise`."""
         a = _index_array(a)
         b = _index_array(b)
-        if self.coords is not None:
-            return np.linalg.norm(self.coords[a] - self.coords[b], axis=1)
-        return self.matrix[a, b]
+        if self.coords is None:
+            return self.matrix[a, b]
+        return self._euclidean(lambda x: x[a] - x[b])
+
+    def _euclidean(self, diff) -> np.ndarray:
+        """sqrt of the sum over coordinates of ``diff(column) ** 2``, where
+        ``diff`` maps one coordinate column of the space to a fresh array."""
+        columns = self.coords.T
+
+        def square(j: int) -> np.ndarray:
+            term = diff(columns[j])
+            term *= term
+            return term
+
+        total = _coordinate_sum(square, 0, columns.shape[0])
+        return np.sqrt(total, out=total)
 
     def augmented_with(self, coords) -> tuple["MetricSpace", np.ndarray]:
         """Append synthetic Euclidean locations; returns (new space, their indices)."""

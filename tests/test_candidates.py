@@ -38,7 +38,7 @@ def test_candidate_params_reject_sizes_below_one(field, value):
 def test_dz_seed_single_facility():
     space = MetricSpace.euclidean([[0.0], [1.0], [2.0]])
     inst = ClusteringInstance(space, [0, 1], [1.0, 1.0], [2], k=1)
-    assert dz_seed(inst, 1, 1, seed=0).tolist() == [2]
+    assert dz_seed(inst, 1, 1, seed=0)[0].tolist() == [2]
 
 
 def test_dz_seed_coincident_points_fallback():
@@ -46,14 +46,14 @@ def test_dz_seed_coincident_points_fallback():
     # farthest-point fallback and must still be distinct.
     space = MetricSpace.euclidean([[0.0], [0.0], [0.0], [0.0], [5.0], [9.0]])
     inst = ClusteringInstance(space, [0, 1, 2], np.ones(3), [3, 4, 5], k=3)
-    picked = dz_seed(inst, 3, 1, seed=7)
+    picked, _ = dz_seed(inst, 3, 1, seed=7)
     assert sorted(picked.tolist()) == [3, 4, 5]
     assert picked.tolist()[0] == 3  # every point maps to the coincident facility first
 
 
 def test_dz_seed_deterministic(line_instance):
-    a = dz_seed(line_instance, 2, 1, seed=42)
-    b = dz_seed(line_instance, 2, 1, seed=42)
+    a, _ = dz_seed(line_instance, 2, 1, seed=42)
+    b, _ = dz_seed(line_instance, 2, 1, seed=42)
     assert a.tolist() == b.tolist()
 
 

@@ -772,6 +772,24 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, error, line):
     assert capsys.readouterr().err.strip().splitlines() == [line]
 
 
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(tmp_path, monkeypatch):
+    """main reuses one parser, and still runs whatever ``cmd_<name>`` the
+    module holds at call time, so a wrapper set after the first call (as a
+    tracer sets one) sees every later call."""
+    inst = tmp_path / "inst.json"
+    assert run(["generate", "--kind", "line", "--n", 5, "--k", 2, "--out", inst]) == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def wrapped(args):
+        seen.append(args.command)
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_coreset", wrapped)
+    assert run(["coreset", "--instance", inst, "--epsilon", 0.25, "--out", tmp_path / "cs.json"]) == EXIT_OK
+    assert seen == ["coreset"] and not (tmp_path / "cs.json").exists()
+
+
 def test_labeled_profile_with_extra_label_column_exit_code(tmp_path, capsys, monkeypatch):
     """A (2, 3) profile on a 2-label instance exits 3 with one line before
     any tuple is scored, even though its third column carries no weight."""

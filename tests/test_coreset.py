@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weakcore.candidates import CandidateParams
+from conftest import count_tables
+from weakcore.candidates import CandidateParams, dz_seed
 from weakcore.cli import make_line_instance, make_planar_blobs
 from weakcore.constraints import profile_cost, voronoi_profile
 from weakcore.coreset import (
@@ -21,7 +22,7 @@ from weakcore.model import ClusteringInstance, ClusterProfile, MetricSpace
 def test_rings_coincident_points_single_zero_ring():
     space = MetricSpace.euclidean([[0.0], [0.0], [0.0], [5.0]])
     inst = ClusteringInstance(space, [0, 1, 2], np.ones(3), [3], k=1)
-    decomp = ring_decomposition(inst, [0], 1)
+    decomp = ring_decomposition(inst, [0], space.pairwise(inst.points, [0]))
     assert decomp.ring_count == 1
     ring = decomp.rings[0]
     assert ring.band == (0.0, 0.0)
@@ -29,7 +30,8 @@ def test_rings_coincident_points_single_zero_ring():
 
 
 def test_rings_line_bands_match_definition(line_instance):
-    decomp = ring_decomposition(line_instance, [1, 4], 1)
+    table = line_instance.space.pairwise(line_instance.points, [1, 4])
+    decomp = ring_decomposition(line_instance, [1, 4], table)
     cluster0 = [r for r in decomp.rings if r.cluster == 0]
     # Cluster {0,1,2} around position 1: costs (1,0,1), average 2/3.
     inner = [r for r in cluster0 if r.level == 0]
@@ -43,9 +45,9 @@ def test_rings_every_cost_inside_its_band():
     inst = make_planar_blobs(80, 8, 3, seed=21)
     B = inst.weighted_points()
     centers = inst.facilities[:3]
-    decomp = ring_decomposition(inst, centers, inst.z)
-    pos = {int(p): i for i, p in enumerate(B.indices)}
     d = B.space.pairwise(B.indices, centers) ** inst.z
+    decomp = ring_decomposition(inst, centers, d)
+    pos = {int(p): i for i, p in enumerate(B.indices)}
     covered = 0
     for ring in decomp.rings:
         for p in ring.indices.tolist():
@@ -62,9 +64,9 @@ def test_rings_every_cost_inside_its_band():
 def test_ring_count_bounded_by_cost_spread():
     inst = make_planar_blobs(100, 6, 2, seed=5)
     centers = inst.facilities[:2]
-    decomp = ring_decomposition(inst, centers, inst.z)
     B = inst.weighted_points()
     d = B.space.pairwise(B.indices, centers) ** inst.z
+    decomp = ring_decomposition(inst, centers, d)
     nearest = np.argmin(d, axis=1)
     for i in range(2):
         mask = nearest == i
@@ -222,3 +224,22 @@ def test_summary_empirical_cost_preservation():
         ratio = 1.0 if full == summ == 0 else full / summ
         good += 0.75 <= ratio <= 1.25
     assert good / trials >= 0.95
+
+
+@pytest.mark.parametrize("z", [1, 2])
+def test_stage_1_computes_one_distance_column_per_seed_center(monkeypatch, z):
+    """A labeled build computes each point's distance to each seed center
+    once: every table over all of a seeding's points is one column, built by
+    dz_seed for the center it just chose. The candidate draws and the rings
+    read dz_seed's table, which equals pairwise(points, centers) ** z bit for
+    bit, so no (n, k) table is built again."""
+    inst = make_planar_blobs(301, 8, 3, z=z, m=2, seed=12)
+    sizes = {inst.n: 1, 151: 1, 150: 1}  # the whole instance and its two label classes
+    tables = count_tables(monkeypatch)
+    build_universal_weak_coreset(inst, 0.5, 0.05, seed=4, summary_params=SummaryParams(sample_count=5))
+    seeding = [t for t in tables if t[0] in sizes]
+    assert seeding == [(inst.n, 1)] * 3 + [(151, 1)] * 3 + [(150, 1)] * 3
+    monkeypatch.undo()
+    centers, table = dz_seed(inst, 3, z, seed=4)
+    assert table.shape == (inst.n, 3)
+    assert np.array_equal(table, inst.space.pairwise(inst.points, centers) ** z)

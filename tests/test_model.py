@@ -233,6 +233,36 @@ def test_pairwise_matches_scalar(small_metric_instance):
             assert d[i, j] == pytest.approx(distance(inst.space, p, f), abs=1e-12)
 
 
+def _norm_table(coords, rows, cols):
+    """Distances by numpy's norm over the (rows, cols, d) difference array."""
+    return np.linalg.norm(coords[rows][:, None, :] - coords[cols][None, :, :], axis=-1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 129, 300])
+def test_euclidean_kernel_has_the_norms_bits(d):
+    """pairwise and distance_pairs add the squared coordinates in numpy's
+    pairwise-summation order, so each distance equals np.linalg.norm's bit
+    for bit: one running sum below 8 coordinates, eight from 8 to 128 and
+    a split in halves above. Coordinates span several magnitudes so that a
+    different order would round differently."""
+    rng = np.random.default_rng(d)
+    coords = rng.standard_normal((40, d)) * 10.0 ** rng.integers(-3, 4, size=(40, d))
+    space = MetricSpace.euclidean(coords)
+    rows, cols = rng.integers(0, 40, 25), rng.integers(0, 40, 9)
+    assert np.array_equal(space.pairwise(rows, cols), _norm_table(coords, rows, cols))
+    a, b = rng.integers(0, 40, 30), rng.integers(0, 40, 30)
+    assert np.array_equal(space.distance_pairs(a, b), np.linalg.norm(coords[a] - coords[b], axis=-1))
+    for r, c in (([], cols), (rows, []), ([], [])):
+        r, c = np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64)
+        assert space.pairwise(r, c).shape == (r.size, c.size)
+    assert space.distance_pairs([], []).shape == (0,)
+    ids = np.array([3, 3, 7, 3, 7])
+    same = space.pairwise(ids, ids)
+    assert np.array_equal(same, _norm_table(coords, ids, ids))
+    assert np.all(np.diagonal(same) == 0.0) and same[0, 1] == 0.0 and same[2, 4] == 0.0
+    assert np.all(space.distance_pairs(ids, ids) == 0.0)
+
+
 def _loop_label_cluster_mass(sigma, B, k):
     label_of = dict(zip(B.indices.tolist(), B.labels.tolist()))
     out = np.zeros((k, B.n_labels))
