@@ -1,20 +1,21 @@
 """Command-line surface: JSON file formats, synthetic instance generators,
 and the generate / coreset / solve / oracle / verify commands.
 
-Instance files are columnar: ``"points"`` holds a ``"weight"`` list, a
-``"label"`` list on labeled instances, and either ``"coords"`` (Euclidean:
+Instance files are columnar: ``"points"`` holds a ``"weight"`` column, a
+``"label"`` column on labeled instances, and either ``"coords"`` (Euclidean:
 n * ``dim`` numbers, flat and row-major) or ``"index"`` (explicit: ids into
-the row-major ``"distance_matrix"``). ``coords`` and ``distance_matrix`` are
-written as binary columns, ``{"dtype": "<f8", "base64": ...}``: the base64
-text of the little-endian float64 bytes, which loads without a Python float
-per number. Facilities are rows, each a ``{"point": i}`` reference or a
-location of its own. Files with text ``coords`` or ``distance_matrix``
-lists, and row-shaped files (one dict per point), still load, through the
-same checks. Coreset and result files are row-shaped; their rows reach the
-writer as :class:`Rows`, one list per field. Every file is the text of
-``json.dumps(sort_keys=True, indent=2)``: the stdlib writes it, and
+the row-major ``"distance_matrix"``). Each of these is written as a binary
+column, ``{"dtype": ..., "base64": ...}``: the base64 text of its
+little-endian bytes, ``"<f8"`` (float64) for ``weight``, ``coords`` and
+``distance_matrix`` and ``"<i8"`` (int64) for ``label`` and ``index``, which
+loads without a Python number per value. Facilities are rows, each a
+``{"point": i}`` reference or a location of its own. Files whose columns are
+text lists, and row-shaped files (one dict per point), still load, through
+the same checks. Coreset and result files are row-shaped; their rows reach
+the writer as :class:`Rows`, one array or list per field. Every file is the
+text of ``json.dumps(sort_keys=True, indent=2)``: the stdlib writes it, and
 :func:`dump_json` splices in the lists of scalars and the rows, rendered a
-column at a time.
+column at a time, each distinct value of an array column once.
 
 Exit codes: 0 success (or verification pass), 1 verification FAIL,
 2 infeasible, 3 validation, input or usage error, 4 resource ceiling exceeded
@@ -78,9 +79,10 @@ MAX_INSTANCE_BYTES = 100 * 1024 * 1024
 class Rows:
     """A list of dicts held as its columns: ``Rows(point=[0, 1], mass=[1.0,
     0.5])`` is written as ``[{"mass": 1.0, "point": 0}, {"mass": 0.5, "point":
-    1}]`` without building a dict per row."""
+    1}]`` without building a dict per row. A column is a list, or an int64
+    or float64 array, which is written as the list of its values."""
 
-    def __init__(self, **columns: list):
+    def __init__(self, **columns):
         if len(set(map(len, columns.values()))) > 1:
             raise ValueError("row columns differ in length")
         self.columns = dict(sorted(columns.items()))
@@ -90,7 +92,8 @@ class Rows:
 
     def dicts(self) -> list:
         keys = list(self.columns)
-        return [dict(zip(keys, row)) for row in zip(*self.columns.values())]
+        values = [col.tolist() if isinstance(col, np.ndarray) else col for col in self.columns.values()]
+        return [dict(zip(keys, row)) for row in zip(*values)]
 
 
 def _json_default(obj):
@@ -140,16 +143,35 @@ def _scalar_texts(values, types: set) -> Optional[list]:
     return [_SCALAR_TEXT[type(v)](v) for v in values]
 
 
+def _array_texts(col: np.ndarray) -> list:
+    """The JSON text of each value of an int64 or float64 array, each
+    distinct value rendered once. Floats are told apart by their bits, so
+    ``-0.0`` and ``0.0`` keep their own text."""
+    key = col.view(np.int64)
+    if col.dtype == np.int64:
+        render = int.__repr__
+    else:
+        render = float.__repr__ if np.isfinite(col).all() else _float_text
+    if (key[1:] > key[:-1]).all():  # strictly increasing, as point ids are: no value repeats
+        return list(map(render, col.tolist()))
+    distinct, rows = np.unique(key, return_inverse=True)
+    return np.array(list(map(render, distinct.view(col.dtype).tolist())), dtype=object)[rows].tolist()
+
+
 def _column_block(columns: dict, level: int) -> Optional[str]:
     """The text of the list at depth ``level`` whose rows ``columns`` (str key
-    -> one list of n values, keys in sorted order) hold, each row a dict.
+    -> one column of n values, keys in sorted order) hold, each row a dict.
 
-    Each column converts in one ``map`` and one join interleaves the columns
-    with the fixed text around them. None when a column holds anything but
-    str, int, float, bool or None."""
+    An int64 or float64 array column renders each distinct value once (see
+    :func:`_array_texts`); a list column converts in one ``map``. One join
+    interleaves the columns with the fixed text around them. None when a
+    column holds anything but str, int, float, bool or None."""
     texts_of = []
     for col in columns.values():
-        texts = _scalar_texts(col, set(map(type, col)))
+        if isinstance(col, np.ndarray) and col.dtype in (np.int64, np.float64):
+            texts = _array_texts(col)
+        else:
+            texts = _scalar_texts(col, set(map(type, col)))
         if texts is None:
             return None
         texts_of.append(texts)
@@ -240,9 +262,14 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _integers(values: list, name: str) -> list:
-    """``_integer`` of each value; a list of plain ints passes as it is."""
-    return values if set(map(type, values)) <= {int} else [_integer(v, name) for v in values]
+def _integer_array(values, name: str) -> np.ndarray:
+    """A list of JSON integers as an int64 array, each through ``_integer``
+    unless all are plain ints; a decoded binary column passes as it is."""
+    if isinstance(values, np.ndarray):
+        return values
+    if not set(map(type, values)) <= {int}:
+        values = [_integer(v, name) for v in values]
+    return np.array(values, dtype=np.int64)
 
 
 def _numbers(values, name: str) -> None:
@@ -263,26 +290,30 @@ def _number_array(values, name: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-COLUMN_DTYPE = "<f8"
+COLUMN_DTYPES = {"coords": "<f8", "distance_matrix": "<f8", "weight": "<f8", "label": "<i8", "index": "<i8"}
 
 
-def _binary_column(values: np.ndarray) -> dict:
-    """A float column as one base64 string of its little-endian float64 bytes."""
-    raw = np.ascontiguousarray(values, dtype=COLUMN_DTYPE).tobytes()
-    return {"dtype": COLUMN_DTYPE, "base64": base64.b64encode(raw).decode("ascii")}
+def _binary_column(values: np.ndarray, name: str) -> dict:
+    """Column ``name`` as one base64 string of its bytes in the column's
+    little-endian dtype, ``COLUMN_DTYPES[name]``."""
+    dtype = COLUMN_DTYPES[name]
+    raw = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return {"dtype": dtype, "base64": base64.b64encode(raw).decode("ascii")}
 
 
 def _read_column(values, name: str):
-    """A column as it is read: a binary column decodes to a float array, and
-    anything else passes as it is, to be checked with its fellow numbers."""
+    """Column ``name`` as it is read: a binary column decodes to an array of
+    its dtype in ``COLUMN_DTYPES``, and anything else passes as it is, to be
+    checked with its fellow numbers."""
     if not isinstance(values, dict):
         return values
     if values.keys() != {"dtype", "base64"}:
         raise ValidationError(
             f"binary {name} column needs the keys base64 and dtype, got {', '.join(sorted(values))}"
         )
-    if values["dtype"] != COLUMN_DTYPE:
-        raise ValidationError(f"binary {name} column has dtype {values['dtype']!r}, not {COLUMN_DTYPE!r}")
+    dtype = COLUMN_DTYPES[name]
+    if values["dtype"] != dtype:
+        raise ValidationError(f"binary {name} column has dtype {values['dtype']!r}, not {dtype!r}")
     if not isinstance(values["base64"], str):
         raise ValidationError(f"binary {name} column's base64 is not a string")
     try:
@@ -291,7 +322,7 @@ def _read_column(values, name: str):
         raise ValidationError(f"binary {name} column is not base64: {exc}") from exc
     if len(raw) % 8:
         raise ValidationError(f"binary {name} column holds {len(raw)} bytes, not a multiple of 8")
-    return np.frombuffer(raw, dtype=COLUMN_DTYPE)
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def load_json(path: str) -> dict:
@@ -311,14 +342,14 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
     """The columnar instance file: each point field is one column, Euclidean
     coordinates flat and row-major with ``dim`` numbers per point; facilities
     stay rows, each a point reference or its own location, in their order.
-    The coordinates and an explicit ``distance_matrix`` are binary columns."""
-    points: dict = {"weight": inst.weights.tolist()}
+    Every point column and an explicit ``distance_matrix`` are binary columns."""
+    points = {"weight": _binary_column(inst.weights, "weight")}
     if inst.labels is not None:
-        points["label"] = inst.labels.tolist()
+        points["label"] = _binary_column(inst.labels, "label")
     if inst.space.is_euclidean:
-        points["coords"] = _binary_column(inst.space.coords[inst.points])
+        points["coords"] = _binary_column(inst.space.coords[inst.points], "coords")
     else:
-        points["index"] = inst.points.tolist()
+        points["index"] = _binary_column(inst.points, "index")
     facilities = []
     point_pos = _positions(inst.points, inst.facilities).tolist()
     for idx, pos in zip(inst.facilities.tolist(), point_pos):
@@ -338,7 +369,7 @@ def instance_to_payload(inst: ClusteringInstance) -> dict:
     if inst.space.is_euclidean:
         payload["dim"] = int(inst.space.coords.shape[1])
     else:
-        payload["distance_matrix"] = _binary_column(inst.space.matrix)
+        payload["distance_matrix"] = _binary_column(inst.space.matrix, "distance_matrix")
     return payload
 
 
@@ -368,9 +399,11 @@ def _flat_rows(rows: list, dim: int, name: str) -> list:
 
 @_malformed("instance")
 def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> ClusteringInstance:
-    """An instance from a columnar payload, its float columns binary or text
-    lists, or from a row-shaped one (a list with one dict per point), whose
-    rows become the same columns first. The payload is left as it is."""
+    """An instance from a columnar payload, each column binary or a text
+    list, or from a row-shaped one (a list with one dict per point), whose
+    rows become the same columns first. Binary columns are decoded before
+    any length is checked; only text lists go through the per-value number
+    checks. The payload is left as it is."""
     kind = payload.get("metric")
     raw_points = payload.get("points", [])
     raw_fac = payload.get("facilities", [])
@@ -387,6 +420,7 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     unknown = cols.keys() - {"weight", "label", ids}
     if unknown:
         raise ValidationError(f"unknown point columns: {', '.join(sorted(unknown))}")
+    cols = {key: _read_column(values, key) for key, values in cols.items()}
 
     dim, flat = 1, cols[ids]
     if euclidean:
@@ -394,7 +428,8 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
         dim = _integer(len(flat[0]) if rows and "dim" not in payload else payload.get("dim"), "dim")
         if dim < 1:
             raise ValidationError(f"dim must be positive, got {dim}")
-        flat = _flat_rows(flat, dim, "point") if rows else _read_column(flat, ids)
+        if rows:
+            flat = _flat_rows(flat, dim, "point")
     n, rest = divmod(len(flat), dim)
     if rest:
         raise ValidationError(f"coords holds {len(flat)} numbers, not a multiple of dim {dim}")
@@ -402,11 +437,10 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
     if set(sizes.values()) - {n}:
         listed = ", ".join(f"{key} {size}" for key, size in sizes.items())
         raise ValidationError(f"point columns differ in length: {ids} holds {n} points, {listed}")
-    weights = cols.get("weight", [1.0] * n)
-    _numbers(weights, "weight")
+    weights = _number_array(cols.get("weight", np.ones(n)), "weight")
     labels = cols.get("label")
 
-    point_ids = range(n) if euclidean else _integers(flat, "point index")
+    point_ids = range(n) if euclidean else _integer_array(flat, "point index")
     fac_ids, own = [], []
     for f in raw_fac:
         if "point" in f:
@@ -438,12 +472,12 @@ def instance_from_payload(payload: dict, triangle_check: str = "sampled") -> Clu
 
     inst = ClusteringInstance(
         space=space,
-        points=np.arange(n, dtype=np.int64) if euclidean else np.array(point_ids, dtype=np.int64),
-        weights=np.array(weights, dtype=np.float64),
+        points=np.arange(n, dtype=np.int64) if euclidean else point_ids,
+        weights=weights,
         facilities=np.array(fac_ids, dtype=np.int64),
         k=_integer(payload.get("k", 1), "k"),
         z=_integer(payload.get("z", 1), "z"),
-        labels=None if labels is None else np.array(_integers(labels, "label"), dtype=np.int64),
+        labels=None if labels is None else _integer_array(labels, "label"),
     )
     return _require_valid(inst)
 
@@ -472,7 +506,7 @@ def load_instance(path: str, triangle_check: str = "sampled", z: Optional[int] =
 def coreset_to_payload(cs: WeakCoreset) -> dict:
     payload = {
         "J": cs.J.tolist() if cs.J is not None else cs.J_coords.tolist(),
-        "S": Rows(point=cs.S.tolist(), weight=cs.v.tolist()),
+        "S": Rows(point=cs.S, weight=cs.v),
         "alpha": float(cs.alpha),
         "z": int(cs.z),
         "epsilon": float(cs.epsilon),
@@ -494,12 +528,12 @@ def coreset_from_payload(payload: dict) -> WeakCoreset:
     if j_raw and isinstance(j_raw[0], list):
         j_ids, j_coords = None, _number_array(j_raw, "J coordinate")
     else:
-        j_ids, j_coords = np.array(_integers(j_raw, "J id"), dtype=np.int64), None
+        j_ids, j_coords = _integer_array(j_raw, "J id"), None
     v = [e["weight"] for e in payload["S"]]
     _numbers(v, "S weight")
     _numbers([payload[key] for key in ("alpha", "epsilon", "delta")], "alpha, epsilon and delta")
     return WeakCoreset(
-        S=np.array(_integers([e["point"] for e in payload["S"]], "S point"), dtype=np.int64),
+        S=_integer_array([e["point"] for e in payload["S"]], "S point"),
         v=np.array(v, dtype=np.float64),
         alpha=float(payload["alpha"]),
         z=_integer(payload["z"], "z"),
@@ -718,9 +752,7 @@ def solve_result_payload(res: SolveResult) -> dict:
         "cost_on_full": res.cost_on_full,
         "realized_profile": res.realized_profile.values.tolist(),
         "tuples_evaluated": res.tuples_evaluated,
-        "assignment": Rows(
-            point=sigma.points.tolist(), cluster=sigma.clusters.tolist(), mass=sigma.masses.tolist()
-        ),
+        "assignment": Rows(point=sigma.points, cluster=sigma.clusters, mass=sigma.masses),
     }
     return payload
 
@@ -739,7 +771,8 @@ def cmd_solve(args) -> int:
     payload = solve_result_payload(res)
     dump_json(payload, args.out)
     if args.csv:
-        cols = payload["assignment"].columns
+        # .tolist(): numpy 2 gives "np.float64(1.0)" as the repr of a float64.
+        cols = {key: col.tolist() for key, col in payload["assignment"].columns.items()}
         lines = map("{},{},{!r}\n".format, cols["point"], cols["cluster"], cols["mass"])
         with open(args.csv, "w") as fh:
             fh.write("point,cluster,mass\n" + "".join(lines))

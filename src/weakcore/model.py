@@ -362,6 +362,9 @@ def validate_instance(inst: ClusteringInstance) -> list[str]:
             report.append("labels do not align with points")
         elif inst.labels.size and inst.labels.min() < 0:
             report.append("negative label")
+        elif inst.labels.size and inst.labels.max() >= inst.n:
+            # Label classes are looped over by value: a bound of n bounds that loop and every (k, m) table.
+            report.append(f"label {inst.labels.max()} is not below the point count {inst.n}")
     return report
 
 

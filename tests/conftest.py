@@ -13,20 +13,19 @@ from weakcore.model import Assignment, ClusterProfile, MetricSpace
 
 
 def text_column(column):
-    """A binary float column, ``{"dtype": ..., "base64": ...}``, as its list of
-    numbers; any other value as it is."""
+    """A binary column, ``{"dtype": ..., "base64": ...}``, as its list of
+    numbers (Python floats for ``<f8``, ints for ``<i8``); any other value as
+    it is."""
     if not isinstance(column, dict):
         return column
     return np.frombuffer(base64.b64decode(column["base64"]), dtype=column["dtype"]).tolist()
 
 
 def text_layout(payload: dict) -> dict:
-    """A columnar instance payload with its binary columns (``coords``,
-    ``distance_matrix``) decoded to lists of numbers, as text files hold
-    them. The payload itself is left as it is."""
-    out = {**payload, "points": dict(payload["points"])}
-    if "coords" in out["points"]:
-        out["points"]["coords"] = text_column(out["points"]["coords"])
+    """A columnar instance payload with its binary columns (every point
+    column and ``distance_matrix``) decoded to lists of numbers, as text
+    files hold them. The payload itself is left as it is."""
+    out = {**payload, "points": {key: text_column(col) for key, col in payload["points"].items()}}
     if "distance_matrix" in out:
         out["distance_matrix"] = text_column(out["distance_matrix"])
     return out

@@ -252,6 +252,7 @@ def test_solve_csv_matches_the_line_by_line_form(tmp_path):
     assert len(entries) >= 20000 and any(e["mass"] % 1 for e in entries)
     lines = [f"{e['point']},{e['cluster']},{e['mass']!r}\n" for e in entries]
     assert csv.read_text() == "point,cluster,mass\n" + "".join(lines)
+    assert "np." not in csv.read_text()  # numpy 2's repr of a float64 is "np.float64(...)"
 
 
 def test_euclidean_kmeans_coreset_pipeline(tmp_path):
@@ -406,6 +407,52 @@ def test_dump_json_matches_stdlib(payload):
 ])
 def test_dump_json_matches_stdlib_on_row_edges(payload):
     assert dump_json(payload, None) == _stdlib_text(payload)
+
+
+INT64_EDGES = [2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1, 0, -1]
+ARRAY_ROWS = {
+    "signed-zeros": Rows(mass=np.array([0.0, -0.0, 0.0, -0.0, 1.5, -0.0])),
+    "non-finite": Rows(mass=np.array([math.nan, math.inf, -math.inf, 1.0, -math.nan, math.inf, -0.0])),
+    "repeated": Rows(cluster=np.array([2, 0, 1, 0, 2, 2]), mass=np.array([0.5, 0.25, 0.5, 0.5, 1.0, 0.25])),
+    "all-distinct": Rows(point=np.array([5, 3, 9, 0, 7]), mass=np.array([0.1, 1 / 3, 2.5, 1e16, 1e-300])),
+    "increasing": Rows(point=np.arange(0, 30, 3), mass=np.linspace(-1.0, 1.0, 10)),
+    "int64-edges": Rows(point=np.array(INT64_EDGES + INT64_EDGES[::-1])),
+    "one-row": Rows(cluster=np.array([7]), mass=np.array([-0.0])),
+    "zero-rows": Rows(point=np.array([], dtype=np.int64), mass=np.array([], dtype=np.float64)),
+    "beside-lists": Rows(point=np.array([3, 1, 3]), mass=np.array([0.5, 0.5, -0.0]), tag=["a", None, 2.5],
+                         pair=[[1, 2], [3, 4], [5, 6]]),
+}
+
+
+@pytest.mark.parametrize("rows", ARRAY_ROWS.values(), ids=ARRAY_ROWS.keys())
+def test_dump_json_writes_array_columns_as_the_stdlib(rows):
+    """Rows whose columns are int64 or float64 arrays, each distinct value
+    rendered once, give the stdlib's text of their list of dicts: -0.0 keeps
+    its sign beside 0.0, NaN and infinities their JSON names."""
+    assert dump_json(rows, None) == json.dumps(rows.dicts(), sort_keys=True, indent=2) + "\n"
+    nested = {"n": len(rows), "rows": rows, "more": [rows]}
+    plain = {"n": len(rows), "rows": rows.dicts(), "more": [rows.dicts()]}
+    assert dump_json(nested, None) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def array_rows(draw):
+    """:class:`Rows` of one to three int64 or float64 array columns of one
+    length, their values drawn from a few (so that they repeat) or from all."""
+    n = draw(st.integers(0, 8))
+    columns = {}
+    for key in draw(st.lists(st.sampled_from(["point", "cluster", "mass"]), min_size=1, max_size=3, unique=True)):
+        dtype, values = draw(st.sampled_from([(np.int64, st.integers(-(2**63), 2**63 - 1)), (np.float64, FLOATS)]))
+        if draw(st.booleans()):
+            values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+        columns[key] = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+    return Rows(**columns)
+
+
+@given(array_rows())
+@settings(max_examples=200, deadline=None)
+def test_dump_json_writes_drawn_array_columns_as_the_stdlib(rows):
+    assert dump_json({"rows": rows}, None) == json.dumps({"rows": rows.dicts()}, sort_keys=True, indent=2) + "\n"
 
 
 def test_dump_json_draws_a_fresh_token_when_the_payload_holds_it(monkeypatch):
@@ -598,7 +645,7 @@ MALFORMED_INPUT = {
     "coordinate-a-string": ("instance", _row_set(["points", 0, "coords", 0], "a")),
     "weight-a-string": ("instance", _row_set(["points", 0, "weight"], "heavy")),
     "coordinate-a-string-columnar": ("instance", _text_set(["points", "coords", 0], "a")),
-    "weight-a-string-columnar": ("instance", _set(["points", "weight", 0], "heavy")),
+    "weight-a-string-columnar": ("instance", _text_set(["points", "weight", 0], "heavy")),
     "k-a-string": ("instance", _set(["k"], "two")),
     "balanced-l-a-string": ("constraint", _set(["l"], "ab")),
     "constraint-a-list": ("constraint", lambda payload: [payload]),
@@ -682,7 +729,7 @@ def test_non_integer_field_exit_code(tmp_path, capsys, kind, name, edit, needle)
 NUMERIC_STRING = {
     "weight": ("line", "inst", _row_set(["points", 0, "weight"], "2.5"), "weight must be a number"),
     "coordinate": ("line", "inst", _row_set(["points", 0, "coords", 0], "0.5"), "coordinate must be"),
-    "weight-columnar": ("line", "inst", _set(["points", "weight", 0], "2.5"), "weight must be a number"),
+    "weight-columnar": ("line", "inst", _text_set(["points", "weight", 0], "2.5"), "weight must be a number"),
     "coordinate-columnar": ("line", "inst", _text_set(["points", "coords", 0], "0.5"), "coordinate must be"),
     "facility-coordinate": ("planar-blobs", "inst", _set(["facilities", 0, "coords", 1], "1"),
                             "coordinate must be"),

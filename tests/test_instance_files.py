@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from functools import reduce
 from operator import getitem
 
@@ -222,13 +223,15 @@ def test_dim_and_column_shape_exit_code(tmp_path, capsys, layout, edit, needle):
 
 def _recode(column, change):
     """An edit of the binary column at ``column`` (a key path): ``change``
-    maps the column's decoded float array to a new array, or to raw bytes."""
+    maps the column's decoded array, of the column's own dtype, to a new
+    array, or to raw bytes."""
     def edit(payload):
         node = reduce(getitem, column[:-1], payload)
-        values = np.frombuffer(base64.b64decode(node[column[-1]]["base64"]), dtype="<f8").copy()
+        dtype = node[column[-1]]["dtype"]
+        values = np.frombuffer(base64.b64decode(node[column[-1]]["base64"]), dtype=dtype).copy()
         new = change(values)
-        raw = new if isinstance(new, bytes) else np.asarray(new, dtype="<f8").tobytes()
-        node[column[-1]] = {"dtype": "<f8", "base64": base64.b64encode(raw).decode("ascii")}
+        raw = new if isinstance(new, bytes) else np.asarray(new, dtype=dtype).tobytes()
+        node[column[-1]] = {"dtype": dtype, "base64": base64.b64encode(raw).decode("ascii")}
         return payload
     return edit
 
@@ -240,7 +243,7 @@ def _set_value(i, value):
     return change
 
 
-COORDS = ["points", "coords"]
+COORDS, WEIGHT, LABEL, INDEX = (["points", key] for key in ("coords", "weight", "label", "index"))
 # (kind, edit, message): kind "blobs" is a 40-point labeled planar-blobs file
 # in 2-d (80 coordinates, 640 bytes), "metric" a random metric on 9 ids.
 BINARY_ERRORS = {
@@ -277,14 +280,36 @@ BINARY_ERRORS = {
                    "distance matrix contains non-finite entries"),
     "matrix-inf": ("metric", _recode(["distance_matrix"], _set_value(10, math.inf)),
                    "distance matrix contains non-finite entries"),
+    "weight-dtype-int": ("blobs", _edit(WEIGHT + ["dtype"], "<i8"),
+                         "binary weight column has dtype '<i8', not '<f8'"),
+    "weight-short-by-a-point": ("blobs", _recode(WEIGHT, lambda v: v[:-1]),
+                                "point columns differ in length: coords holds 40 points, weight 39, label 40"),
+    "weight-nan": ("blobs", _recode(WEIGHT, _set_value(7, math.nan)), "weights contains non-finite entries"),
+    "weight-inf": ("blobs", _recode(WEIGHT, _set_value(7, math.inf)), "weights contains non-finite entries"),
+    "weight-zero": ("blobs", _recode(WEIGHT, _set_value(0, 0.0)), "nonpositive point weight"),
+    "weight-negative": ("blobs", _recode(WEIGHT, _set_value(39, -1.0)), "nonpositive point weight"),
+    "label-dtype-float": ("blobs", _edit(LABEL + ["dtype"], "<f8"),
+                          "binary label column has dtype '<f8', not '<i8'"),
+    "label-bytes-not-a-multiple-of-8": ("blobs", _recode(LABEL, lambda v: v.tobytes()[:-1]),
+                                        "binary label column holds 319 bytes, not a multiple of 8"),
+    "label-long": ("blobs", _recode(LABEL, lambda v: np.append(v, 0)),
+                   "point columns differ in length: coords holds 40 points, weight 40, label 41"),
+    "label-negative": ("blobs", _recode(LABEL, _set_value(3, -1)), "negative label"),
+    "index-dtype-float": ("metric", _edit(INDEX + ["dtype"], "<f8"),
+                          "binary index column has dtype '<f8', not '<i8'"),
+    "index-out-of-range": ("metric", _recode(INDEX, _set_value(2, 9)),
+                           "point index out of range for metric space of size 9"),
+    "index-repeated": ("metric", _recode(INDEX, _set_value(2, 0)), "duplicate point indices"),
 }
 
 
 @pytest.mark.parametrize("kind, edit, needle", BINARY_ERRORS.values(), ids=BINARY_ERRORS.keys())
 def test_binary_column_exit_code(tmp_path, capsys, kind, edit, needle):
     """A binary column is refused with one line unless it is exactly
-    ``{"dtype": "<f8", "base64": ...}`` holding whole float64 values, as many
-    as the file needs, each finite."""
+    ``{"dtype": ..., "base64": ...}`` with its column's dtype (``"<f8"`` for
+    coords, distance_matrix and weight, ``"<i8"`` for label and index),
+    holding whole values, as many as the file needs, each passing the
+    checks a text column's values pass."""
     make = {"blobs": lambda: make_planar_blobs(40, 5, 2, m=2, seed=1),
             "metric": lambda: make_random_metric(6, 3, 2, seed=1)}
     _assert_coreset_rejects(tmp_path, capsys, edit(instance_to_payload(make[kind]())), needle)
@@ -300,21 +325,50 @@ def test_binary_column_leaves_the_payload_alone():
 
 
 def test_generate_writes_binary_columns(tmp_path):
-    """``generate`` writes coords and distance_matrix as binary float64
-    columns, which decode to the arrays the instance loads with."""
+    """``generate`` writes every point column and distance_matrix as a
+    binary column: weight, coords and distance_matrix as float64, label and
+    index as int64. Each decodes to the array the instance loads with."""
     for kind in ("planar-blobs", "random-metric"):
         out = tmp_path / f"{kind}.json"
-        assert run(["generate", "--kind", kind, "--n", 12, "--facilities", 4, "--out", out]) == 0
+        assert run(["generate", "--kind", kind, "--n", 12, "--facilities", 4, "--m", 3, "--out", out]) == 0
         payload, inst = json.loads(out.read_text()), load_instance(str(out))
         text = text_layout(payload)
+        expected = {("points", "weight"): ("<f8", inst.weights), ("points", "label"): ("<i8", inst.labels)}
         if kind == "planar-blobs":
-            column, decoded = payload["points"]["coords"], text["points"]["coords"]
-            expected = inst.space.coords[inst.points]
+            expected["points", "coords"] = ("<f8", inst.space.coords[inst.points])
         else:
-            column, decoded = payload["distance_matrix"], text["distance_matrix"]
-            expected = inst.space.matrix
-        assert column.keys() == {"dtype", "base64"} and column["dtype"] == "<f8"
-        assert np.array_equal(np.array(decoded), expected.ravel())
+            expected["points", "index"] = ("<i8", inst.points)
+            expected["distance_matrix",] = ("<f8", inst.space.matrix)
+        assert payload["points"].keys() == {path[1] for path in expected if path[0] == "points"}
+        for path, (dtype, values) in expected.items():
+            column, decoded = reduce(getitem, path, payload), reduce(getitem, path, text)
+            assert column.keys() == {"dtype", "base64"} and column["dtype"] == dtype, path
+            assert set(map(type, decoded)) == {float if dtype == "<f8" else int}, path
+            assert np.array_equal(np.array(decoded), values.ravel()), path
+
+
+@pytest.mark.parametrize("layout", ["binary", "columns", "rows"])
+def test_label_not_below_n_exit_code(tmp_path, capsys, layout):
+    """A label must be below the point count n. One label of 10^12 on a
+    40-point file used to send ``coreset`` through a loop over every label
+    value below it (10^6 took 2.2 s); every command now refuses the file
+    at load, in well under a second. A label of n - 1 loads."""
+    payload = instance_to_payload(make_planar_blobs(40, 5, 2, m=2, seed=1))
+    for label, accepted in [(39, True), (40, False), (10**12, False)]:
+        edit = {"binary": _recode(LABEL, _set_value(5, label)),
+                "columns": lambda p: _edit(LABEL + [5], label)(text_layout(p)),
+                "rows": lambda p: _edit(["points", 5, "label"], label)(row_layout(p))}[layout]
+        edited = edit(copy.deepcopy(payload))
+        if accepted:
+            assert instance_from_payload(edited).n_labels == label + 1
+            continue
+        started = time.perf_counter()
+        _assert_coreset_rejects(tmp_path, capsys, edited, f"label {label} is not below the point count 40")
+        con = tmp_path / "con.json"
+        con.write_text(json.dumps({"type": "unconstrained"}))
+        assert run(["oracle", "--instance", tmp_path / "inst.json", "--constraint", con,
+                    "--out", tmp_path / "o.json"]) == EXIT_VALIDATION
+        assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("m, edit, needle", [
@@ -372,7 +426,8 @@ def _mutated_binary(draw, column):
         piece = draw(st.sampled_from(["", "A", "=", "==", "!", "é", " ", "AAAA"]))
         column["base64"] = text[:i] + piece + text[i + 1 :]
     elif how == "dtype":
-        column["dtype"] = draw(st.sampled_from(["<f4", ">f8", "<i8", "f8", "float64", 8, None]))
+        dtypes = ["<f8", "<i8", "<f4", ">f8", ">i8", "f8", "float64", 8, None]
+        column["dtype"] = draw(st.sampled_from([d for d in dtypes if d != column.get("dtype")]))
     elif how == "drop":
         del column[draw(st.sampled_from(sorted(column)))]
     else:
@@ -401,6 +456,18 @@ def _mutated(draw, payload):
         others = [[], {}, "x", 1.5, -1, 0, [1.0, 2.0], {"coords": [0.0]}, None]
         parent[path[-1]] = draw(st.sampled_from([o for o in others if type(o) is not type(value)]))
     return payload
+
+
+def test_fuzz_bases_hold_every_binary_column():
+    """The ``binary`` mutation reaches every kind of binary column: each is
+    in some binary-layout fuzz base, and none is left in a text or row base."""
+    reached = {
+        (name.rsplit("-", 1)[1], path[-1])
+        for name, base in FUZZ_BASES.items()
+        for path, value in _nodes(base)
+        if MUTATIONS["binary"](value)
+    }
+    assert reached == {("binary", key) for key in ("coords", "distance_matrix", "weight", "label", "index")}
 
 
 @st.composite
