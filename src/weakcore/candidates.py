@@ -4,6 +4,10 @@ The metric-mode set J mixes uniform and D^z draws around an adaptive seed
 and maps each drawn point to its nearest facility; only drawn points are
 looked up, never all n. The Euclidean k-means mode instead emits means of
 small multisets drawn from a sampled base, as synthetic center coordinates.
+
+Every weighted draw is an inverse-CDF draw (:func:`_draw`): the indices
+``Generator.choice`` would return for the same stream, without its
+validation of ``p``.
 """
 
 from __future__ import annotations
@@ -57,6 +61,22 @@ def resolve_eta(params: CandidateParams, k: int, eps: float) -> int:
     return max(eta, k)
 
 
+# A seeding round that has failed this many redraws checks once whether any
+# redraw can succeed at all.
+_REDRAWS_BEFORE_CHECK = 8
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray, size=None):
+    """Indices drawn with probabilities ``p``: ``rng.choice(p.size, size, p=p)``
+    bit for bit, and the same values taken from the stream, without
+    ``choice``'s O(n) validation of ``p``. Callers build ``p`` from positive
+    weights with a positive total, so ``p`` is nonnegative and sums to 1
+    within rounding; an index with ``p == 0`` is never drawn."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _rng_from(seed) -> np.random.Generator:
     if isinstance(seed, SeedSequence):
         return default_rng(seed)
@@ -82,7 +102,13 @@ def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> tuple[np.ndarray,
 
     Deterministic given the seed. After 100 duplicate redraws the
     farthest-point facility (max-min distance to the chosen set, ties to the
-    lowest index) is taken instead.
+    lowest index) is taken instead. A round whose first
+    ``_REDRAWS_BEFORE_CHECK`` redraws all repeat a facility checks once
+    whether every point it can draw maps to a chosen facility, and if so
+    takes the fallback at once. That picks what the full 100 redraws pick:
+    each such point's D^z is already its nearest facility's, which no later
+    pick lowers, so every later round draws with the same weights and fails
+    too, and the stream serves this seeding alone.
     """
     if t > inst.facilities.size:
         raise ValidationError(f"cannot seed {t} centers from {inst.facilities.size} facilities")
@@ -95,15 +121,18 @@ def dz_seed(inst: ClusteringInstance, t: int, z: int, seed) -> tuple[np.ndarray,
     mind: Optional[np.ndarray] = None
 
     while len(chosen) < t:
-        if mind is None:
-            probs = w / w.sum()
-        else:
-            mass = w * mind
-            total = mass.sum()
-            probs = mass / total if total > 0 else w / w.sum()
+        mass = w if mind is None else w * mind
+        total = mass.sum()
+        if not total > 0:
+            mass, total = w, w.sum()
+        probs = mass / total
         picked = None
-        for _ in range(100):
-            x_pos = int(rng.choice(inst.n, p=probs))
+        for attempt in range(100):
+            if attempt == _REDRAWS_BEFORE_CHECK and np.isin(
+                _nearest_facilities(inst, np.flatnonzero(mass > 0)), chosen
+            ).all():
+                break  # no point the round can draw maps to a new facility
+            x_pos = int(_draw(rng, probs))
             f = int(_nearest_facilities(inst, [x_pos])[0])
             if f not in chosen_set:
                 picked = f
@@ -146,8 +175,8 @@ def _mixed_point_draws(
     flips = rng.random(count) < mix
     n_uni = int(flips.sum())
     draws = np.empty(count, dtype=np.int64)
-    draws[flips] = rng.choice(inst.n, size=n_uni, p=uniform_p)
-    draws[~flips] = rng.choice(inst.n, size=count - n_uni, p=dz_p)
+    draws[flips] = _draw(rng, uniform_p, n_uni)
+    draws[~flips] = _draw(rng, dz_p, count - n_uni)
     return draws
 
 

@@ -32,6 +32,7 @@ from .model import (
     WeightedPoints,
     _float_array,
     _index_array,
+    _row_argmin,
 )
 
 FEAS_TOL = 1e-7
@@ -204,10 +205,10 @@ def assignment_cost(B: WeightedPoints, sigma: Assignment, centers, z: int) -> fl
 def _voronoi(d: np.ndarray, B: WeightedPoints):
     """Every point fully to its nearest center (ties to the lowest cluster
     index) on the D^z table ``d``: (cost, support, cluster totals, None)."""
-    rows, nearest = np.arange(B.size), np.argmin(d, axis=1)
-    cost = float(math.fsum((B.weights * d[rows, nearest]).tolist()))
+    nearest, cost_rows = _row_argmin(d)
+    cost = float(math.fsum((B.weights * cost_rows).tolist()))
     totals = np.bincount(nearest, weights=B.weights, minlength=d.shape[1])
-    return cost, (rows, nearest, B.weights), totals, None
+    return cost, (np.arange(B.size), nearest, B.weights), totals, None
 
 
 def voronoi_profile(B: WeightedPoints, centers, z: int, *, table=None) -> ClusterProfile:

@@ -5,6 +5,9 @@ Each approximate cluster splits into an inner ring (cost at most the cluster
 average) and geometrically growing bands. Small rings are taken whole;
 large rings contribute a fixed number of weight-proportional draws, each
 carrying ring weight / sample count, so ring weight is conserved exactly.
+
+Every ring is a slice of one stable sort of the points by (cluster, level),
+and only a sampled ring sets up a random stream.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from numpy.random import SeedSequence, default_rng
 
 from .candidates import (
     CandidateParams,
+    _draw,
     build_candidates_euclidean_means,
     build_candidates_metric,
     dz_seed,
     resolve_eta,
 )
-from .model import REL_TOL, ClusteringInstance, ValidationError, WeightedPoints, _positions
+from .model import REL_TOL, ClusteringInstance, ValidationError, WeightedPoints, _positions, _row_argmin
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,30 +106,40 @@ def ring_decomposition(inst: ClusteringInstance, centers, table: np.ndarray) -> 
     cluster index). With per-cluster average cost d_avg, level 0 holds costs
     <= d_avg and level j holds (2^(j-1) d_avg, 2^j d_avg]. A zero-average
     cluster is one [0, 0] ring.
+
+    Rings come in (cluster, level) order, each holding its members in point
+    order: they are slices of one stable sort of the points by that key.
     """
     centers = np.asarray(centers, dtype=np.int64)
-    nearest = np.argmin(table, axis=1)
-    rings: list[Ring] = []
-    for i in range(centers.size):
-        mask = nearest == i
-        if not mask.any():
-            continue
-        costs = table[mask, i]
-        weights = inst.weights[mask]
-        members = inst.points[mask]
-        avg = float(np.dot(weights, costs) / weights.sum())
+    nearest = _row_argmin(table)[0]
+    levels = np.zeros(inst.n, dtype=np.int64)
+    avgs = {}
+    for i in np.flatnonzero(np.bincount(nearest)).tolist():
+        members = np.flatnonzero(nearest == i)
+        costs = table[members, i]
+        weights = inst.weights[members]
+        avg = avgs[i] = float(np.dot(weights, costs) / weights.sum())
         if avg <= 0.0:
-            rings.append(Ring(i, 0, members, weights, (0.0, 0.0)))
             continue
-        levels = np.zeros(costs.size, dtype=np.int64)
         above = costs > avg
-        levels[above] = np.ceil(np.log2(costs[above] / avg)).astype(np.int64)
-        # Guard against log rounding right at a band edge.
-        levels[above] = np.maximum(levels[above], 1)
-        for lvl in np.unique(levels):
-            sel = levels == lvl
+        # The floor of 1 guards against log rounding right at a band edge.
+        levels[members[above]] = np.maximum(np.ceil(np.log2(costs[above] / avg)).astype(np.int64), 1)
+    width = int(levels.max(initial=0)) + 1
+    key = nearest * width + levels
+    # A small unsigned key lets numpy's stable sort run as a radix sort.
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))), kind="stable")
+    key = key[order]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), inst.n]
+    ids, weights = inst.points[order], inst.weights[order]
+    rings: list[Ring] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        i, lvl = divmod(int(key[lo]), width)
+        avg = avgs[i]
+        if avg <= 0.0:
+            band = (0.0, 0.0)
+        else:
             band = (0.0, avg) if lvl == 0 else (2.0 ** (lvl - 1) * avg, 2.0**lvl * avg)
-            rings.append(Ring(i, int(lvl), members[sel], weights[sel], band))
+        rings.append(Ring(i, lvl, ids[lo:hi], weights[lo:hi], band))
     return RingDecomposition(centers=centers, rings=rings)
 
 
@@ -137,13 +151,17 @@ class SummaryResult:
     ring_count: int
 
 
-def _sample_ring(ring: Ring, s: int, rng: np.random.Generator):
+def _sample_ring(ring: Ring, s: int, seed: int, tag: int):
+    """A ring's members whole when it has at most ``s``, else ``s``
+    weight-proportional draws on the ring's own stream, keyed by ``(1, tag,
+    cluster, level)`` under ``seed`` and set up only here."""
     members, w = ring.indices, ring.weights
     if members.size <= s:
         return members, w
-    draws = rng.choice(members.size, size=s, p=w / w.sum())
-    picked, counts = np.unique(draws, return_counts=True)
-    values = counts * (ring.weight / s)
+    rng = default_rng(SeedSequence(seed, spawn_key=(1, tag, ring.cluster, ring.level)))
+    counts = np.bincount(_draw(rng, w / w.sum(), s))
+    picked = np.flatnonzero(counts)
+    values = counts[picked] * (ring.weight / s)
     # Absorb float residual so the ring weight is conserved exactly.
     values[np.argmax(values)] += ring.weight - math.fsum(values.tolist())
     return members[picked], values
@@ -183,10 +201,7 @@ def build_summary(inst: ClusteringInstance, J, eps: float, params: SummaryParams
         del table  # freed before the next class's seeding allocates its own
         s = resolve_sample_count(params, sub.k, eps, sub.z, j_size, decomp.ring_count)
         for ring in decomp.rings:
-            rng = default_rng(
-                SeedSequence(int(params.seed), spawn_key=(1, tag, ring.cluster, ring.level))
-            )
-            idx, w = _sample_ring(ring, s, rng)
+            idx, w = _sample_ring(ring, s, int(params.seed), tag)
             parts_idx.append(idx)
             parts_w.append(w)
         sample_count = max(sample_count, s)

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ValidationError, _float_array
+from .model import ValidationError, _float_array, _row_argmin
 
 MAX_LP_VARIABLES = 20_000
 
@@ -264,12 +264,12 @@ def _ksink_transport(cost, supply, lower, upper, prices=None):
     eps = 1e-13 * max(1.0, W)
     live = np.flatnonzero(supply > 0)
 
-    start = np.argmin(cost, axis=1)
+    start = _row_argmin(cost)[0]
     total = np.bincount(start[live], supply[live], minlength=n)
     through = np.clip(total, lower, upper)
     v, warm = [0.0] * (n + 1), False
     if prices is not None:
-        w_start = np.argmin(cost - prices, axis=1)
+        w_start = _row_argmin(cost - prices)[0]
         w_total = np.bincount(w_start[live], supply[live], minlength=n)
         w_through = np.where(prices > 0, lower, np.where(prices < 0, upper, np.clip(w_total, lower, upper)))
         if _start_excess(w_total, w_through, W) < _start_excess(total, through, W):

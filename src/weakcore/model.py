@@ -48,6 +48,24 @@ def _positions(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(index[pos] == keys, pos, -1)
 
 
+def _row_argmin(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's lowest column of an (n, k) table without NaN, ties to the
+    lowest column, and the entry there: ``np.argmin(table, axis=1)`` and
+    ``table[rows, argmin]`` bit for bit, from one pass per column. Over the
+    short axis of an (n, 3) table this is several times faster than
+    ``np.argmin``, which pays a call per row."""
+    best = table[:, 0].copy()
+    index = np.zeros(best.size, dtype=np.intp)
+    for j in range(1, table.shape[1]):
+        column = table[:, j]
+        np.maximum(index, (column < best) * j, out=index)
+        np.minimum(best, column, out=best)
+    # np.minimum may keep either zero of a 0.0/-0.0 tie; take argmin's entry.
+    zero = np.flatnonzero(best == 0.0)
+    best[zero] = table[zero, index[zero]]
+    return index, best
+
+
 def _coordinate_sum(term, lo: int, hi: int) -> np.ndarray:
     """``term(lo) + ... + term(hi - 1)``, added in place into the terms in
     the order numpy's float ``add.reduce`` uses along a contiguous axis:

@@ -3,9 +3,10 @@
 These deliberately avoid the package's solvers: the LP oracle enumerates
 basic solutions with plain linear algebra, the assignment oracles
 enumerate integral splits directly, and the distance oracle reads one pair
-at a time. The one exception is the transport reference, the package's
-earlier k-sink solver, kept so that the current one can be checked
-against it bit for bit.
+at a time. The exceptions are earlier versions of package code, kept so
+that the current ones can be checked against them bit for bit: the k-sink
+transport solver, the mask-based ring decomposition and the
+``Generator.choice``-based ring sampler.
 """
 
 from __future__ import annotations
@@ -81,6 +82,48 @@ def nearest_facility_map(inst):
     d_sorted = d[:, order]
     fac_sorted = inst.facilities[order]
     return fac_sorted[np.argmin(d_sorted, axis=1)]
+
+
+def ring_decomposition_masks(inst, table):
+    """The rings of ``weakcore.coreset.ring_decomposition`` as (cluster,
+    level, ids, weights, band) tuples, found the earlier way: ``np.argmin``,
+    three boolean masks per cluster and one per level."""
+    nearest = np.argmin(table, axis=1)
+    rings = []
+    for i in range(table.shape[1]):
+        mask = nearest == i
+        if not mask.any():
+            continue
+        costs = table[mask, i]
+        weights = inst.weights[mask]
+        members = inst.points[mask]
+        avg = float(np.dot(weights, costs) / weights.sum())
+        if avg <= 0.0:
+            rings.append((i, 0, members, weights, (0.0, 0.0)))
+            continue
+        levels = np.zeros(costs.size, dtype=np.int64)
+        above = costs > avg
+        levels[above] = np.ceil(np.log2(costs[above] / avg)).astype(np.int64)
+        levels[above] = np.maximum(levels[above], 1)
+        for lvl in np.unique(levels):
+            sel = levels == lvl
+            band = (0.0, avg) if lvl == 0 else (2.0 ** (lvl - 1) * avg, 2.0**lvl * avg)
+            rings.append((i, int(lvl), members[sel], weights[sel], band))
+    return rings
+
+
+def sample_ring_choice(ids, weights, s, rng):
+    """``weakcore.coreset._sample_ring`` the earlier way: ``s`` draws by
+    ``Generator.choice`` on ``rng``, counted with ``np.unique``; a ring of at
+    most ``s`` members is returned whole."""
+    if ids.size <= s:
+        return ids, weights
+    total = math.fsum(weights.tolist())
+    draws = rng.choice(ids.size, size=s, p=weights / weights.sum())
+    picked, counts = np.unique(draws, return_counts=True)
+    values = counts * (total / s)
+    values[np.argmax(values)] += total - math.fsum(values.tolist())
+    return ids[picked], values
 
 
 def min_cost_integral_splits(costs, lower, upper):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import weakcore.candidates as candidates
 from conftest import random_small_instance
 from oracles import best_centers_for_assignment, nearest_facility_map
 from weakcore.candidates import (
     CandidateParams,
+    _draw,
     _nearest_facilities,
     build_candidates_euclidean_means,
     build_candidates_metric,
@@ -14,6 +18,7 @@ from weakcore.candidates import (
 )
 from weakcore.cli import make_planar_blobs, make_random_metric
 from weakcore.constraints import Balanced
+from weakcore.coreset import SummaryParams, build_summary, build_universal_weak_coreset
 from weakcore.model import ClusteringInstance, MetricSpace, ValidationError
 from weakcore.oracle import brute_force_opt
 
@@ -94,6 +99,100 @@ def test_nearest_facilities_keep_the_full_map_tie_rule(seed):
         assert _nearest_facilities(inst, everywhere).tolist() == nearest_facility_map(inst).tolist()
         drawn = np.random.default_rng(seed).integers(0, inst.n, size=10)
         assert _nearest_facilities(inst, drawn).tolist() == nearest_facility_map(inst)[drawn].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=60).filter(any),
+    st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(2, 50)),
+    st.integers(0, 2**32 - 1),
+)
+@example([0.0, 0.0, 3.0, 0.0], None, 0)  # a one-point support
+@example([0.0, 2.0], 5, 1)
+@example([1.0], 0, 2)
+def test_draw_is_generator_choice(weights, size, seed):
+    """_draw returns what Generator.choice returns for the same p, and takes
+    the same values from the stream."""
+    w = np.asarray(weights)
+    p = w / w.sum()
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = _draw(mine, p, size), theirs.choice(p.size, size, p=p)
+    if size is None:
+        assert np.ndim(got) == 0 and int(got) == int(want)
+    else:
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert np.all(w[got] > 0)
+    assert mine.random() == theirs.random()
+
+
+def test_draw_at_a_cdf_step_takes_the_next_positive_index():
+    """A uniform value exactly on a step of the cdf belongs to the next
+    index, as in Generator.choice, so an index with p == 0 is never drawn,
+    not even by a value of 0.0."""
+
+    class Stream:
+        def random(self, size=None):
+            return np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+
+    p = np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])
+    assert _draw(Stream(), p, 5).tolist() == [1, 3, 4, 4, 4]
+
+
+def _count_lookups(monkeypatch):
+    calls = []
+    lookup = candidates._nearest_facilities
+
+    def spy(inst, positions):
+        calls.append(np.size(positions))
+        return lookup(inst, positions)
+
+    monkeypatch.setattr(candidates, "_nearest_facilities", spy)
+    return calls
+
+
+def test_one_point_classes_take_the_fallback_without_100_redraws(monkeypatch):
+    """In a one-point label class every seeding round after the first can
+    only draw the one point again, whose facility is already chosen. The
+    round checks that once, after a few failed redraws, and takes the
+    fallback: the summary and the coreset are those of the full redraw loop."""
+    inst = make_planar_blobs(60, 10, 3, m=60, seed=2)
+    params = SummaryParams(sample_count=3, seed=5)
+    calls = _count_lookups(monkeypatch)
+    fast = build_summary(inst, 10, 0.5, params)
+    # Per class: the first draw, then two rounds of redraws and one check each.
+    assert calls == [1] * 60 * (1 + 2 * (candidates._REDRAWS_BEFORE_CHECK + 1))
+    fast_cs = build_universal_weak_coreset(inst, 0.5, 0.05, seed=5)
+
+    monkeypatch.setattr(candidates, "_REDRAWS_BEFORE_CHECK", 100)  # the loop never checks
+    calls.clear()
+    slow = build_summary(inst, 10, 0.5, params)
+    assert calls == [1] * 60 * (1 + 2 * 100)
+    slow_cs = build_universal_weak_coreset(inst, 0.5, 0.05, seed=5)
+    assert fast.indices.tolist() == slow.indices.tolist() and fast.weights.tolist() == slow.weights.tolist()
+    assert (fast.sample_count, fast.ring_count) == (slow.sample_count, slow.ring_count)
+    for a, b in [(fast_cs.S, slow_cs.S), (fast_cs.v, slow_cs.v), (fast_cs.J, slow_cs.J)]:
+        assert a.tobytes() == b.tobytes()
+    assert fast_cs.info == slow_cs.info
+
+
+def test_redraws_go_on_when_the_check_finds_a_new_facility(monkeypatch):
+    """A light point far from the first pick maps to a facility not yet
+    chosen, so a round whose first redraws all repeat the first pick keeps
+    drawing, and picks what the full redraw loop picks, not the fallback."""
+    # Points at 0 and 100; facilities at 1 (nearest to 0), 101 (nearest to
+    # 100) and 1000 (the farthest-point fallback).
+    space = MetricSpace.euclidean([[0.0], [100.0], [1.0], [101.0], [1000.0]])
+    inst = ClusteringInstance(space, [0, 1], [900.0, 1.0], [2, 3, 4], k=2)
+    calls = _count_lookups(monkeypatch)
+    kept_drawing = 0
+    for seed in range(40):
+        calls.clear()
+        fast = dz_seed(inst, 2, 1, seed=seed)[0].tolist()
+        kept_drawing += len(calls) > 2 + candidates._REDRAWS_BEFORE_CHECK and fast == [2, 3]
+        with monkeypatch.context() as m:
+            m.setattr(candidates, "_REDRAWS_BEFORE_CHECK", 100)
+            assert dz_seed(inst, 2, 1, seed=seed)[0].tolist() == fast
+    assert kept_drawing
 
 
 def test_metric_candidates_subset_of_facilities(line_instance):

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import SeedSequence, default_rng
 
 from conftest import count_tables
+from oracles import ring_decomposition_masks, sample_ring_choice
 from weakcore.candidates import CandidateParams, dz_seed
 from weakcore.cli import make_line_instance, make_planar_blobs
 from weakcore.constraints import profile_cost, voronoi_profile
 from weakcore.coreset import (
     SummaryParams,
     WeakCoreset,
+    _sample_ring,
     build_summary,
     build_universal_weak_coreset,
     identity_weak_coreset,
@@ -243,3 +248,97 @@ def test_stage_1_computes_one_distance_column_per_seed_center(monkeypatch, z):
     centers, table = dz_seed(inst, 3, z, seed=4)
     assert table.shape == (inst.n, 3)
     assert np.array_equal(table, inst.space.pairwise(inst.points, centers) ** z)
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_rings_match_masks(inst, table):
+    """ring_decomposition cuts the rings of the mask-based reference, bit for
+    bit and in the same order."""
+    got = ring_decomposition(inst, np.arange(table.shape[1]), table).rings
+    want = ring_decomposition_masks(inst, table)
+    assert [(r.cluster, r.level) for r in got] == [w[:2] for w in want]
+    for ring, (_, _, ids, weights, band) in zip(got, want):
+        assert _same_array(ring.indices, ids) and _same_array(ring.weights, weights)
+        assert ring.band == band
+    return got
+
+
+def _table_instance(weights):
+    """An instance of len(weights) points whose rings are cut from a table
+    given directly; the space only has to hold the ids."""
+    n = len(weights)
+    space = MetricSpace.euclidean(np.zeros((n + 1, 1)))
+    return ClusteringInstance(space, np.arange(n), np.asarray(weights, dtype=float), [n], k=1)
+
+
+def test_rings_match_masks_at_band_edges():
+    """Costs exactly at 2^j * avg (the weights make avg exactly 1) stay in
+    level j, each such level a one-point ring; costs one ulp above an edge
+    move up a level."""
+    inst = _table_instance([11.0, 1.0, 1.0, 1.0, 1.0])
+    rings = _assert_rings_match_masks(inst, np.array([[0.0], [1.0], [2.0], [4.0], [8.0]]))
+    assert [r.band[1] for r in rings] == [1.0, 2.0, 4.0, 8.0]
+    assert [r.indices.tolist() for r in rings] == [[0, 1], [2], [3], [4]]
+    above = np.nextafter(np.array([[0.0], [1.0], [2.0], [4.0], [8.0]]), np.inf)
+    _assert_rings_match_masks(inst, above)
+
+
+def test_rings_match_masks_with_zero_average_and_idle_centers():
+    """A cluster whose points all sit on its center is one [0, 0] ring; a
+    center nearest to no point gives no ring; ties go to the lower column."""
+    inst = _table_instance(np.ones(7))
+    table = np.array(
+        [
+            [0.0, 5.0, 9.0, 3.0],
+            [0.0, 5.0, 9.0, 3.0],
+            [4.0, 1.0, 9.0, 3.0],
+            [4.0, 2.0, 9.0, 2.0],  # tie between columns 1 and 3
+            [4.0, 9.0, 9.0, 1.0],
+            [4.0, 8.0, 9.0, 0.5],
+            [0.0, 0.0, 9.0, 0.0],  # three-way tie at zero
+        ]
+    )
+    rings = _assert_rings_match_masks(inst, table)
+    assert rings[0].band == (0.0, 0.0) and rings[0].indices.tolist() == [0, 1, 6]
+    assert 2 not in {r.cluster for r in rings}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["ties", "spread", "zeros"]),
+)
+def test_rings_match_masks_on_drawn_tables(n, k, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        table = rng.integers(0, 4, size=(n, k)).astype(float)
+    elif kind == "spread":
+        table = rng.exponential(size=(n, k)) ** rng.integers(1, 6)
+    else:
+        table = rng.integers(0, 2, size=(n, k)) * rng.random((n, k))
+    if rng.integers(2):
+        table = np.asfortranarray(table)
+    _assert_rings_match_masks(_table_instance(rng.uniform(0.1, 3.0, n)), table)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_ring_matches_the_choice_reference(seed):
+    """Sampled rings draw what Generator.choice draws on the ring's stream;
+    rings of at most s members (one-point rings among them) are taken whole
+    and set up no stream."""
+    rng = np.random.default_rng(seed)
+    inst = make_planar_blobs(90, 8, 3, seed=seed)
+    inst = ClusteringInstance(inst.space, inst.points, rng.uniform(0.5, 4.0, inst.n), inst.facilities, 3)
+    centers, table = dz_seed(inst, 3, 1, seed=seed)
+    rings = ring_decomposition(inst, centers, table).rings
+    for ring in rings:
+        for s in sorted({1, 3, ring.indices.size - 1, ring.indices.size, ring.indices.size + 2} - {0}):
+            key = SeedSequence(seed, spawn_key=(1, 2, ring.cluster, ring.level))
+            ids, values = _sample_ring(ring, s, seed, 2)
+            want_ids, want_values = sample_ring_choice(ring.indices, ring.weights, s, default_rng(key))
+            assert _same_array(ids, want_ids) and _same_array(values, want_values)

@@ -16,6 +16,7 @@ from weakcore.model import (
     MetricSpace,
     ValidationError,
     WeightedPoints,
+    _row_argmin,
     validate_instance,
 )
 
@@ -323,3 +324,26 @@ def test_assignment_bookkeeping_matches_loops(seed):
             sigma.label_cluster_mass(B, k)
     else:
         assert np.array_equal(sigma.label_cluster_mass(B, k), _loop_label_cluster_mass(sigma, B, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 60),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_row_argmin_is_argmin_bit_for_bit(n, k, seed, fortran):
+    """Index and entry of each row's minimum equal np.argmin's, ties to the
+    lowest column included, also between 0.0 and -0.0 and at infinity."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1.0, 2.5, np.inf, rng.random(), -rng.random()])
+    table = values[rng.integers(0, values.size, size=(n, k))]  # ties on every row
+    noise = rng.random((n, k)) < 0.3
+    table[noise] = rng.normal(size=int(noise.sum()))
+    if fortran:
+        table = np.asfortranarray(table)
+    index, minimum = _row_argmin(table)
+    want = np.argmin(table, axis=1)
+    assert index.dtype == np.intp and index.tolist() == want.tolist()
+    assert minimum.tobytes() == table[np.arange(n), want].tobytes()
